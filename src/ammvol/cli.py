@@ -99,8 +99,10 @@ def cmd_gen_ticks(out, p0, sigma, sigma_y, rho, rate, spread, days, interval, se
               show_default=True)
 @click.option("--fee-vol/--no-fee-vol", "with_fee_vol", default=True, show_default=True,
               help="attach per-window implied fee volatility")
-@click.option("--paths", default=16384, show_default=True, help="MC paths for fee volatility")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--paths", default=16384, show_default=True,
+              help="ignored: fee volatility no longer uses Monte Carlo; kept so "
+                   "existing command lines parse")
+@click.option("--seed", default=0, show_default=True, help="ignored, like --paths")
 @click.option("--allow-crossed", is_flag=True, help="accept crossed bid/ask rows")
 def cmd_simulate(ticks_path, curve_src, fee_bps, ledger_out, windows_out, window_days,
                  stride_days, investment, no_scale, lvr_mode, with_fee_vol, paths, seed,
@@ -127,7 +129,7 @@ def cmd_simulate(ticks_path, curve_src, fee_bps, ledger_out, windows_out, window
         stride = window_days / 4.0 if stride_days is None else stride_days
         stats = rolling_windows(ledger, window_seconds, int(round(stride * DAY_SECONDS)))
         if with_fee_vol:
-            stats = attach_fee_vols(ledger, stats, McConfig(paths, seed, True))
+            stats = attach_fee_vols(ledger, stats)
         write_windows(windows_out, stats)
         summary["windows"] = len(stats)
         summary["windows_out"] = windows_out
@@ -285,7 +287,7 @@ def cmd_solve_corr(request_src):
 @cli.command("price-swap")
 @_REQUEST_ARG
 def cmd_price_swap(request_src):
-    """Floating-leg value at a given volatility (or sigmaX/sigmaY/rho triple)."""
+    """Monte Carlo floating-leg value and stderr at a volatility (or sigmaX/sigmaY/rho)."""
     request = _load_request(request_src)
     spec = _spec_from_request(request)
     if "sigma" in request:

@@ -32,6 +32,10 @@ is nondecreasing and concave.  Three curve families are provided:
     marginal price map ``q(u)``; derivatives come from implicit
     differentiation of the invariant, since finite differences lose all
     precision in the flat region near the center.
+
+Each curve prices the fee-swap floating leg ``C(q0) - E[C(Q)]`` for a
+driftless lognormal ``Q`` as a strip of out-of-the-money Black-Scholes
+options weighted by ``-dx``, since ``C'' = x'`` (Carr & Madan 1998).
 """
 
 from __future__ import annotations
@@ -40,16 +44,24 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from .errors import DegenerateCurve, DomainError, InvalidParams, RangeError
 
 # Holdings smaller than this fraction of the pool scale count as exhausted;
 # they bound the StableSwap price domain.
 HOLDINGS_FLOOR = 1e-12
+
+# Floating-leg strips reach this many standard deviations into both tails
+# with this many Simpson intervals (a multiple of 4); StableSwap brackets
+# them with a log-u table of this many points.
+_STRIP_WIDTH = 8.0
+_STRIP_INTERVALS = 2048
+_STRIP_TABLE_POINTS = 2048
 
 
 class Holdings(NamedTuple):
@@ -64,6 +76,42 @@ def _check_price(q: float) -> float:
     if not math.isfinite(q) or q <= 0.0:
         raise DomainError(f"price must be a positive finite number, got {q!r}")
     return q
+
+
+_StripNodes = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _otm_strip(
+    q0: float, s: float, a: float, t0: float, b: float, nodes: _StripNodes
+) -> tuple[float, float]:
+    """(value, vega) of a strip of out-of-the-money options on forward q0.
+
+    Black-Scholes puts below the spot and calls above, total volatility s,
+    weighted by -dx and integrated by composite Simpson over [a, b] in the
+    curve's own variable t, with the spot's t0 as a node when inside since
+    the strip has a kink there.  ``nodes(t)`` gives (log strike, -dx/dt).
+    """
+    if a >= b:
+        return 0.0, 0.0
+    parts = [(a, t0), (t0, b)] if a < t0 < b else [(a, b)]
+    n = _STRIP_INTERVALS // len(parts)
+    simpson = np.full(n + 1, 2.0)
+    simpson[1::2] = 4.0
+    simpson[0] = simpson[-1] = 1.0
+    t = np.concatenate([np.linspace(lo, hi, n + 1) for lo, hi in parts])
+    log_k, density = nodes(t)
+    mass = density * np.concatenate([simpson * ((hi - lo) / (3.0 * n)) for lo, hi in parts])
+    lm = log_k - math.log(q0)
+    d1 = 0.5 * s - lm / s
+    side = np.where(lm >= 0.0, 1.0, -1.0)
+    otm = side * q0 * (ndtr(side * d1) - np.exp(lm) * ndtr(side * (d1 - s)))
+    vega = q0 * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+    return float(otm @ mass), float(vega @ mass)
+
+
+def _strip_reach(s: float) -> float:
+    # log Q has mean -s**2/2, and +s**2/2 under the calls' share measure
+    return _STRIP_WIDTH * s + 0.5 * s * s
 
 
 def _check_positive(value: float, name: str) -> float:
@@ -85,6 +133,7 @@ class AmmCurve(ABC):
     """
 
     kind: ClassVar[str]
+    exact_floating_leg: ClassVar[bool] = False
 
     @property
     @abstractmethod
@@ -135,8 +184,17 @@ class AmmCurve(ABC):
         return qs * x + y
 
     def pool_value_grid_warm(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, object]:
-        """pool_value_grid plus reusable solver state, see xprime_grid."""
+        """pool_value_grid and no solver state; kept for existing callers."""
         return self.pool_value_grid(qs), None
+
+    @abstractmethod
+    def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
+        """(C(q0) - E[C(Q)], its derivative in s) with C the pool value.
+
+        Q = q0 * exp(-s**2/2 + s*Z) for standard normal Z and total
+        volatility s = sigma*sqrt(T) > 0.  ``exact_floating_leg`` marks
+        curves that evaluate it in closed form rather than by quadrature.
+        """
 
     @abstractmethod
     def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, object]:
@@ -167,6 +225,7 @@ class Cpmm(AmmCurve):
     liquidity_tokens: float
 
     kind: ClassVar[str] = "cpmm"
+    exact_floating_leg: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(
@@ -214,6 +273,11 @@ class Cpmm(AmmCurve):
         with np.errstate(divide="ignore"):
             xp = np.where(qs > 0.0, -0.5 * self.liquidity_tokens * qs**-1.5, 0.0)
         return xp, None
+
+    def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
+        # E[sqrt(Q)] = sqrt(q0) * exp(-s**2/8), the lognormal half-moment
+        c0 = 2.0 * self.liquidity_tokens * math.sqrt(q0)
+        return -c0 * math.expm1(-s * s / 8.0), 0.25 * c0 * s * math.exp(-s * s / 8.0)
 
     def scaled_to_value(self, target_value: float, q: float) -> "Cpmm":
         q = _check_price(q)
@@ -295,6 +359,15 @@ class ConcentratedCpmm(AmmCurve):
         qsafe = np.where(inside, qs, 1.0)
         xp = np.where(inside, -0.5 * self.liquidity_tokens * qsafe**-1.5, 0.0)
         return xp, None
+
+    def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
+        # -dx = L/2 * k**-1.5 dk on the range, i.e. L/2 * k**-0.5 per unit log k
+        reach = _strip_reach(s)
+        lq0 = math.log(q0)
+        return _otm_strip(
+            q0, s, max(math.log(self.p_lo), lq0 - reach), lq0, min(math.log(self.p_hi), lq0 + reach),
+            lambda t: (t, 0.5 * self.liquidity_tokens * np.exp(-0.5 * t)),
+        )
 
     def scaled_to_value(self, target_value: float, q: float) -> "ConcentratedCpmm":
         q = _check_price(q)
@@ -449,6 +522,14 @@ class StableSwap(AmmCurve):
         qp = -c * vpp
         return v, q, qp
 
+    @cached_property
+    def _log_q_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log q, log u) over the domain, log q ascending, for np.interp."""
+        u_min, u_max = self._u_bounds
+        log_u = np.linspace(math.log(u_max), math.log(u_min), _STRIP_TABLE_POINTS)
+        _, q, _ = self._grid_state(np.exp(log_u))
+        return np.log(q), log_u
+
     def _grid_u_from_q(self, qs: np.ndarray, warm: np.ndarray | None = None) -> np.ndarray:
         """Invert q(u) elementwise; qs must already be clipped to q_bounds.
 
@@ -542,14 +623,20 @@ class StableSwap(AmmCurve):
         u = self._grid_u_from_q(np.clip(qs, q_lo, q_hi))
         return u / self.price_center, self._grid_v(u)
 
-    def pool_value_grid_warm(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, object]:
-        qs = np.asarray(qs, dtype=float)
-        q_lo, q_hi = self.q_bounds
-        if warm is not None and np.shape(warm) != qs.shape:
-            warm = None
-        u = self._grid_u_from_q(np.clip(qs, q_lo, q_hi), warm)
-        # beyond the domain the pool holds the boundary portfolio
-        return qs * (u / self.price_center) + self._grid_v(u), u
+    def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
+        # x = u/c, so -dx = (u/c) d(log u) along the explicit q(u): no
+        # price->holdings inversion.  The table places the bracket and (to its
+        # accuracy) the spot node; beyond the domain x is frozen, -dx = 0.
+        log_q, log_u = self._log_q_table
+        reach = _strip_reach(s)
+        lq0 = math.log(q0)
+        a, t0, b = np.interp([lq0 + reach, lq0, lq0 - reach], log_q, log_u)
+        return _otm_strip(q0, s, a, t0, b, self._strip_nodes)
+
+    def _strip_nodes(self, log_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = np.exp(log_u)
+        _, q, _ = self._grid_state(u)
+        return np.log(q), u / self.price_center
 
     def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, object]:
         qs = np.asarray(qs, dtype=float)

@@ -147,6 +147,19 @@ def realized_lvr_increment(
     return rebalance - pool
 
 
+def mc_mean_stderr(vals: np.ndarray, antithetic: bool) -> tuple[float, float]:
+    """Path mean and its stderr; antithetic mates fill the second half."""
+    if antithetic:
+        half = vals.size // 2
+        pair = 0.5 * (vals[:half] + vals[half:])
+        mean = float(pair.mean())
+        stderr = float(pair.std(ddof=1) / math.sqrt(half)) if half > 1 else 0.0
+    else:
+        mean = float(vals.mean())
+        stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return mean, stderr
+
+
 def mc_fee_plus_terminal_value(
     curve: AmmCurve,
     params: GbmParams,
@@ -224,11 +237,4 @@ def mc_fee_plus_terminal_value(
     py = np.exp(ln_py)
     totals = fees + math.exp(-r * maturity) * py * curve.pool_value_grid(px / py)
 
-    if antithetic:
-        pair_means = 0.5 * (totals[:half] + totals[half:])
-        mean = float(pair_means.mean())
-        stderr = float(pair_means.std(ddof=1) / math.sqrt(half))
-    else:
-        mean = float(totals.mean())
-        stderr = float(totals.std(ddof=1) / math.sqrt(n_eff))
-    return mean, stderr
+    return mc_mean_stderr(totals, antithetic)

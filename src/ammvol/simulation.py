@@ -113,8 +113,9 @@ class TickSeries:
         if np.any(np.diff(self.timestamps) <= 0):
             i = int(np.argmax(np.diff(self.timestamps) <= 0))
             raise UnsortedInput(f"timestamps must be strictly increasing (violation after row {i})")
-        if np.any(self.bids <= 0.0) or np.any(self.asks <= 0.0):
-            raise InvalidParams("quotes must be positive")
+        bad = ~(np.isfinite(self.bids) & np.isfinite(self.asks) & (self.bids > 0.0) & (self.asks > 0.0))
+        if np.any(bad):
+            raise InvalidParams(f"quotes must be positive and finite (row {int(np.argmax(bad))})")
         if not allow_crossed and np.any(self.bids > self.asks):
             i = int(np.argmax(self.bids > self.asks))
             raise InvalidParams(f"crossed quote (bid > ask) at row {i}; pass allow_crossed to accept")
@@ -524,10 +525,11 @@ class PoolEventSeries:
             raise EmptyInput("pool event series is empty")
         if np.any(np.diff(self.timestamps) <= 0):
             raise UnsortedInput("pool event timestamps must be strictly increasing")
-        if np.any(self.prices <= 0.0):
-            raise InvalidParams("pool prices must be positive")
-        if np.any(self.fees_x < 0.0) or np.any(self.fees_y < 0.0):
-            raise InvalidParams("fee accruals must be nonnegative")
+        if not np.all(np.isfinite(self.prices) & (self.prices > 0.0)):
+            raise InvalidParams("pool prices must be positive and finite")
+        fx, fy = self.fees_x, self.fees_y
+        if not np.all(np.isfinite(fx) & np.isfinite(fy) & (fx >= 0.0) & (fy >= 0.0)):
+            raise InvalidParams("fee accruals must be nonnegative and finite")
         return self
 
 

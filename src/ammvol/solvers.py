@@ -15,11 +15,12 @@ volatility sigma_bar, and the implied correlation follows from
 
     sigma_bar**2 = sigma_x**2 - 2*rho*sigma_x*sigma_y + sigma_y**2.
 
-Monte Carlo evaluations use common random numbers: every evaluation inside
-one solve reuses the same normal draws, making the objective a fixed
-monotone function that plain bisection inverts reliably.  The draws come
-from a counter-based generator, so the value for a given path index does
-not depend on how paths might be partitioned across workers.
+Every valuation and inversion goes through the curve's deterministic
+``floating_leg`` kernel, an option strip (see ``ammvol.curves``), and its
+analytic vega; implied vols are safeguarded Newton solves on it.  Monte
+Carlo stays as the independent oracle (``mc_expected_pool_value``,
+``mc_floating_leg``) and as the stderr ``implied_vol`` reports; functions
+taking an McConfig without reporting a stderr ignore it.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import AmmCurve, Cpmm
+from .curves import AmmCurve
 from .errors import ArbitrageViolation, InvalidParams, NoConvergence, OutOfBounds
-from .fees import YEAR_SECONDS
+from .fees import YEAR_SECONDS, mc_mean_stderr
 from .simulation import SimLedger, WindowStat
 
-_SIGMA_BRACKET_START = 4.0
-_SIGMA_BRACKET_CAP = 64.0
-_MAX_BISECTIONS = 200
+# implied vols are sought on (0, _SIGMA_CAP]
+_SIGMA_CAP = 64.0
+_MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,13 @@ class SwapSpec:
         return self.liquidity_tokens * self.p0y
 
     def pool_value_now(self) -> float:
-        """Dollar pool value of the swap notional at the start prices."""
-        return self.notional_scale * float(self.curve.pool_value_grid(np.array([self.q0]))[0])
+        """Dollar pool value of the swap notional at the start prices.
+
+        Beyond the curve's price domain the pool holds the boundary portfolio.
+        """
+        lo, hi = self.curve.q_bounds
+        x, y = self.curve.holdings(min(max(self.q0, lo), hi))
+        return self.notional_scale * (self.q0 * x + y)
 
 
 @dataclass(frozen=True)
@@ -116,18 +122,6 @@ def _draw_normals(mc: McConfig) -> np.ndarray:
     return rng.standard_normal(mc.n_paths)
 
 
-def _mean_stderr(vals: np.ndarray, antithetic: bool) -> tuple[float, float]:
-    if antithetic:
-        half = vals.size // 2
-        pair = 0.5 * (vals[:half] + vals[half:])
-        mean = float(pair.mean())
-        stderr = float(pair.std(ddof=1) / math.sqrt(half)) if half > 1 else 0.0
-    else:
-        mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return mean, stderr
-
-
 def mc_expected_pool_value(
     curve: AmmCurve, p0: float, sigma: float, maturity: float, mc: McConfig | None = None
 ) -> tuple[float, float]:
@@ -146,91 +140,104 @@ def mc_expected_pool_value(
     z = _draw_normals(mc)
     q = p0 * np.exp(-0.5 * sigma * sigma * maturity + sigma * math.sqrt(maturity) * z)
     vals = curve.pool_value_grid(q)
-    return _mean_stderr(vals, mc.antithetic)
+    return mc_mean_stderr(vals, mc.antithetic)
 
 
 def lognormal_kernel_expectation(
     curve: AmmCurve, p0: float, sigma: float, maturity: float, mc: McConfig | None = None
 ) -> float:
-    """E[C(p0 * kernel(sigma))]; exact for sigma=0 and for Cpmm.
+    """E[C(p0 * kernel(sigma))] from the curve's floating-leg kernel.
 
-    The constant-product value is 2L*sqrt(q) and E[sqrt(kernel)] is the
-    lognormal half-moment exp(-sigma**2*T/8), so no sampling is needed.
+    Exact for sigma=0 and for Cpmm.
     """
+    if not p0 > 0.0:
+        raise InvalidParams(f"p0 must be positive, got {p0!r}")
+    c0 = float(curve.pool_value_grid(np.array([p0]))[0])
     if sigma == 0.0:
-        if not p0 > 0.0:
-            raise InvalidParams(f"p0 must be positive, got {p0!r}")
-        return float(curve.pool_value_grid(np.array([p0]))[0])
-    if isinstance(curve, Cpmm):
-        if not (p0 > 0.0 and sigma > 0.0 and maturity > 0.0):
-            raise InvalidParams("p0, sigma and maturity must be positive")
-        return 2.0 * curve.liquidity_tokens * math.sqrt(p0) * math.exp(-sigma * sigma * maturity / 8.0)
-    mean, _ = mc_expected_pool_value(curve, p0, sigma, maturity, mc)
-    return mean
+        return c0
+    if not (sigma > 0.0 and maturity > 0.0):
+        raise InvalidParams("p0, sigma and maturity must be positive")
+    return c0 - curve.floating_leg(p0, sigma * math.sqrt(maturity))[0]
+
+
+def _leg(spec: SwapSpec, sigma: float) -> tuple[float, float]:
+    """(floating leg, d leg/d sigma) in dollars for the swap notional."""
+    scale = spec.notional_scale
+    if sigma == 0.0 or scale == 0.0:
+        return 0.0, 0.0
+    root_t = math.sqrt(spec.maturity)
+    value, vega = spec.curve.floating_leg(spec.q0, sigma * root_t)
+    return scale * value, scale * vega * root_t
 
 
 def mc_floating_leg(spec: SwapSpec, sigma: float, mc: McConfig | None = None) -> tuple[float, float]:
-    """(floating leg value, MC stderr) in dollars for the swap notional."""
+    """(floating leg value, MC stderr) in dollars for the swap notional.
+
+    Curves whose leg has a closed form return it with zero stderr.
+    """
     if sigma < 0.0:
         raise InvalidParams(f"sigma must be nonnegative, got {sigma!r}")
     scale = spec.notional_scale
     if sigma == 0.0 or scale == 0.0:
         return 0.0, 0.0
+    if spec.curve.exact_floating_leg:
+        return _leg(spec, sigma)[0], 0.0
     c0 = spec.pool_value_now() / scale
-    if isinstance(spec.curve, Cpmm):
-        kernel = lognormal_kernel_expectation(spec.curve, spec.q0, sigma, spec.maturity)
-        return scale * (c0 - kernel), 0.0
     mean, stderr = mc_expected_pool_value(spec.curve, spec.q0, sigma, spec.maturity, mc)
     return scale * (c0 - mean), scale * stderr
 
 
 def floating_leg_value(spec: SwapSpec, sigma: float, mc: McConfig | None = None) -> float:
     """Present value of the accrued fee/LVR stream over the swap horizon."""
-    value, _ = mc_floating_leg(spec, sigma, mc)
-    return value
+    if sigma < 0.0:
+        raise InvalidParams(f"sigma must be nonnegative, got {sigma!r}")
+    return _leg(spec, sigma)[0]
 
 
-class _CrnObjective:
-    """floating-leg value as a deterministic function of sigma.
+def _solve_leg(spec: SwapSpec, pi_bar: float, cap: float, tol: float) -> tuple[float, float, int]:
+    """(sigma, vega at the last evaluation, iterations) with leg(sigma) = pi_bar.
 
-    Normal draws are made once and sorted; prices are monotone in the draw
-    for every sigma, so consecutive evaluations land on nearby grids and
-    the curve's warm-started inversion (StableSwap) stays cheap.  Antithetic
-    mates sit mirrored at positions k and n-1-k after sorting.
+    Newton on log(leg) against log(sigma), exact in one step where the leg
+    grows like sigma**2, starting from the vol a constant-product pool of
+    value cap would need; steps leaving the bracket [lo, hi] that every
+    evaluation tightens bisect it.  Stops once a step is within
+    tol * max(1, sigma).
     """
-
-    def __init__(self, spec: SwapSpec, mc: McConfig):
-        self.curve = spec.curve
-        self.q0 = spec.q0
-        self.scale = spec.notional_scale
-        self.maturity = spec.maturity
-        self.c0 = spec.pool_value_now() / self.scale if self.scale else 0.0
-        self.cap = self.scale * self.c0
-        self.exact = isinstance(spec.curve, Cpmm)
-        self.antithetic = mc.antithetic
-        if not self.exact:
-            self.z = np.sort(_draw_normals(mc))
-            self.warm = None
-
-    def __call__(self, sigma: float) -> tuple[float, float]:
-        if sigma == 0.0 or self.scale == 0.0:
-            return 0.0, 0.0
-        if self.exact:
-            kernel = self.c0 * math.exp(-sigma * sigma * self.maturity / 8.0)
-            return self.scale * (self.c0 - kernel), 0.0
-        q = self.q0 * np.exp(
-            -0.5 * sigma * sigma * self.maturity + sigma * math.sqrt(self.maturity) * self.z
-        )
-        vals, self.warm = self.curve.pool_value_grid_warm(q, self.warm)
-        if self.antithetic:
-            half = vals.size // 2
-            pair = 0.5 * (vals[:half] + vals[::-1][:half])
-            mean = float(pair.mean())
-            stderr = float(pair.std(ddof=1) / math.sqrt(half)) if half > 1 else 0.0
+    lo, hi = 0.0, _SIGMA_CAP
+    sigma = min(math.sqrt(-8.0 / spec.maturity * math.log1p(-pi_bar / cap)), _SIGMA_CAP)
+    for iterations in range(1, _MAX_NEWTON_STEPS + 1):
+        value, vega = _leg(spec, sigma)
+        if value < pi_bar:
+            lo = sigma
         else:
-            mean = float(vals.mean())
-            stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-        return self.scale * (self.c0 - mean), self.scale * stderr
+            hi = sigma
+        # the slope of log(leg) against log(sigma) is the elasticity
+        elasticity = sigma * vega / value if value > 0.0 else 0.0
+        step = math.log(pi_bar / value) / elasticity if elasticity > 0.0 else math.inf
+        nxt = sigma * math.exp(step) if abs(step) < 700.0 else -1.0  # else exp overflows
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - sigma) <= tol * max(1.0, nxt):
+            if nxt >= _SIGMA_CAP * (1.0 - tol):
+                raise ArbitrageViolation(
+                    f"no volatility below {_SIGMA_CAP} reproduces fixed leg {pi_bar:.6g} "
+                    f"against pool value {cap:.6g}"
+                )
+            return nxt, vega, iterations
+        sigma = nxt
+    raise NoConvergence(
+        f"Newton solve did not reach tolerance {tol:g} within {_MAX_NEWTON_STEPS} iterations"
+    )
+
+
+def _require_below_cap(spec: SwapSpec, pi_bar: float) -> float:
+    cap = spec.pool_value_now()
+    if pi_bar >= cap:
+        raise ArbitrageViolation(
+            f"fixed leg {pi_bar:.6g} >= pool value {cap:.6g}: "
+            "paying it admits a risk-free profit"
+        )
+    return cap
 
 
 def implied_vol(
@@ -238,9 +245,10 @@ def implied_vol(
 ) -> IvSolution:
     """Invert the floating leg: the volatility at which it is worth pi_bar.
 
-    Bisection against the common-random-number objective; the reported
-    stderr maps the price-space MC noise at the solution through the
-    numeric slope d(value)/d(sigma).
+    A safeguarded Newton solve on the floating-leg kernel and its analytic
+    vega, converged to tol * max(1, sigma).  The stderr is the MC price noise
+    of ``mc_floating_leg`` at the solution over the vega (zero for closed
+    forms): how far sampling noise in a quote would move the implied vol.
     """
     mc = mc or McConfig()
     pi_bar = float(pi_bar)
@@ -248,51 +256,15 @@ def implied_vol(
         raise InvalidParams(f"fixed leg must be a nonnegative number, got {pi_bar!r}")
     if not tol > 0.0:
         raise InvalidParams(f"tol must be positive, got {tol!r}")
-    objective = _CrnObjective(spec, mc)
-    if pi_bar >= objective.cap:
-        raise ArbitrageViolation(
-            f"fixed leg {pi_bar:.6g} >= pool value {objective.cap:.6g}: "
-            "paying it admits a risk-free profit"
-        )
+    cap = _require_below_cap(spec, pi_bar)
     if pi_bar == 0.0:
         return IvSolution(0.0, 0.0, 0)
-
-    iterations = 0
-    hi = _SIGMA_BRACKET_START
-    while objective(hi)[0] < pi_bar:
-        hi *= 2.0
-        iterations += 1
-        if hi > _SIGMA_BRACKET_CAP:
-            raise ArbitrageViolation(
-                f"fixed leg {pi_bar:.6g} is within Monte Carlo noise of the pool-value "
-                f"bound {objective.cap:.6g}; no volatility below {_SIGMA_BRACKET_CAP} reproduces it"
-            )
-    lo = 0.0
-    sigma = 0.5 * hi
-    converged = False
-    for _ in range(_MAX_BISECTIONS):
-        iterations += 1
-        sigma = 0.5 * (lo + hi)
-        if objective(sigma)[0] < pi_bar:
-            lo = sigma
-        else:
-            hi = sigma
-        if hi - lo <= tol * max(1.0, sigma):
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(
-            f"bisection did not reach tolerance {tol:g} within {_MAX_BISECTIONS} iterations"
-        )
-    sigma = 0.5 * (lo + hi)
-    _, price_se = objective(sigma)
-    if price_se > 0.0:
-        delta = max(1e-3, 0.01 * sigma)
-        s_lo = max(sigma - delta, 0.0)
-        slope = (objective(sigma + delta)[0] - objective(s_lo)[0]) / (sigma + delta - s_lo)
-        stderr = price_se / slope if slope > 0.0 else math.inf
-    else:
+    sigma, vega, iterations = _solve_leg(spec, pi_bar, cap, tol)
+    _, price_se = mc_floating_leg(spec, sigma, mc)
+    if price_se == 0.0:
         stderr = 0.0
+    else:
+        stderr = price_se / vega if vega > 0.0 else math.inf
     return IvSolution(sigma=sigma, stderr=stderr, iterations=iterations)
 
 
@@ -331,8 +303,8 @@ def implied_corr_bounds(
     """
     if not (sigma_x > 0.0 and sigma_y > 0.0):
         raise InvalidParams("component volatilities must be positive")
-    lo = floating_leg_value(spec, abs(sigma_x - sigma_y), mc)
-    hi = floating_leg_value(spec, sigma_x + sigma_y, mc)
+    lo = floating_leg_value(spec, abs(sigma_x - sigma_y))
+    hi = floating_leg_value(spec, sigma_x + sigma_y)
     return lo, hi
 
 
@@ -387,19 +359,16 @@ def fee_vol_from_realized(
 
     spec.p0x should be the pool spot at the window start and spec.maturity
     the window length in years, so windows of equal length are comparable.
-    Constant-product pools invert in closed form; other curves go through
-    the Monte Carlo solver.
+    No Monte Carlo runs: every curve inverts its floating-leg kernel.
     """
     fees = float(window_fees)
     if not math.isfinite(fees) or fees < 0.0:
         raise InvalidParams(f"window fees must be nonnegative, got {fees!r}")
     if fees == 0.0:
         return 0.0
-    if isinstance(spec.curve, Cpmm) and spec.notional_scale > 0.0:
-        return implied_vol_cpmm_closed_form(
-            spec.q0, fees / spec.notional_scale, spec.maturity, spec.curve.liquidity_tokens
-        )
-    return implied_vol(spec, fees, mc, tol).sigma
+    if not tol > 0.0:
+        raise InvalidParams(f"tol must be positive, got {tol!r}")
+    return _solve_leg(spec, fees, _require_below_cap(spec, fees), tol)[0]
 
 
 def attach_fee_vols(
@@ -410,7 +379,6 @@ def attach_fee_vols(
     Each window is priced as its own swap: spot at the window start, window
     length as maturity, the ledger's (already scaled) pool as the curve.
     """
-    mc = mc or McConfig(n_paths=1 << 14, seed=0, antithetic=True)
     out = []
     for stat in stats:
         spec = SwapSpec(
@@ -419,5 +387,5 @@ def attach_fee_vols(
             p0x=ledger.spot_at(stat.window_start),
             p0y=1.0,
         )
-        out.append(replace(stat, fee_vol=fee_vol_from_realized(stat.fees, spec, mc)))
+        out.append(replace(stat, fee_vol=fee_vol_from_realized(stat.fees, spec)))
     return out

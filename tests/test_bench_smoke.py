@@ -1,0 +1,29 @@
+"""The benchmark harness passes all of its output checks on tiny inputs.
+
+Runs ``perfbench/run.py --smoke`` for the StableSwap pipeline and the quote
+requests, whose checks reprice every window's fee vol through the floating
+leg kernel and round-trip sigma and rho through the solvers.  Asserts
+correctness only, nothing about timing.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["pipeline_stableswap", "quote_requests"])
+def test_benchmark_smoke_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",
+         "--seconds", "0.1", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True, proc.stdout[-2000:]
+    assert report["failed"] == 0
