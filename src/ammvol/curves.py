@@ -29,7 +29,9 @@ is nondecreasing and concave.  Three curve families are provided:
         4*A*(u + v) + D = 4*A*D + D**3 / (4*u*v)
 
     Holdings at a price are found by inverting the strictly decreasing
-    marginal price map ``q(u)``; derivatives come from implicit
+    marginal price map ``q(u)``: one vectorized solve, a safeguarded Newton
+    iteration bracketed and seeded by a cached table of the map, serves the
+    scalar and the array methods alike.  Derivatives come from implicit
     differentiation of the invariant, since finite differences lose all
     precision in the flat region near the center.
 
@@ -43,25 +45,35 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
-from .errors import DegenerateCurve, DomainError, InvalidParams, RangeError
+from .errors import DegenerateCurve, DomainError, InvalidParams, NoConvergence, RangeError
 
 # Holdings smaller than this fraction of the pool scale count as exhausted;
 # they bound the StableSwap price domain.
 HOLDINGS_FLOOR = 1e-12
 
 # Floating-leg strips reach this many standard deviations into both tails
-# with this many Simpson intervals (a multiple of 4); StableSwap brackets
-# them with a log-u table of this many points.
+# with this many Simpson intervals (a multiple of 4).  StableSwap tabulates
+# its price map at this many points; the table brackets the strips and
+# seeds the price->holdings solve.
 _STRIP_WIDTH = 8.0
 _STRIP_INTERVALS = 2048
 _STRIP_TABLE_POINTS = 2048
+
+# The StableSwap price->holdings solve freezes an element once a step moves
+# log u by at most _SOLVE_XTOL or its log-price residual is within
+# _SOLVE_RTOL of the target's magnitude (the rounding floor); an element
+# still moving after _SOLVE_MAX_ITER iterations raises NoConvergence.  A table-seeded Newton needs 2-3 iterations; bisecting a
+# whole table cell down to _SOLVE_XTOL takes about 40.  Brackets are padded
+# by _SOLVE_PAD in log u so that a root within rounding of a node stays in.
+_SOLVE_XTOL = 1e-13
+_SOLVE_PAD = 1e-9
+_SOLVE_RTOL = 4.0 * np.finfo(float).eps
+_SOLVE_MAX_ITER = 64
 
 
 class Holdings(NamedTuple):
@@ -76,6 +88,43 @@ def _check_price(q: float) -> float:
     if not math.isfinite(q) or q <= 0.0:
         raise DomainError(f"price must be a positive finite number, got {q!r}")
     return q
+
+
+# The standard normal CDF is Phi(-z) = phi(z) * R(z) for z >= 0, where the
+# Mills ratio R is smooth and slowly varying.  S(x) = R(sqrt(2) * x) obeys
+# S' = 2*x*S - sqrt(2) and S^(n+1) = 2*n*S^(n-1) + 2*x*S^(n), which gives its
+# Taylor coefficients at nodes x = k * _NDTR_STEP up to _NDTR_END, where
+# Phi(-z) falls to 1e-307; six terms reach rounding between the nodes.
+_NDTR_STEP = 1.0 / 256.0
+_NDTR_END = 26.5
+
+
+@cache
+def _ndtr_taylor() -> np.ndarray:
+    """S^(n)(x_k) / n! for n = 5..0 in the columns, one node x_k per row."""
+    x = np.arange(round(_NDTR_END / _NDTR_STEP) + 1) * _NDTR_STEP
+    s = np.array([math.sqrt(0.5 * math.pi) * math.erfc(t) * math.exp(t * t) for t in x])
+    coef = [s, 2.0 * x * s - math.sqrt(2.0)]
+    for n in range(1, 5):
+        coef.append((2.0 * coef[n - 1] + 2.0 * x * coef[n]) / (n + 1))
+    table = np.stack(coef[::-1], axis=1)
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+def _ndtr(v: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, to within 3e-16 absolute."""
+    taylor = _ndtr_taylor()
+    x = np.abs(v) * math.sqrt(0.5)
+    node = np.fmin(x, _NDTR_END)  # NaN and the far tail take the last node
+    k = (node / _NDTR_STEP + 0.5).astype(np.intp)
+    d = node - k * _NDTR_STEP
+    coef = taylor[k]
+    mills = coef[:, 0]
+    for i in range(1, coef.shape[1]):
+        mills = mills * d + coef[:, i]
+    tail = mills * np.exp(-x * x) / math.sqrt(2.0 * math.pi)
+    return np.where(v < 0.0, tail, 1.0 - tail)
 
 
 _StripNodes = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -104,7 +153,7 @@ def _otm_strip(
     lm = log_k - math.log(q0)
     d1 = 0.5 * s - lm / s
     side = np.where(lm >= 0.0, 1.0, -1.0)
-    otm = side * q0 * (ndtr(side * d1) - np.exp(lm) * ndtr(side * (d1 - s)))
+    otm = side * q0 * (_ndtr(side * d1) - np.exp(lm) * _ndtr(side * (d1 - s)))
     vega = q0 * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
     return float(otm @ mass), float(vega @ mass)
 
@@ -197,12 +246,12 @@ class AmmCurve(ABC):
         """
 
     @abstractmethod
-    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, object]:
+    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, None]:
         """Vectorized x'(q), zero outside the tradeable range.
 
-        ``warm`` carries solver state between calls on nearby grids (the
-        path engines call this once per time step); pass the second element
-        of the previous result to reuse it.
+        Returns (x', None).  ``warm`` is accepted and ignored: no curve
+        carries solver state between calls any more, and the pair keeps
+        existing callers that unpack it working.
         """
 
     @abstractmethod
@@ -268,7 +317,7 @@ class Cpmm(AmmCurve):
         qs = np.asarray(qs, dtype=float)
         return 2.0 * self.liquidity_tokens * np.sqrt(np.maximum(qs, 0.0))
 
-    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, object]:
+    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, None]:
         qs = np.asarray(qs, dtype=float)
         with np.errstate(divide="ignore"):
             xp = np.where(qs > 0.0, -0.5 * self.liquidity_tokens * qs**-1.5, 0.0)
@@ -353,7 +402,7 @@ class ConcentratedCpmm(AmmCurve):
         y = np.maximum(L * (qc**0.5 - self.p_lo**0.5), 0.0)
         return x, y
 
-    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, object]:
+    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, None]:
         qs = np.asarray(qs, dtype=float)
         inside = (qs > self.p_lo) & (qs < self.p_hi)
         qsafe = np.where(inside, qs, 1.0)
@@ -454,14 +503,6 @@ class StableSwap(AmmCurve):
         qpp = -c * vppp
         return v, vp, vpp, q, qp, qpp
 
-    def _q_of_u(self, u: float) -> float:
-        A = self.amplification
-        k = self.invariant_scale**3 / 4.0
-        v = self._v_from_u(u)
-        n1 = 4.0 * A + k / (u * u * v)
-        n2 = 4.0 * A + k / (u * v * v)
-        return self.price_center * n1 / n2
-
     @cached_property
     def _u_bounds(self) -> tuple[float, float]:
         floor = HOLDINGS_FLOOR * self.invariant_scale
@@ -471,22 +512,10 @@ class StableSwap(AmmCurve):
 
     @cached_property
     def q_bounds(self) -> tuple[float, float]:
-        u_min, u_max = self._u_bounds
-        # q(u) is strictly decreasing
-        return self._q_of_u(u_max), self._q_of_u(u_min)
-
-    def _u_from_q(self, q: float) -> float:
-        u_min, u_max = self._u_bounds
-        lq = math.log(q)
-        w = brentq(
-            lambda w: math.log(self._q_of_u(math.exp(w))) - lq,
-            math.log(u_min),
-            math.log(u_max),
-            xtol=1e-13,
-            rtol=1e-15,
-            maxiter=256,
-        )
-        return math.exp(w)
+        # u at the x floor, and by u <-> v symmetry the mirror of v at the y floor
+        floor = HOLDINGS_FLOOR * self.invariant_scale
+        log_qc = self._grid_eval(np.log([self._u_bounds[0], floor]))[2]
+        return self.price_center * math.exp(-log_qc[1]), self.price_center * math.exp(log_qc[0])
 
     def _require_in_domain(self, q: float) -> float:
         q = _check_price(q)
@@ -506,66 +535,111 @@ class StableSwap(AmmCurve):
         with np.errstate(divide="ignore", over="ignore"):
             return np.where(b >= 0.0, 2.0 * D**3 / (b + s), (s - b) / (2.0 * a))
 
-    def _grid_state(self, u: np.ndarray):
-        """Vectorized (v, q, qp) with qp = dq/du < 0."""
-        A = self.amplification
-        c = self.price_center
-        k = self.invariant_scale**3 / 4.0
+    def _grid_eval(self, log_u: np.ndarray):
+        """(u, v, log(q/c), d log q / d log u, d log v / d log u) at log u.
+
+        With alpha = 16*A*u**2*v/D**3 and beta = 16*A*u*v**2/D**3 the price
+        is q/c = (beta + v/u)/(beta + 1) = (alpha + 1)/(alpha + u/v), so
+        log(q/c) is log1p of a nonnegative term on either side of the center,
+        and the slope -2*(alpha**2 - alpha*beta + beta**2 + alpha + beta + 1)
+        / ((alpha + 1)*(beta + 1)**2) is a sum of positive terms: both keep
+        full relative precision in the flat region where q barely moves.
+        """
+        s = 16.0 * self.amplification / self.invariant_scale**3
+        u = np.exp(log_u)
         v = self._grid_v(u)
-        n1 = 4.0 * A + k / (u * u * v)
-        n2 = 4.0 * A + k / (u * v * v)
-        vp = -n1 / n2
-        n1p = k * (-2.0 / (u**3 * v) - vp / (u**2 * v**2))
-        n2p = k * (-1.0 / (u**2 * v**2) - 2.0 * vp / (u * v**3))
-        vpp = (n1 * n2p - n1p * n2) / (n2 * n2)
-        q = c * n1 / n2
-        qp = -c * vpp
-        return v, q, qp
+        alpha = s * u * u * v
+        beta = s * u * v * v
+        d = v - u
+        up = d >= 0.0
+        log_qc = np.copysign(np.log1p(np.abs(d) / np.where(up, (beta + 1.0) * u, (alpha + 1.0) * v)), d)
+        num = alpha * alpha - alpha * beta + beta * beta + alpha + beta + 1.0
+        slope = -2.0 * num / ((alpha + 1.0) * (beta + 1.0) ** 2)
+        return u, v, log_qc, slope, -(alpha + 1.0) / (beta + 1.0)
 
     @cached_property
-    def _log_q_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log q, log u) over the domain, log q ascending, for np.interp."""
-        u_min, u_max = self._u_bounds
-        log_u = np.linspace(math.log(u_max), math.log(u_min), _STRIP_TABLE_POINTS)
-        _, q, _ = self._grid_state(np.exp(log_u))
-        return np.log(q), log_u
+    def _price_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Half of the price map, for the smaller holding s = min(u, v).
 
-    def _grid_u_from_q(self, qs: np.ndarray, warm: np.ndarray | None = None) -> np.ndarray:
-        """Invert q(u) elementwise; qs must already be clipped to q_bounds.
-
-        With ``warm`` (u values from a nearby grid) a few Newton steps on
-        log q vs log u suffice; otherwise plain bisection in log u.
+        Nodes are uniform in log s from the center D/2 down to the lower of
+        the two floors, where q >= c and s = u.  Returns (log(q/c) ascending,
+        log s, log of the larger holding, d log s / d log q).
         """
-        u_min, u_max = self._u_bounds
-        w_lo = math.log(u_min)
-        w_hi = math.log(u_max)
-        target = np.log(qs)
-        if warm is not None:
-            w = np.log(np.clip(warm, u_min, u_max))
-            f = None
-            for _ in range(4):
-                u = np.exp(w)
-                v, q, qp = self._grid_state(u)
-                f = np.log(q) - target
-                # d log q / d log u = qp * u / q
-                w = np.clip(w - f / (qp * u / q), w_lo, w_hi)
-            u = np.exp(w)
-            _, q, _ = self._grid_state(u)
-            f = np.log(q) - target
-            bad = np.abs(f) > 1e-9
-            if np.any(bad):
-                u[bad] = self._grid_u_from_q(qs[bad], None)
-            return u
-        lo = np.full(qs.shape, w_lo)
-        hi = np.full(qs.shape, w_hi)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            _, q, _ = self._grid_state(np.exp(mid))
-            # q(u) decreasing: too-high price means u must grow
-            take = q > qs
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
-        return np.exp(0.5 * (lo + hi))
+        D = self.invariant_scale
+        s_min = HOLDINGS_FLOOR * D * min(self.price_center, 1.0)
+        log_s = np.linspace(math.log(0.5 * D), math.log(s_min), _STRIP_TABLE_POINTS)
+        _, big, log_qc, slope, _ = self._grid_eval(log_s)
+        return log_qc, log_s, np.log(big), 1.0 / slope
+
+    def _grid_solve(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, d log u / d log q) at prices qs already clipped to q_bounds.
+
+        The invariant is symmetric in (u, v) with q -> c**2/q, so the solve
+        finds w = log min(u, v), the u of the price max(q, c**2/q) >= c, and
+        the larger holding follows from it without amplifying the rounding.
+        The table cell holding each target brackets its root, padded by
+        _SOLVE_PAD for rounding at the nodes, and cubic Hermite
+        interpolation through the cell's end nodes and slopes seeds it.
+        Each iteration takes the Newton step if it stays inside the bracket
+        and bisects otherwise (rtsafe, Press et al., Numerical Recipes 9.4).
+        An element is frozen once its step is at most _SOLVE_XTOL or its
+        residual is at the rounding floor; one still moving after
+        _SOLVE_MAX_ITER iterations raises NoConvergence.
+        """
+        c = self.price_center
+        shape = qs.shape
+        qs = qs.ravel()
+        if np.isnan(qs).any():
+            raise DomainError("stableswap price grid contains NaN")
+        table_l, log_s, _, dlog_s = self._price_table
+        # |log(qs/c)| to full relative precision on both sides of the center
+        mirror = qs < c
+        t = np.minimum(np.log1p(np.abs(qs - c) / np.minimum(qs, c)), table_l[-1])
+        j = np.clip(np.searchsorted(table_l, t), 1, table_l.size - 1)
+        h = table_l[j] - table_l[j - 1]
+        r = (t - table_l[j - 1]) / h
+        a = log_s[j - 1]
+        b = log_s[j]
+        ab = b - a
+        w = a + r * ab + r * (1.0 - r) * ((1.0 - r) * (h * dlog_s[j - 1] - ab) - r * (h * dlog_s[j] - ab))
+        # log s falls as the price rises: node j bounds the root from below
+        w_lo = b - _SOLVE_PAD
+        w_hi = a + _SOLVE_PAD
+        w = np.clip(w, w_lo, w_hi)
+        out = np.empty((4, t.size))  # smaller and larger holding, slope, d log v / d log u
+        todo = np.arange(t.size)
+        for _ in range(_SOLVE_MAX_ITER):
+            small, big, log_qc, slope, elast = self._grid_eval(w)
+            f = log_qc - t  # decreasing in w
+            above = f > 0.0
+            w_lo = np.where(above, w, w_lo)
+            w_hi = np.where(above, w_hi, w)
+            step = w - f / slope
+            step = np.where((step >= w_lo) & (step <= w_hi), step, 0.5 * (w_lo + w_hi))
+            done = (np.abs(step - w) <= _SOLVE_XTOL) | (np.abs(f) <= _SOLVE_RTOL * t)
+            if done.all():
+                out[:, todo] = small, big, slope, elast
+                break
+            if done.any():
+                out[:, todo[done]] = small[done], big[done], slope[done], elast[done]
+                keep = np.flatnonzero(~done)
+                todo, t, step, w_lo, w_hi = todo[keep], t[keep], step[keep], w_lo[keep], w_hi[keep]
+            w = step
+        else:
+            raise NoConvergence(
+                f"stableswap price inversion left {todo.size} of {qs.size} prices "
+                f"unconverged after {_SOLVE_MAX_ITER} iterations"
+            )
+        small, big, slope, elast = out
+        # mirrored: u is the larger holding, and d log q = -d log(c**2/q)
+        u = np.where(mirror, big, small)
+        v = np.where(mirror, small, big)
+        dlogu = np.where(mirror, -elast, 1.0) / slope
+        return u.reshape(shape), v.reshape(shape), dlogu.reshape(shape)
+
+    def _solve_one(self, q: float) -> tuple[float, float]:
+        u, v, _ = self._grid_solve(np.array([q]))
+        return float(u[0]), float(v[0])
 
     # ----- public surface -------------------------------------------------
 
@@ -575,16 +649,22 @@ class StableSwap(AmmCurve):
 
     def holdings(self, q: float) -> Holdings:
         q = self._require_in_domain(q)
-        u = self._u_from_q(q)
-        return Holdings(u / self.price_center, self._v_from_u(u))
+        u, v = self._solve_one(q)
+        return Holdings(u / self.price_center, v)
 
     def holdings_near(self, q: float, x_hint: float | None = None) -> Holdings:
+        """holdings(q) by a scalar Newton warm-started from x_hint.
+
+        The per-fill replay calls this; a one-element ``_grid_solve`` costs
+        several times more than these few scalar steps.  A missing or
+        out-of-domain hint, or a hint Newton cannot polish in 8 steps, falls
+        back to the table-seeded solve.
+        """
         q = self._require_in_domain(q)
         u_min, u_max = self._u_bounds
         u0 = (x_hint or 0.0) * self.price_center
         if not (u_min <= u0 <= u_max):
-            u = self._u_from_q(q)
-            return Holdings(u / self.price_center, self._v_from_u(u))
+            return self.holdings(q)
         w_lo, w_hi = math.log(u_min), math.log(u_max)
         lq = math.log(q)
         w = math.log(u0)
@@ -597,12 +677,12 @@ class StableSwap(AmmCurve):
             # d log q / d log u = qp * u / q, strictly negative
             w = min(max(w - f / (qp * u / qw), w_lo), w_hi)
         else:  # hint too far off for Newton; cold solve
-            u = self._u_from_q(q)
+            return self.holdings(q)
         return Holdings(u / self.price_center, self._v_from_u(u))
 
     def first_derivs(self, q: float) -> tuple[float, float]:
         q = self._require_in_domain(q)
-        u = self._u_from_q(q)
+        u, _ = self._solve_one(q)
         _, vp, _, _, qp, _ = self._state(u)
         c = self.price_center
         # x = u/c, so dx/dq = (1/c) / (dq/du); dy/dq = v' / q'
@@ -610,7 +690,7 @@ class StableSwap(AmmCurve):
 
     def second_derivs(self, q: float) -> tuple[float, float]:
         q = self._require_in_domain(q)
-        u = self._u_from_q(q)
+        u, _ = self._solve_one(q)
         _, vp, vpp, _, qp, qpp = self._state(u)
         c = self.price_center
         xpp = -qpp / (c * qp**3)
@@ -620,32 +700,36 @@ class StableSwap(AmmCurve):
     def holdings_grid(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         qs = np.asarray(qs, dtype=float)
         q_lo, q_hi = self.q_bounds
-        u = self._grid_u_from_q(np.clip(qs, q_lo, q_hi))
-        return u / self.price_center, self._grid_v(u)
+        u, v, _ = self._grid_solve(np.clip(qs, q_lo, q_hi))
+        return u / self.price_center, v
 
     def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
         # x = u/c, so -dx = (u/c) d(log u) along the explicit q(u): no
         # price->holdings inversion.  The table places the bracket and (to its
         # accuracy) the spot node; beyond the domain x is frozen, -dx = 0.
-        log_q, log_u = self._log_q_table
+        log_qc, log_s, log_big, _ = self._price_table
         reach = _strip_reach(s)
-        lq0 = math.log(q0)
-        a, t0, b = np.interp([lq0 + reach, lq0, lq0 - reach], log_q, log_u)
+        l0 = math.log(q0 / self.price_center)
+        ls = np.array([l0 + reach, l0, l0 - reach])
+        # the q < c half is the mirror image: u is the larger holding there
+        log_u = np.where(ls >= 0.0, np.interp(ls, log_qc, log_s), np.interp(-ls, log_qc, log_big))
+        u_min, u_max = self._u_bounds
+        a, t0, b = np.clip(log_u, math.log(u_min), math.log(u_max))
         return _otm_strip(q0, s, a, t0, b, self._strip_nodes)
 
     def _strip_nodes(self, log_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u = np.exp(log_u)
-        _, q, _ = self._grid_state(u)
-        return np.log(q), u / self.price_center
+        u, _, log_qc, _, _ = self._grid_eval(log_u)
+        return log_qc + math.log(self.price_center), u / self.price_center
 
-    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, object]:
+    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, None]:
         qs = np.asarray(qs, dtype=float)
         q_lo, q_hi = self.q_bounds
-        u = self._grid_u_from_q(np.clip(qs, q_lo, q_hi), warm)
-        _, _, qp = self._grid_state(u)
+        qc = np.clip(qs, q_lo, q_hi)
+        u, _, dlogu = self._grid_solve(qc)
         inside = (qs > q_lo) & (qs < q_hi)
-        xp = np.where(inside, (1.0 / self.price_center) / qp, 0.0)
-        return xp, u
+        # x = u/c, so dx/dq = (u/c) * (d log u / d log q) / q
+        xp = np.where(inside, (u / self.price_center) * dlogu / qc, 0.0)
+        return xp, None
 
     def scaled_to_value(self, target_value: float, q: float) -> "StableSwap":
         # The invariant is 1-homogeneous in (u, v, D): scaling D scales the

@@ -178,7 +178,9 @@ def mc_fee_plus_terminal_value(
     dollar fee rate F(px, py) as a left Riemann sum discounted at r, adds
     the discounted terminal pool value, and returns (mean, stderr) over
     paths.  When fees accrue at the implied rate the expectation equals the
-    initial dollar pool value, which is what the test suite checks.
+    initial dollar pool value, which is what the test suite checks.  Each
+    step evaluates x' on all paths with one cold ``xprime_grid`` call; no
+    solver state is carried from step to step.
 
     ``stablecoin_flat`` freezes py at p0y (a literal zero-drift stablecoin
     leg).  With r > 0 this breaks the martingale property; it exists for
@@ -215,12 +217,11 @@ def mc_fee_plus_terminal_value(
     ln_px = np.full(n_eff, math.log(p0x))
     ln_py = np.full(n_eff, math.log(p0y))
     fees = np.zeros(n_eff)
-    warm = None
     for k in range(n_steps):
         px = np.exp(ln_px)
         py = np.exp(ln_py)
         q = px / py
-        xp, warm = curve.xprime_grid(q, warm)
+        xp, _ = curve.xprime_grid(q)
         fee_rate = py * (-0.5 * var * q * q * xp)
         fees += math.exp(-r * k * dt) * fee_rate * dt
 

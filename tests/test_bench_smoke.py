@@ -2,7 +2,9 @@
 
 Runs ``perfbench/run.py --smoke`` for the StableSwap pipeline and the quote
 requests, whose checks reprice every window's fee vol through the floating
-leg kernel and round-trip sigma and rho through the solvers.  Asserts
+leg kernel and round-trip sigma and rho through the solvers, and for the
+martingale Monte Carlo, whose checks bound each curve's |z| by 3 and
+require every pass to repeat the first pass's (mean, stderr).  Asserts
 correctness only, nothing about timing.
 """
 
@@ -16,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["pipeline_stableswap", "quote_requests"])
+@pytest.mark.parametrize("workload", ["pipeline_stableswap", "quote_requests", "martingale_mc"])
 def test_benchmark_smoke_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",

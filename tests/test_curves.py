@@ -284,6 +284,21 @@ def test_stableswap_holdings_near_matches_cold_solve():
         STABLE.holdings_near(STABLE.q_bounds[1] * 2.0, x_prev)
 
 
+@pytest.mark.parametrize("amp", [100.0, 1000.0, 20000.0])
+def test_stableswap_xprime_grid_fed_back_matches_scalar(amp):
+    # the path engines pass each call's second value into the next call;
+    # the flat center, where d log q / d log u is about 1/A, is the hard part
+    curve = StableSwap(amp, 2.0, 1.0)
+    rng = np.random.default_rng(23)
+    qs = np.exp(rng.normal(0.0, 0.01, 16))
+    state = None
+    for _ in range(30):
+        qs = qs * np.exp(rng.normal(0.0, 1e-3, qs.size))  # tick-sized hops
+        xp, state = curve.xprime_grid(qs, state)
+        scalar = [curve.first_derivs(float(q))[0] for q in qs]
+        np.testing.assert_allclose(xp, scalar, rtol=1e-10)
+
+
 # ----- shared invariants, 100-point grids ---------------------------------------
 
 

@@ -1,0 +1,138 @@
+"""The StableSwap price->holdings solve against an independent oracle.
+
+Property tests draw random pools (A in [1e-2, 1e5], D in [1e-3, 1e6],
+c in [0.1, 10]) and prices uniform in log q over the whole domain, both
+endpoints included, and check the array solve against a bisection in
+60-digit decimal arithmetic on the original implicit price formula.  The
+remaining tests pin the solve's failure modes: an exhausted iteration
+budget raises NoConvergence (exit code 6 on the CLI) instead of returning an
+unconverged holding, and the package imports without scipy.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ammvol.curves
+from ammvol import DomainError, NoConvergence, StableSwap
+from ammvol.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def stable_x_y_oracle(curve, q):
+    """Holdings at price q by bisection on u in 60-digit decimals.
+
+    v is the positive root of the invariant's quadratic in v and the price
+    is c*N1/N2 with N1 = 4A + k/(u**2 v), N2 = 4A + k/(u v**2), k = D**3/4,
+    strictly decreasing in u.  The bracket spans every holding above a
+    1e-13 fraction of D, wider than the curve's own domain.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        A = Decimal(curve.amplification)
+        D = Decimal(curve.invariant_scale)
+        c = Decimal(curve.price_center)
+        k = D**3 / 4
+
+        def v_and_price(u):
+            a = 16 * A * u
+            b = 4 * u * (4 * A * (u - D) + D)
+            v = (-b + (b * b + 4 * a * D**3).sqrt()) / (2 * a)
+            return v, c * (4 * A + k / (u * u * v)) / (4 * A + k / (u * v * v))
+
+        target = Decimal(q)
+        lo = Decimal("1e-13") * D * min(c, Decimal(1))
+        hi = Decimal("1e8") * D
+        while hi / lo - 1 > Decimal("1e-30"):
+            mid = (lo * hi).sqrt()
+            if v_and_price(mid)[1] > target:
+                lo = mid
+            else:
+                hi = mid
+        u = (lo * hi).sqrt()
+        return float(u / c), float(v_and_price(u)[0])
+
+
+def log_decade(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+pools = st.builds(StableSwap, log_decade(-2.0, 5.0), log_decade(-3.0, 6.0), log_decade(-1.0, 1.0))
+fractions = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)
+
+
+def domain_prices(curve, fracs):
+    """Prices uniform in log q at the given fractions, plus both endpoints."""
+    lo, hi = curve.q_bounds
+    inner = np.exp(math.log(lo) + np.asarray(fracs) * (math.log(hi) - math.log(lo)))
+    return np.sort(np.concatenate([[lo, hi], np.clip(inner, lo, hi)]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(pools, fractions)
+# the flat center of a strongly amplified pool, where q barely moves with u,
+# and the steep side where v << u and v barely constrains the price
+@example(StableSwap(1e5, 1.0, 3.0), [0.5, 0.5 + 1e-7, 0.5 - 1e-6, 0.501])
+@example(StableSwap(2.19e4, 1.36e5, 0.157), [0.456392, 0.3])
+def test_holdings_grid_matches_decimal_oracle(curve, fracs):
+    qs = domain_prices(curve, fracs)
+    x, y = curve.holdings_grid(qs)
+    for i, q in enumerate(qs):
+        x_ref, y_ref = stable_x_y_oracle(curve, float(q))
+        assert x[i] == pytest.approx(x_ref, rel=1e-11), (curve, q)
+        assert y[i] == pytest.approx(y_ref, rel=1e-11), (curve, q)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pools, fractions)
+def test_scalar_holdings_equal_array_elements_and_x_falls(curve, fracs):
+    qs = domain_prices(curve, fracs)
+    x, y = curve.holdings_grid(qs)
+    for i, q in enumerate(qs):
+        assert tuple(curve.holdings(float(q))) == (x[i], y[i])
+    assert np.all(np.diff(x) <= 0.0)
+    assert np.all(np.diff(y) >= 0.0)
+
+
+def test_exhausted_iteration_budget_raises(monkeypatch):
+    curve = StableSwap(100.0, 2.0, 1.0)
+    monkeypatch.setattr(ammvol.curves, "_SOLVE_MAX_ITER", 1)
+    with pytest.raises(NoConvergence):
+        curve.holdings_grid(np.array([1.3]))
+    with pytest.raises(NoConvergence):
+        curve.xprime_grid(np.array([0.7, 1.3]))
+
+
+def test_cli_maps_exhausted_solve_to_no_convergence(monkeypatch, capsys):
+    monkeypatch.setattr(ammvol.curves, "_SOLVE_MAX_ITER", 1)
+    request = {"curve": {"kind": "stableswap", "A": 100.0, "D": 2.0}, "T": 1.0, "p0x": 1.0, "sigma": 0.3}
+    code = main(["price-swap", json.dumps(request)])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "no_convergence"
+
+
+def test_nan_price_grid_is_a_domain_error():
+    with pytest.raises(DomainError):
+        StableSwap(100.0, 2.0, 1.0).holdings_grid(np.array([1.0, math.nan]))
+
+
+def test_package_imports_without_scipy():
+    # scipy.optimize and scipy.special were most of the CLI's import footprint
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, ammvol, ammvol.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,13 +4,15 @@ Each curve prices C(q0) - E[C(Q)] as a strip of out-of-the-money options
 weighted by its liquidity.  The raw Monte Carlo estimator
 ``mc_expected_pool_value`` checks the strip within 3 standard errors, the
 constant-product closed form checks a range position wide enough to cover
-the whole kernel, and central differences check the analytic vega.
+the whole kernel, central differences check the analytic vega, and
+scipy's ndtr checks the kernel's own normal CDF.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from ammvol import (
     ConcentratedCpmm,
@@ -22,6 +24,7 @@ from ammvol import (
     mc_expected_pool_value,
     mc_floating_leg,
 )
+from ammvol.curves import _ndtr
 
 TOTAL_VOLS = (0.005, 0.05, 0.5, 2.0)
 RANGE = ConcentratedCpmm(1.0, 0.5, 2.0)
@@ -98,3 +101,15 @@ def test_mc_floating_leg_is_the_sampled_oracle():
         0.0,
     )
     assert math.isfinite(value)
+
+
+def test_normal_cdf_matches_scipy():
+    # the strip's Black-Scholes legs use a numpy-only normal CDF
+    z = np.concatenate([np.linspace(-40.0, 40.0, 80001), np.random.default_rng(3).normal(0.0, 4.0, 20000)])
+    ours = _ndtr(z)
+    ref = ndtr(z)
+    assert np.max(np.abs(ours - ref)) <= 3e-16
+    tail = ref > 1e-300
+    assert np.max(np.abs(ours[tail] / ref[tail] - 1.0)) <= 1e-14
+    np.testing.assert_array_equal(_ndtr(np.array([-np.inf, np.inf, 0.0])), [0.0, 1.0, 0.5])
+    assert np.isnan(_ndtr(np.array([np.nan])))[0]
