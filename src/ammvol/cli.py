@@ -25,6 +25,7 @@ from .curves import curve_from_dict
 from .dataio import (
     clearing_result_to_dict,
     read_curve,
+    read_json,
     read_orders,
     read_ticks,
     read_windows,
@@ -192,17 +193,7 @@ def cmd_analyze(windows_path, out):
 
 
 def _load_request(source: str) -> dict:
-    text = source
-    if not source.lstrip().startswith("{"):
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read request file {source!r}: {exc}") from None
-    try:
-        request = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"request is not valid JSON: {exc}") from None
+    request = read_json(source, "request", "request")
     if not isinstance(request, dict):
         raise ParseError("request must be a JSON object")
     return request

@@ -203,11 +203,7 @@ class AmmCurve(ABC):
         ...
 
     def holdings_near(self, q: float, x_hint: float | None = None) -> Holdings:
-        """holdings(q), optionally warm-started from a nearby x quantity.
-
-        Curves whose inversion is iterative override this; the hint must
-        come from a state on the same curve or it is silently ignored.
-        """
+        """holdings(q); the hint is ignored, kept for existing callers."""
         return self.holdings(q)
 
     @abstractmethod
@@ -376,8 +372,9 @@ class ConcentratedCpmm(AmmCurve):
         q = _check_price(q)
         qc = min(max(q, self.p_lo), self.p_hi)
         L = self.liquidity_tokens
-        x = L * (qc**-0.5 - self.p_hi**-0.5)
-        y = L * (qc**0.5 - self.p_lo**0.5)
+        # correctly rounded sqrt, as in holdings_grid: the two agree bit for bit
+        x = L * (1.0 / math.sqrt(qc) - 1.0 / math.sqrt(self.p_hi))
+        y = L * (math.sqrt(qc) - math.sqrt(self.p_lo))
         return Holdings(max(x, 0.0), max(y, 0.0))
 
     def first_derivs(self, q: float) -> tuple[float, float]:
@@ -398,8 +395,8 @@ class ConcentratedCpmm(AmmCurve):
         qs = np.asarray(qs, dtype=float)
         qc = np.clip(qs, self.p_lo, self.p_hi)
         L = self.liquidity_tokens
-        x = np.maximum(L * (qc**-0.5 - self.p_hi**-0.5), 0.0)
-        y = np.maximum(L * (qc**0.5 - self.p_lo**0.5), 0.0)
+        x = np.maximum(L * (1.0 / np.sqrt(qc) - 1.0 / math.sqrt(self.p_hi)), 0.0)
+        y = np.maximum(L * (np.sqrt(qc) - math.sqrt(self.p_lo)), 0.0)
         return x, y
 
     def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, None]:
@@ -651,34 +648,6 @@ class StableSwap(AmmCurve):
         q = self._require_in_domain(q)
         u, v = self._solve_one(q)
         return Holdings(u / self.price_center, v)
-
-    def holdings_near(self, q: float, x_hint: float | None = None) -> Holdings:
-        """holdings(q) by a scalar Newton warm-started from x_hint.
-
-        The per-fill replay calls this; a one-element ``_grid_solve`` costs
-        several times more than these few scalar steps.  A missing or
-        out-of-domain hint, or a hint Newton cannot polish in 8 steps, falls
-        back to the table-seeded solve.
-        """
-        q = self._require_in_domain(q)
-        u_min, u_max = self._u_bounds
-        u0 = (x_hint or 0.0) * self.price_center
-        if not (u_min <= u0 <= u_max):
-            return self.holdings(q)
-        w_lo, w_hi = math.log(u_min), math.log(u_max)
-        lq = math.log(q)
-        w = math.log(u0)
-        for _ in range(8):
-            u = math.exp(w)
-            _, _, _, qw, qp, _ = self._state(u)
-            f = math.log(qw) - lq
-            if abs(f) <= 1e-13:
-                break
-            # d log q / d log u = qp * u / q, strictly negative
-            w = min(max(w - f / (qp * u / qw), w_lo), w_hi)
-        else:  # hint too far off for Newton; cold solve
-            return self.holdings(q)
-        return Holdings(u / self.price_center, self._v_from_u(u))
 
     def first_derivs(self, q: float) -> tuple[float, float]:
         q = self._require_in_domain(q)

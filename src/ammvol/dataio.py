@@ -245,19 +245,25 @@ def clearing_result_to_dict(result: ClearingResult) -> dict:
 # ----- curve records ------------------------------------------------------------
 
 
-def read_curve(source: str) -> AmmCurve:
-    """Curve from inline JSON (starts with '{') or a JSON file path."""
+def read_json(source: str, what: str, record: str):
+    """Inline JSON (starts with '{') or the JSON file at that path, parsed;
+    ``what`` names the file and ``record`` its content in ParseError text."""
     text = source
     if not source.lstrip().startswith("{"):
         try:
             with open(source) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ParseError(f"cannot read curve file {source!r}: {exc}") from None
+            raise ParseError(f"cannot read {what} file {source!r}: {exc}") from None
     try:
-        record = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"curve record is not valid JSON: {exc}") from None
+        raise ParseError(f"{record} is not valid JSON: {exc}") from None
+
+
+def read_curve(source: str) -> AmmCurve:
+    """Curve from inline JSON (starts with '{') or a JSON file path."""
+    record = read_json(source, "curve", "curve record")
     try:
         return curve_from_dict(record)
     except (InvalidParams, RangeError) as exc:

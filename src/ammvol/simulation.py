@@ -6,7 +6,11 @@ is profitable only when ``bid*(1-gamma) > s`` (arbitrageur buys x from the
 pool and sells at the bid) or ``ask/(1-gamma) < s`` (buys at the ask and
 sells x to the pool).  Each profitable tick produces a fill that moves the
 spot exactly to the band edge; fees are collected outside the pool so the
-curve itself never absorbs them.
+curve itself never absorbs them.  A leg too small to change either holding
+still moves the spot but books no fill.  Off crossed bands a tick clamps the
+spot to the band edges clipped to the tradeable range, and clamps compose,
+so the replay's spot path is one prefix scan (Blelloch 1990); ticks whose
+band is crossed, where both legs can fire, take the scalar path.
 
 Alongside fees the simulator accrues realized LVR, the shortfall of the
 pool against a portfolio that rebalances at the same trades.  Two
@@ -198,8 +202,8 @@ class WindowStat:
 def _execute_leg(pool, spot, x, y, target, side, exec_price, fee_rate, timestamp):
     """Move the spot toward ``target`` (clamped to the tradeable range).
 
-    Returns None when the clamp nullifies the move, else
-    (fill, new_spot, new_x, new_y, fee_x, fee_y).
+    Returns None when the clamp nullifies the move, else (fill, new_spot,
+    new_x, new_y, fee_x, fee_y) with fill None if neither holding changes.
     """
     lo, hi = pool.trade_bounds
     target = min(max(target, lo), hi)
@@ -209,11 +213,11 @@ def _execute_leg(pool, spot, x, y, target, side, exec_price, fee_rate, timestamp
     else:
         if not target < spot:
             return None
-    x1, y1 = pool.holdings_near(target, x)
+    x1, y1 = pool.holdings(target)
     dx = x1 - x
     dy = y1 - y
     if dx == 0.0 and dy == 0.0:
-        return None
+        return None, target, x1, y1, 0.0, 0.0
     gamma = fee_rate
     if side is FillSide.POOL_SELLS_X:
         # arbitrageur pays y in; the fee is withheld from the gross input
@@ -247,6 +251,8 @@ def _run_legs(pool, spot, x, y, order, bid, ask, mid, timestamp, fee_rate, trade
         if leg is None:
             continue
         fill, spot, x, y, fee_x, fee_y = leg
+        if fill is None:
+            continue
         fills.append(fill)
         fee_x_tot += fee_x
         fee_y_tot += fee_y
@@ -290,6 +296,7 @@ def arbitrage_step(
     Returns the post-tick state and the executed fills.  Fee accumulators
     grow in asset units; cum_lvr grows by the realized LVR of the fills
     under the chosen valuation mode, with x fees valued at the tick mid.
+    The state is returned unchanged when the spot stays and nothing fills.
     """
     if lvr_mode not in _LVR_MODES:
         raise InvalidParams(f"lvr_mode must be one of {_LVR_MODES}, got {lvr_mode!r}")
@@ -299,7 +306,7 @@ def arbitrage_step(
         tick.bid, tick.ask, tick.mid, tick.timestamp,
         state.fee_rate, lvr_mode == "trade_side",
     )
-    if not fills:
+    if not fills and spot == state.spot_price:
         return state, []
     new_state = replace(
         state,
@@ -318,10 +325,10 @@ def arbitrage_step(
 class SimLedger:
     """Immutable record of one replay.
 
-    Pool state changes only at fill events, so cumulative series are stored
-    per event and looked up by timestamp; ``state_at``/``spot_at`` and the
-    ``cum_*_at`` helpers reconstruct the per-tick view.  ``timestamps`` and
-    ``mids`` keep the full external price series for window statistics.
+    Pool state changes only at events, ticks that move the spot or fill, so
+    cumulative series are stored per event and looked up by timestamp; the
+    ``state_at``/``spot_at``/``cum_*_at`` helpers rebuild the per-tick view.
+    ``timestamps``/``mids`` keep the external price series for window stats.
     """
 
     curve: AmmCurve
@@ -393,19 +400,26 @@ class SimLedger:
         return int(self.timestamps[-1] - self.timestamps[0])
 
 
-def _next_arb_index(nb: np.ndarray, na: np.ndarray, spot: float, start: int) -> int:
-    """First index >= start whose band excludes the current spot, else -1."""
-    n = nb.size
-    i = start
-    chunk = 1024
-    while i < n:
-        j = min(i + chunk, n)
-        hit = (nb[i:j] > spot) | (na[i:j] < spot)
-        k = int(hit.argmax())
-        if hit[k]:
-            return i + k
-        i = j
-    return -1
+def _clamp_scan(lo: np.ndarray, hi: np.ndarray, buf: np.ndarray) -> None:
+    """Turn clamps s -> min(max(s, lo[i]), hi[i]) into their prefix
+    compositions in place.  Clamp (a, b) then (c, d) is the clamp (clamp(a,
+    c, d), clamp(b, c, d)): it only selects endpoints, so any grouping is
+    exact.  Pairs fold into the odd slots, which are scanned, then each even
+    slot composes with the odd one before it; ``buf`` holds n // 2 floats."""
+    n = lo.size
+    if n < 2:
+        return
+    m, k = n // 2, (n - 1) // 2
+    _compose(lo[0 : 2 * m : 2], hi[0 : 2 * m : 2], lo[1::2], hi[1::2], buf[:m])
+    _clamp_scan(lo[1::2], hi[1::2], buf)
+    _compose(lo[1 : 2 * k : 2], hi[1 : 2 * k : 2], lo[2::2], hi[2::2], buf[:k])
+
+
+def _compose(lo0, hi0, lo1, hi1, tmp) -> None:
+    """(lo1, hi1) becomes clamp (lo0, hi0) followed by clamp (lo1, hi1)."""
+    np.clip(hi0, lo1, hi1, out=tmp)
+    np.clip(lo0, lo1, hi1, out=lo1)
+    hi1[...] = tmp
 
 
 def run_simulation(
@@ -417,10 +431,10 @@ def run_simulation(
     """Replay a tick series against a fee-charging pool.
 
     The pool opens at the first tick's mid (clamped to the tradeable
-    range), optionally rescaled to config.initial_investment dollars.  Each
-    tick is arbitraged via :func:`arbitrage_step` semantics; fees are
-    dollarized at the mid of the tick where they accrue.  Deterministic for
-    given inputs.
+    range), optionally rescaled to config.initial_investment dollars.  The
+    result equals folding :func:`arbitrage_step` over the ticks, with fees
+    dollarized at the mid of the tick where they accrue (see the module
+    docstring for the scan).  Deterministic for given inputs.
     """
     config = config or SimConfig()
     series = ticks if isinstance(ticks, TickSeries) else TickSeries.from_ticks(list(ticks))
@@ -439,45 +453,65 @@ def run_simulation(
         pool = curve.scaled_to_value(config.initial_investment, spot)
         lo, hi = pool.trade_bounds
         spot = min(max(spot, lo), hi)
-    x, y = pool.holdings(spot)
+    initial_spot = spot
     trade_side = config.lvr_mode == "trade_side"
 
     om = 1.0 - fee_rate
-    nb = bids * om
-    na = asks / om
+    path = bids * om  # lower band edges, then the spot after each tick
+    upper = asks / om
+    crossed = np.flatnonzero(path > upper).tolist()
+    np.clip(path, lo, hi, out=path)
+    np.clip(upper, lo, hi, out=upper)
+    n = path.size
+    buf = np.empty(n // 2)
+    scalar = {}  # crossed tick -> _tick_outcome
+    start = 0
+    for c in crossed + [n]:
+        _clamp_scan(path[start:c], upper[start:c], buf)
+        np.clip(spot, path[start:c], upper[start:c], out=path[start:c])
+        if c < n:
+            spot = float(path[c - 1]) if c > start else spot
+            scalar[c] = _tick_outcome(
+                pool, spot, *pool.holdings(spot), float(bids[c]), float(asks[c]),
+                float(mids[c]), int(ts[c]), fee_rate, trade_side,
+            )
+            spot = path[c] = scalar[c][1]
+            start = c + 1
 
-    fills: list[Fill] = []
-    ev_ts: list[int] = []
-    ev_spot: list[float] = []
-    ev_fx: list[float] = []
-    ev_fy: list[float] = []
-    ev_fusd: list[float] = []
-    ev_lvr: list[float] = []
-    cum_fx = cum_fy = cum_fusd = cum_lvr = 0.0
+    # events: ticks that moved the spot, or crossed ticks that filled
+    moved = np.empty(n, dtype=bool)
+    moved[0] = path[0] != initial_spot
+    np.not_equal(path[1:], path[:-1], out=moved[1:])
+    for c, outcome in scalar.items():
+        moved[c] |= bool(outcome[0])
+    ev = np.flatnonzero(moved)
+    ev_spot = path[ev]
+    xs, ys = pool.holdings_grid(np.concatenate(([initial_spot], ev_spot)))
+    dx, dy = np.diff(xs), np.diff(ys)
+    up = ev_spot > np.concatenate(([initial_spot], ev_spot[:-1]))
+    fee = fee_rate * np.where(up, dy, dx) / om
+    fee_x, fee_y = np.where(up, 0.0, fee), np.where(up, fee, 0.0)
+    fee_usd = fee_y + fee_x * mids[ev]
+    exec_price = np.where(up, bids[ev], asks[ev])
+    lvr = -(dx * (exec_price if trade_side else ev_spot) + dy)
+    keep = (dx != 0.0) | (dy != 0.0)  # a zero-size leg moves the spot, books nothing
+    crossed_fills = []
+    for c, outcome in scalar.items():
+        if moved[c]:
+            e = int(np.searchsorted(ev, c))
+            fee_x[e], fee_y[e], fee_usd[e], lvr[e] = outcome[4:]
+            keep[e] = False
+            crossed_fills += outcome[0]
 
-    i = 0
-    n = len(series)
-    while i < n:
-        j = _next_arb_index(nb, na, spot, i)
-        if j < 0:
-            break
-        tick_fills, spot, x, y, fee_x, fee_y, fee_usd, lvr_usd = _tick_outcome(
-            pool, spot, x, y, float(bids[j]), float(asks[j]), float(mids[j]),
-            int(ts[j]), fee_rate, trade_side,
-        )
-        if tick_fills:
-            fills.extend(tick_fills)
-            cum_fx += fee_x
-            cum_fy += fee_y
-            cum_fusd += fee_usd
-            cum_lvr += lvr_usd
-            ev_ts.append(int(ts[j]))
-            ev_spot.append(spot)
-            ev_fx.append(cum_fx)
-            ev_fy.append(cum_fy)
-            ev_fusd.append(cum_fusd)
-            ev_lvr.append(cum_lvr)
-        i = j + 1
+    columns = (col[keep].tolist() for col in (ts[ev], up, dx, dy, fee, exec_price))
+    fills = [
+        Fill(t, FillSide.POOL_SELLS_X if u else FillSide.POOL_BUYS_X, a, b, f, p)
+        for t, u, a, b, f, p in zip(*columns)
+    ]
+    if crossed_fills:
+        fills = sorted(fills + crossed_fills, key=lambda fill: fill.timestamp)
+    # arbitrage_step sums onto 0.0; adding 0.0 likewise turns -0.0 into 0.0
+    cum_fx, cum_fy, cum_usd, cum_lvr = (np.cumsum(a) + 0.0 for a in (fee_x, fee_y, fee_usd, lvr))
 
     return SimLedger(
         curve=pool,
@@ -485,14 +519,14 @@ def run_simulation(
         lvr_mode=config.lvr_mode,
         timestamps=ts,
         mids=mids,
-        initial_spot=min(max(float(mids[0]), lo), hi),
+        initial_spot=initial_spot,
         fills=fills,
-        event_ts=np.array(ev_ts, dtype=np.int64),
-        event_spot=np.array(ev_spot, dtype=float),
-        event_cum_fees_x=np.array(ev_fx, dtype=float),
-        event_cum_fees_y=np.array(ev_fy, dtype=float),
-        event_cum_fees_usd=np.array(ev_fusd, dtype=float),
-        event_cum_lvr_usd=np.array(ev_lvr, dtype=float),
+        event_ts=ts[ev],
+        event_spot=ev_spot,
+        event_cum_fees_x=cum_fx,
+        event_cum_fees_y=cum_fy,
+        event_cum_fees_usd=cum_usd,
+        event_cum_lvr_usd=cum_lvr,
     )
 
 

@@ -25,6 +25,7 @@ from ammvol import (
     PoolSimState,
     QuoteTick,
     SimConfig,
+    StableSwap,
     TickSeries,
     UnsortedInput,
     arbitrage_step,
@@ -256,6 +257,39 @@ def test_ledger_lookup_before_first_event():
     assert ledger.spot_at(101) == pytest.approx(1.2)
     arr = ledger.cum_lvr_usd_at(np.array([99, 100, 101]))
     assert arr[0] == 0.0 and arr[1] == 0.0 and arr[2] > 0.0
+
+
+def test_zero_size_leg_moves_spot_without_a_fill():
+    # sqrt(1 + 2**-52) rounds to 1, so the unit pool's holdings stay bitwise
+    q = math.nextafter(1.0, 2.0)
+    assert CPMM.holdings(q) == CPMM.holdings(1.0)
+    ledger = run_simulation(CPMM, flat_series([1.0, q]), 0.0, NO_SCALE)
+    assert ledger.fills == []
+    assert ledger.spot_at(1) == q
+    assert ledger.total_fees_usd == 0.0 and ledger.total_lvr_usd == 0.0
+    new, fills = arbitrage_step(PoolSimState(CPMM, 1.0, 0.0), QuoteTick(1, q, q))
+    assert fills == []
+    assert new.spot_price == q and new.cum_lvr == 0.0
+
+
+@pytest.mark.parametrize("amp", [100.0, 1000.0, 20000.0])
+def test_stableswap_fills_are_holdings_differences(amp):
+    # 2,000 hops of 1e-3 near the flat center, where a warm-started scalar
+    # inversion drifted off `holdings` by up to 7e-11 of the holdings
+    pool = StableSwap(amp, 2.0, 1.0)
+    rng = np.random.default_rng(23)
+    q = [1.0]
+    for step in rng.choice([-1e-3, 1e-3], size=2000):
+        nxt = q[-1] * (1.0 + step)
+        q.append(nxt if 0.9 <= nxt <= 1.1 else q[-1] * (1.0 - step))
+    ledger = run_simulation(pool, flat_series(q), 5e-4, NO_SCALE)
+    assert len(ledger.fills) > 1000
+    before = pool.holdings(ledger.initial_spot)
+    for fill in ledger.fills:
+        after = pool.holdings(ledger.spot_at(fill.timestamp))
+        assert abs(fill.delta_x - (after.x_qty - before.x_qty)) <= 1e-12 * before.x_qty
+        assert abs(fill.delta_y - (after.y_qty - before.y_qty)) <= 1e-12 * before.y_qty
+        before = after
 
 
 # ----- pool event replay ----------------------------------------------------------
