@@ -15,13 +15,8 @@ from .curves import (
     StableSwap,
     curvature,
     curve_from_dict,
-    curve_to_dict,
     dollar_pool_value,
     equivalent_cpmm_liquidity,
-    eval_holdings,
-    holdings_derivative,
-    pool_value,
-    solve_trade,
 )
 from .errors import (
     AmmVolError,

@@ -290,7 +290,9 @@ class Cpmm(AmmCurve):
     def first_derivs(self, q: float) -> tuple[float, float]:
         q = _check_price(q)
         L = self.liquidity_tokens
-        return (-0.5 * L * q**-1.5, 0.5 * L * q**-0.5)
+        # sqrt, not q**-1.5: libm pow and numpy's array power differ in the
+        # last bit, and xprime_grid must agree with this bit for bit
+        return (-0.5 * L / (q * math.sqrt(q)), 0.5 * L * q**-0.5)
 
     def second_derivs(self, q: float) -> tuple[float, float]:
         q = _check_price(q)
@@ -316,7 +318,7 @@ class Cpmm(AmmCurve):
     def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, None]:
         qs = np.asarray(qs, dtype=float)
         with np.errstate(divide="ignore"):
-            xp = np.where(qs > 0.0, -0.5 * self.liquidity_tokens * qs**-1.5, 0.0)
+            xp = np.where(qs > 0.0, -0.5 * self.liquidity_tokens / (qs * np.sqrt(qs)), 0.0)
         return xp, None
 
     def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
@@ -382,7 +384,7 @@ class ConcentratedCpmm(AmmCurve):
         if not self.is_interior(q):
             return (0.0, 0.0)
         L = self.liquidity_tokens
-        return (-0.5 * L * q**-1.5, 0.5 * L * q**-0.5)
+        return (-0.5 * L / (q * math.sqrt(q)), 0.5 * L * q**-0.5)
 
     def second_derivs(self, q: float) -> tuple[float, float]:
         q = _check_price(q)
@@ -403,7 +405,7 @@ class ConcentratedCpmm(AmmCurve):
         qs = np.asarray(qs, dtype=float)
         inside = (qs > self.p_lo) & (qs < self.p_hi)
         qsafe = np.where(inside, qs, 1.0)
-        xp = np.where(inside, -0.5 * self.liquidity_tokens * qsafe**-1.5, 0.0)
+        xp = np.where(inside, -0.5 * self.liquidity_tokens / (qsafe * np.sqrt(qsafe)), 0.0)
         return xp, None
 
     def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
@@ -720,26 +722,11 @@ class StableSwap(AmmCurve):
 # ----- module-level operations ---------------------------------------------
 
 
-def eval_holdings(curve: AmmCurve, q: float) -> Holdings:
-    """Holdings (x(q), y(q)) of the pool at external price q."""
-    return curve.holdings(q)
-
-
-def pool_value(curve: AmmCurve, q: float) -> float:
-    """Pool value q*x(q) + y(q) in units of asset y."""
-    return curve.pool_value(q)
-
-
 def dollar_pool_value(curve: AmmCurve, px: float, py: float) -> float:
     """Dollar pool value px*x(px/py) + py*y(px/py) = py * value(px/py)."""
     px = _check_price(px)
     py = _check_price(py)
     return py * curve.pool_value(px / py)
-
-
-def holdings_derivative(curve: AmmCurve, q: float) -> tuple[float, float]:
-    """(x'(q), y'(q)); zero once either holding is exhausted."""
-    return curve.first_derivs(q)
 
 
 def curvature(curve: AmmCurve, q: float) -> float:
@@ -770,13 +757,6 @@ def equivalent_cpmm_liquidity(curve: AmmCurve, q: float) -> float:
     return -2.0 * q**1.5 * xp
 
 
-def solve_trade(curve: AmmCurve, q_from: float, q_to: float) -> tuple[float, float]:
-    """Pool holdings change (delta_x, delta_y) moving the spot q_from -> q_to."""
-    x0, y0 = curve.holdings(q_from)
-    x1, y1 = curve.holdings(q_to)
-    return (x1 - x0, y1 - y0)
-
-
 _CURVE_KINDS = {"cpmm": Cpmm, "concentrated": ConcentratedCpmm, "stableswap": StableSwap}
 
 
@@ -803,7 +783,3 @@ def curve_from_dict(record: dict) -> AmmCurve:
         if isinstance(exc, (InvalidParams, RangeError)):
             raise
         raise InvalidParams(f"bad curve record for kind {kind!r}: {exc}") from None
-
-
-def curve_to_dict(curve: AmmCurve) -> dict:
-    return curve.to_dict()

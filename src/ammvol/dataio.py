@@ -1,22 +1,30 @@
 """File formats: tick/pool-event/ledger/window CSVs, order books, curve JSON.
 
 All floats are written with repr(float(x)) so the shortest round-tripping
-representation is emitted and re-runs are byte-identical.  Readers report
-the 1-based line number of the first offending row.
+representation is emitted and re-runs are byte-identical.
+
+The four CSV readers share one row loop, ``_read_rows``: it checks the
+header, skips blank rows, checks the field count and parses each row.  Tick
+and pool-event columns then meet the rules of ``TickSeries.fault`` and
+``PoolEventSeries.fault``.  Errors name the 1-based line of the first
+offending row; within a row the field count comes first, then the parse,
+then the rules in their listed order.  Bytes that are not UTF-8, a field
+over csv's size limit and a timestamp beyond int64 are malformed rows too,
+so the CLI exits 2 on them.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import math
 import os
 
 import numpy as np
 
 from .auction import ClearingResult, SwapOrder
 from .curves import AmmCurve, curve_from_dict
-from .errors import EmptyInput, InvalidParams, ParseError, RangeError, UnsortedInput
+from .errors import EmptyInput, InvalidParams, ParseError, RangeError
 from .simulation import PoolEventSeries, SimLedger, TickSeries, WindowStat
 
 _TICK_HEADER = ["timestamp", "bid", "ask"]
@@ -35,54 +43,89 @@ def _dec_str(value) -> str:
     return format(value, "f")
 
 
-def _check_header(row, expected, path):
-    if row is None:
-        raise ParseError(f"{os.path.basename(path)} is empty; expected header {','.join(expected)!r}", line=1)
-    if [field.strip() for field in row] != expected:
-        raise ParseError(
-            f"expected header {','.join(expected)!r}, got {','.join(row)!r}", line=1
-        )
+# ----- the row loop --------------------------------------------------------------
+
+
+def _read_rows(path, header, parse) -> tuple[list, ParseError | None]:
+    """(values, error): the tuples ``parse(row)`` of the data rows,
+    concatenated into one list (smaller than a tuple per row), and the
+    ParseError of the first malformed row, where reading stopped, or None.
+    The error is returned, not raised, so that the caller can check its
+    rules on the rows above first."""
+    values = []
+    extend = values.extend
+    width = len(header)
+    # a byte that is not UTF-8 reads as a lone surrogate, which fails the parse
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        try:
+            row = next(reader, None)
+            if row is None:
+                raise ParseError(f"{os.path.basename(path)} is empty; expected header {','.join(header)!r}", 1)
+            if [field.strip() for field in row] != header:
+                raise ParseError(f"expected header {','.join(header)!r}, got {','.join(row)!r}", 1)
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    return values, ParseError(f"expected {width} fields, got {len(row)}", reader.line_num)
+                extend(parse(row))
+        except ParseError:
+            raise
+        except csv.Error as exc:
+            return values, ParseError(f"unreadable CSV row: {exc}", reader.line_num)
+        except (ValueError, ArithmeticError) as exc:
+            message = str(exc) if isinstance(exc, InvalidParams) else f"could not parse row {','.join(row)!r}"
+            return values, ParseError(message, reader.line_num)
+    return values, None
+
+
+def _line_of(path, header, index: int) -> int:
+    """File line of data row ``index``, found by reading the file again."""
+    rows = itertools.count()
+
+    def stop_at_index(row):
+        if next(rows) == index:
+            raise ValueError
+        return ()
+
+    return _read_rows(path, header, stop_at_index)[1].line
+
+
+def _read_series(path, header, parse, series_type, **rules):
+    """A tick or pool-event CSV, rows (int timestamp, floats...), as a
+    ``series_type`` whose ``fault(**rules)`` finds no broken rule."""
+    values, error = _read_rows(path, header, parse)
+    width = len(header)
+    stamps = values[0::width]
+    n = len(stamps)
+    try:
+        timestamps = np.array(stamps, dtype=np.int64)
+    except OverflowError:  # the first such timestamp makes its row the malformed one
+        n = next(k for k, t in enumerate(stamps) if not -(2**63) <= t < 2**63)
+        error = ParseError(f"timestamp {stamps[n]} does not fit in int64", _line_of(path, header, n))
+        timestamps = np.array(stamps[:n], dtype=np.int64)
+    series = series_type(timestamps, *(np.array(values[j:n * width:width], dtype=float) for j in range(1, width)))
+    fault = series.fault(**rules)
+    if fault is not None:
+        row, cls, message = fault
+        line = _line_of(path, header, row)
+        raise ParseError(message, line) if cls is InvalidParams else cls(f"line {line}: {message}")
+    if error is not None:
+        raise error
+    if n == 0:
+        raise EmptyInput(f"{os.path.basename(path)} has no data rows")
+    return series
 
 
 # ----- ticks -----------------------------------------------------------------
 
 
 def read_ticks(path: str, allow_crossed: bool = False) -> TickSeries:
-    """Load a tick CSV, validating as it goes.
-
-    Crossed quotes are rejected with their line number unless allow_crossed;
-    the arbitrage engine itself can replay them.
-    """
-    ts: list[int] = []
-    bids: list[float] = []
-    asks: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), _TICK_HEADER, path)
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line=line)
-            try:
-                t = int(row[0])
-                bid = float(row[1])
-                ask = float(row[2])
-            except ValueError:
-                raise ParseError(f"could not parse row {','.join(row)!r}", line=line) from None
-            if not (math.isfinite(bid) and bid > 0.0 and math.isfinite(ask) and ask > 0.0):
-                raise ParseError("quotes must be positive finite numbers", line=line)
-            if not allow_crossed and bid > ask:
-                raise ParseError(f"crossed quote: bid {bid!r} > ask {ask!r}", line=line)
-            if ts and t <= ts[-1]:
-                raise UnsortedInput(f"line {line}: timestamp {t} does not increase")
-            ts.append(t)
-            bids.append(bid)
-            asks.append(ask)
-    if not ts:
-        raise EmptyInput(f"{os.path.basename(path)} has no data rows")
-    return TickSeries(np.array(ts, dtype=np.int64), np.array(bids), np.array(asks))
+    """Load a tick CSV.  Crossed quotes are rejected with their line number
+    unless allow_crossed; the arbitrage engine itself can replay them."""
+    parse = lambda r: (int(r[0]), float(r[1]), float(r[2]))
+    return _read_series(path, _TICK_HEADER, parse, TickSeries, allow_crossed=allow_crossed)
 
 
 def write_ticks(path: str, series: TickSeries) -> None:
@@ -98,41 +141,8 @@ def write_ticks(path: str, series: TickSeries) -> None:
 
 
 def read_pool_events(path: str) -> PoolEventSeries:
-    ts: list[int] = []
-    prices: list[float] = []
-    fees_x: list[float] = []
-    fees_y: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), _EVENT_HEADER, path)
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", line=line)
-            try:
-                t = int(row[0])
-                price = float(row[1])
-                fx = float(row[2])
-                fy = float(row[3])
-            except ValueError:
-                raise ParseError(f"could not parse row {','.join(row)!r}", line=line) from None
-            if not (math.isfinite(price) and price > 0.0):
-                raise ParseError("price must be positive and finite", line=line)
-            if not (math.isfinite(fx) and fx >= 0.0 and math.isfinite(fy) and fy >= 0.0):
-                raise ParseError("fee accruals must be nonnegative", line=line)
-            if ts and t <= ts[-1]:
-                raise UnsortedInput(f"line {line}: timestamp {t} does not increase")
-            ts.append(t)
-            prices.append(price)
-            fees_x.append(fx)
-            fees_y.append(fy)
-    if not ts:
-        raise EmptyInput(f"{os.path.basename(path)} has no data rows")
-    return PoolEventSeries(
-        np.array(ts, dtype=np.int64), np.array(prices), np.array(fees_x), np.array(fees_y)
-    )
+    parse = lambda r: (int(r[0]), float(r[1]), float(r[2]), float(r[3]))
+    return _read_series(path, _EVENT_HEADER, parse, PoolEventSeries)
 
 
 # ----- ledger and windows -----------------------------------------------------
@@ -163,29 +173,11 @@ def write_windows(path: str, stats: list[WindowStat]) -> None:
 
 
 def read_windows(path: str) -> list[WindowStat]:
-    stats: list[WindowStat] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), _WINDOW_HEADER, path)
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 6:
-                raise ParseError(f"expected 6 fields, got {len(row)}", line=line)
-            try:
-                stats.append(
-                    WindowStat(
-                        window_start=int(row[0]),
-                        window_end=int(row[1]),
-                        fees=float(row[2]),
-                        lvr=float(row[3]),
-                        hist_vol=float(row[4]),
-                        fee_vol=float(row[5]),
-                    )
-                )
-            except ValueError:
-                raise ParseError(f"could not parse row {','.join(row)!r}", line=line) from None
+    stats, error = _read_rows(
+        path, _WINDOW_HEADER, lambda r: (WindowStat(int(r[0]), int(r[1]), *map(float, r[2:])),)
+    )
+    if error is not None:
+        raise error
     return stats
 
 
@@ -193,33 +185,23 @@ def read_windows(path: str) -> list[WindowStat]:
 
 
 def read_orders(path: str) -> list[SwapOrder]:
-    orders: list[SwapOrder] = []
-    seen: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), _ORDER_HEADER, path)
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 5:
-                raise ParseError(f"expected 5 fields, got {len(row)}", line=line)
-            order_id = row[0].strip()
-            if not order_id:
-                raise ParseError("order_id must be non-empty", line=line)
-            if order_id in seen:
-                raise ParseError(
-                    f"duplicate order_id {order_id!r} (first seen on line {seen[order_id]})",
-                    line=line,
-                )
-            try:
-                order = SwapOrder(order_id, row[1], row[2], row[3], int(row[4]))
-            except InvalidParams as exc:
-                raise ParseError(str(exc), line=line) from None
-            except ValueError:
-                raise ParseError(f"could not parse row {','.join(row)!r}", line=line) from None
-            seen[order_id] = line
-            orders.append(order)
+    seen: dict[str, int] = {}  # order_id -> its data row
+
+    def parse(row):
+        order_id = row[0].strip()
+        if not order_id:
+            raise InvalidParams("order_id must be non-empty")
+        if order_id in seen:
+            first = _line_of(path, _ORDER_HEADER, seen[order_id])
+            raise InvalidParams(f"duplicate order_id {order_id!r} (first seen on line {first})")
+        order_id.encode()  # a byte that is not UTF-8 raises here
+        order = SwapOrder(order_id, row[1], row[2], row[3], int(row[4]))
+        seen[order_id] = len(seen)
+        return (order,)
+
+    orders, error = _read_rows(path, _ORDER_HEADER, parse)
+    if error is not None:
+        raise error
     return orders
 
 

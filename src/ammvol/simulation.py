@@ -53,6 +53,38 @@ from .fees import YEAR_SECONDS, GbmParams, effective_variance
 _LVR_MODES = ("trade_side", "pool_spot")
 
 
+# ----- input rules ------------------------------------------------------------
+# Written once for ``validate`` and the CSV readers.  A check is (flags, error
+# class, message template); a fault, (row, class, message), is the first flagged
+# row, and within a row the first check listed.
+
+
+def _quotes_ok(bids, asks):
+    """Quotes are positive finite numbers (scalars or arrays)."""
+    return np.isfinite(bids) & np.isfinite(asks) & (bids > 0.0) & (asks > 0.0)
+
+
+def _order_check(timestamps: np.ndarray):
+    later = np.zeros(timestamps.shape, dtype=bool)
+    later[1:] = timestamps[1:] <= timestamps[:-1]
+    return later, UnsortedInput, "timestamp {timestamp} does not increase"
+
+
+def _first_fault(checks, **columns) -> tuple[int, type, str] | None:
+    """The first fault of ``checks``, its message filled in from that row of ``columns``."""
+    rows = [int(flags.argmax()) if flags.any() else math.inf for flags, _, _ in checks]
+    row = min(rows)
+    if row == math.inf:
+        return None
+    _, cls, template = checks[rows.index(row)]
+    return row, cls, template.format(**{name: col[row].item() for name, col in columns.items()})
+
+
+def _raise_fault(fault) -> None:
+    if fault is not None:
+        raise fault[1](f"row {fault[0]}: {fault[2]}")
+
+
 @dataclass(frozen=True)
 class QuoteTick:
     """One top-of-book observation. Crossed quotes (bid > ask) are legal
@@ -67,7 +99,7 @@ class QuoteTick:
         object.__setattr__(self, "timestamp", int(self.timestamp))
         bid = float(self.bid)
         ask = float(self.ask)
-        if not (math.isfinite(bid) and bid > 0.0 and math.isfinite(ask) and ask > 0.0):
+        if not _quotes_ok(bid, ask):
             raise InvalidParams(f"quotes must be positive, got bid={bid!r} ask={ask!r}")
         object.__setattr__(self, "bid", bid)
         object.__setattr__(self, "ask", ask)
@@ -111,18 +143,21 @@ class TickSeries:
             np.array([t.ask for t in ticks], dtype=float),
         )
 
+    def fault(self, allow_crossed: bool = False) -> tuple[int, type, str] | None:
+        """The first fault of a tick rule, or None.  The rules, in their order
+        within a row: quotes are positive finite numbers, bid <= ask unless
+        allow_crossed, and timestamps strictly increase."""
+        bids, asks = self.bids, self.asks
+        return _first_fault([
+            (~_quotes_ok(bids, asks), InvalidParams, "quotes must be positive finite numbers"),
+            ((bids > asks) & (not allow_crossed), InvalidParams, "crossed quote: bid {bid!r} > ask {ask!r}"),
+            _order_check(self.timestamps),
+        ], timestamp=self.timestamps, bid=bids, ask=asks)
+
     def validate(self, allow_crossed: bool = False) -> "TickSeries":
         if len(self) == 0:
             raise EmptyInput("tick series is empty")
-        if np.any(np.diff(self.timestamps) <= 0):
-            i = int(np.argmax(np.diff(self.timestamps) <= 0))
-            raise UnsortedInput(f"timestamps must be strictly increasing (violation after row {i})")
-        bad = ~(np.isfinite(self.bids) & np.isfinite(self.asks) & (self.bids > 0.0) & (self.asks > 0.0))
-        if np.any(bad):
-            raise InvalidParams(f"quotes must be positive and finite (row {int(np.argmax(bad))})")
-        if not allow_crossed and np.any(self.bids > self.asks):
-            i = int(np.argmax(self.bids > self.asks))
-            raise InvalidParams(f"crossed quote (bid > ask) at row {i}; pass allow_crossed to accept")
+        _raise_fault(self.fault(allow_crossed))
         return self
 
 
@@ -554,16 +589,22 @@ class PoolEventSeries:
     def __len__(self) -> int:
         return int(self.timestamps.size)
 
+    def fault(self) -> tuple[int, type, str] | None:
+        """The first fault of a pool-event rule, or None.  The rules, in their
+        order within a row: the price is positive and finite, fee accruals are
+        nonnegative and finite, and timestamps strictly increase."""
+        p, fx, fy = self.prices, self.fees_x, self.fees_y
+        return _first_fault([
+            (~(np.isfinite(p) & (p > 0.0)), InvalidParams, "price must be positive and finite"),
+            (~(np.isfinite(fx) & np.isfinite(fy) & (fx >= 0.0) & (fy >= 0.0)), InvalidParams,
+             "fee accruals must be nonnegative and finite"),
+            _order_check(self.timestamps),
+        ], timestamp=self.timestamps)
+
     def validate(self) -> "PoolEventSeries":
         if len(self) == 0:
             raise EmptyInput("pool event series is empty")
-        if np.any(np.diff(self.timestamps) <= 0):
-            raise UnsortedInput("pool event timestamps must be strictly increasing")
-        if not np.all(np.isfinite(self.prices) & (self.prices > 0.0)):
-            raise InvalidParams("pool prices must be positive and finite")
-        fx, fy = self.fees_x, self.fees_y
-        if not np.all(np.isfinite(fx) & np.isfinite(fy) & (fx >= 0.0) & (fy >= 0.0)):
-            raise InvalidParams("fee accruals must be nonnegative and finite")
+        _raise_fault(self.fault())
         return self
 
 

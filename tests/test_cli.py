@@ -289,6 +289,33 @@ def test_auction_empty_book(tmp_path, capsys):
     assert result["unmatched"] == []
 
 
+# ----- unreadable files ------------------------------------------------------------------
+
+BIG = b"9" * 131_073  # one past csv's field size limit
+UNREADABLE = {
+    "simulate-not-utf8": ("simulate", b"timestamp,bid,ask\n0,1.0,1.0\n1,1.\xff0,1.0\n"),
+    "simulate-big-field": ("simulate", b"timestamp,bid,ask\n0,1.0,1.0\n1," + BIG + b",1.0\n"),
+    "simulate-int64": ("simulate", b"timestamp,bid,ask\n0,1.0,1.0\n9223372036854775808,1.0,1.0\n"),
+    "analyze-not-utf8": ("analyze", WINDOW_HEADER.encode() + b"0,1,1,1,1,1\n1,2,\xc3\x28,1,1,1\n"),
+    "analyze-big-field": ("analyze", WINDOW_HEADER.encode() + b"0,1,1,1,1,1\n1,2," + BIG + b",1,1,1\n"),
+    "auction-not-utf8": ("auction", ORDERS.encode() + b"o\xe93,bid,1.0,1,2\n"),
+    "auction-big-field": ("auction", ORDERS.encode() + b"o3,bid,1.0," + BIG + b",2\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_file_exits_2(tmp_path, capsys, case):
+    command, data = UNREADABLE[case]
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    flag = {"simulate": "--ticks", "analyze": "--windows", "auction": "--orders"}[command]
+    args = [command, flag, str(path)] + (["--curve", CPMM_CURVE] if command == "simulate" else [])
+    code, err = error_of(capsys, *args)
+    assert code == 2
+    assert err["error"] == "parse_error"
+    assert err["detail"].startswith("line 3" if command != "auction" else "line 4")
+
+
 # ----- harness behavior ----------------------------------------------------------------
 
 

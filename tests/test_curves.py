@@ -23,13 +23,8 @@ from ammvol import (
     StableSwap,
     curvature,
     curve_from_dict,
-    curve_to_dict,
     dollar_pool_value,
     equivalent_cpmm_liquidity,
-    eval_holdings,
-    holdings_derivative,
-    pool_value,
-    solve_trade,
 )
 
 CPMM = Cpmm(1.0)
@@ -59,16 +54,16 @@ def fd_first(curve, q, h=None):
 
 
 def test_cpmm_holdings_golden():
-    x, y = eval_holdings(CPMM, 4.0)
+    x, y = CPMM.holdings(4.0)
     assert x == pytest.approx(0.5, abs=0)
     assert y == pytest.approx(2.0, abs=0)
-    assert pool_value(CPMM, 4.0) == pytest.approx(4.0, rel=1e-15)
+    assert CPMM.pool_value(4.0) == pytest.approx(4.0, rel=1e-15)
 
 
 def test_cpmm_derivative_goldens():
-    assert holdings_derivative(CPMM, 1.0) == pytest.approx((-0.5, 0.5), rel=1e-15)
+    assert CPMM.first_derivs(1.0) == pytest.approx((-0.5, 0.5), rel=1e-15)
     assert CPMM.second_derivs(1.0) == pytest.approx((0.75, -0.25), rel=1e-15)
-    xp, yp = holdings_derivative(CPMM, 4.0)
+    xp, yp = CPMM.first_derivs(4.0)
     assert xp == pytest.approx(-1.0 / 16.0, rel=1e-15)
     assert yp == pytest.approx(0.25, rel=1e-15)
 
@@ -88,7 +83,8 @@ def test_cpmm_equivalent_liquidity_is_identically_L():
 
 
 def test_cpmm_solve_trade_golden():
-    dx, dy = solve_trade(CPMM, 1.0, 4.0)
+    (x0, y0), (x1, y1) = CPMM.holdings(1.0), CPMM.holdings(4.0)
+    dx, dy = x1 - x0, y1 - y0
     assert dx == pytest.approx(-0.5, rel=1e-15)
     assert dy == pytest.approx(1.0, rel=1e-15)
 
@@ -228,7 +224,7 @@ def test_stableswap_second_derivs_match_fd():
 def test_stableswap_curvature_much_flatter_than_cpmm():
     # same pool value at the center, two orders of magnitude flatter
     cpmm_same_value = Cpmm(1.0)
-    assert pool_value(cpmm_same_value, 1.0) == pytest.approx(pool_value(STABLE, 1.0))
+    assert cpmm_same_value.pool_value(1.0) == pytest.approx(STABLE.pool_value(1.0))
     k_stable = curvature(STABLE, 1.0)
     assert k_stable == pytest.approx(1.0 / (2.0**1.5 * 100.5), rel=1e-9)
     assert k_stable < curvature(cpmm_same_value, 1.0) / 100.0
@@ -355,6 +351,14 @@ def test_curvature_matches_parametric_quotient(curve):
         assert abs(quotient) == pytest.approx(curvature(curve, q), rel=1e-8)
 
 
+@pytest.mark.parametrize("curve", [CPMM, CONC], ids=lambda c: c.kind)
+def test_xprime_grid_is_bit_equal_to_first_derivs(curve):
+    qs = np.linspace(0.6, 1.6, 20_000)
+    xp, _ = curve.xprime_grid(qs)
+    scalar = np.array([curve.first_derivs(float(q))[0] for q in qs])
+    assert np.array_equal(xp, scalar), int(np.count_nonzero(xp != scalar))
+
+
 @pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.kind)
 def test_grid_methods_agree_with_scalar(curve):
     qs = grid_for(curve)
@@ -393,8 +397,8 @@ def test_scaled_to_value_degenerate_concentrated():
 
 @pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.kind)
 def test_curve_dict_round_trip(curve):
-    rebuilt = curve_from_dict(curve_to_dict(curve))
-    assert curve_to_dict(rebuilt) == curve_to_dict(curve)
+    rebuilt = curve_from_dict(curve.to_dict())
+    assert rebuilt.to_dict() == curve.to_dict()
 
 
 def test_curve_from_dict_ignores_unused_keys():

@@ -97,6 +97,71 @@ def test_crossed_ticks_controlled_by_flag(tmp_path):
     assert series.bids[0] == 1.2
 
 
+def test_first_offending_row_wins(tmp_path):
+    path = tmp_path / "t.csv"
+    # a rule broken above a malformed row is reported, not the malformed row
+    path.write_text("timestamp,bid,ask\n0,1.0,1.0\n1,-2.0,1.0\n2,1.0,1.0\n3,1.0\n")
+    with pytest.raises(ParseError, match="positive") as err:
+        read_ticks(path)
+    assert err.value.line == 3
+    path.write_bytes(b"timestamp,bid,ask\n0,1.0,1.0\n0,1.0,1.0\n\n2,1.\xff0,1.0\n")
+    with pytest.raises(UnsortedInput, match="line 3"):
+        read_ticks(path)
+    # a malformed row above a broken rule is reported
+    path.write_text("timestamp,bid,ask\n0,1.0,1.0\n1,x,1.0\n0,1.0,1.0\n")
+    with pytest.raises(ParseError, match="could not parse") as err:
+        read_ticks(path)
+    assert err.value.line == 3
+    # within a row, the quotes come before the order
+    path.write_text("timestamp,bid,ask\n5,1.0,1.0\n\n4,nan,1.0\n")
+    with pytest.raises(ParseError, match="positive") as err:
+        read_ticks(path)
+    assert err.value.line == 4
+    path.write_text("timestamp,bid,ask\n5,1.0,1.0\n4,1.2,1.0\n")
+    with pytest.raises(ParseError, match="crossed"):
+        read_ticks(path)
+    with pytest.raises(UnsortedInput, match="line 3"):
+        read_ticks(path, allow_crossed=True)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_ticks, b"timestamp,bid,ask\n0,1.0,1.0\n1,1.0,\xc3\x28\n"),
+        (read_pool_events, b"timestamp,price,fee_x,fee_y\n0,1.0,0.0,0.0\n1,\xff,0.0,0.0\n"),
+        (read_windows, b"start,end,fees,lvr,hist_vol,fee_vol\n0,1,1.0,1.0,0.5,0.5\n1,2,\x80,1.0,0.5,0.5\n"),
+        (read_orders, b"order_id,side,limit_price,quantity,timestamp\no1,bid,1,1,0\no\xff2,bid,1,1,1\n"),
+    ],
+    ids=["ticks", "events", "windows", "orders"],
+)
+def test_bytes_that_are_not_utf8_are_a_parse_error(tmp_path, reader, text):
+    path = tmp_path / "f.csv"
+    path.write_bytes(text)
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert err.value.line == 3
+
+
+def test_unreadable_fields_are_parse_errors(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("timestamp,bid,ask\n0,1.0,1.0\n" + "1," + "9" * 131_073 + ",1.0\n")
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        read_ticks(path)
+    assert err.value.line == 3
+    for stamp in (2**63, -(2**63) - 1):
+        path.write_text(f"timestamp,bid,ask\n0,1.0,1.0\n\n{stamp},1.0,1.0\n")
+        with pytest.raises(ParseError, match="int64") as err:
+            read_ticks(path)
+        assert err.value.line == 4
+    path.write_text(f"timestamp,bid,ask\n{2**63 - 1},1.0,1.0\n")
+    assert read_ticks(path).timestamps[0] == 2**63 - 1
+    path = tmp_path / "o.csv"
+    path.write_text("order_id,side,limit_price,quantity,timestamp\no1,bid,1.0,1e30,0\n")
+    with pytest.raises(ParseError) as err:
+        read_orders(path)
+    assert err.value.line == 2
+
+
 # ----- pool events ------------------------------------------------------------------
 
 
@@ -119,6 +184,21 @@ def test_pool_events_errors(tmp_path):
     assert err.value.line == 2
     path.write_text("timestamp,price,fee_x,fee_y\n0,1.0,0.0\n")
     with pytest.raises(ParseError, match="expected 4 fields"):
+        read_pool_events(path)
+
+
+def test_pool_events_first_offending_row_wins(tmp_path):
+    path = tmp_path / "e.csv"
+    # an unsorted row above a bad price is reported
+    path.write_text("timestamp,price,fee_x,fee_y\n5,1.0,0.0,0.0\n5,1.0,0.0,0.0\n6,0.0,0.0,0.0\n")
+    with pytest.raises(UnsortedInput, match="line 3"):
+        read_pool_events(path)
+    path.write_text("timestamp,price,fee_x,fee_y\n5,1.0,0.0,0.0\n5,inf,0.0,0.0\n")
+    with pytest.raises(ParseError, match="price") as err:
+        read_pool_events(path)
+    assert err.value.line == 3
+    path.write_text(f"timestamp,price,fee_x,fee_y\n{2**64},1.0,0.0,0.0\n")
+    with pytest.raises(ParseError, match="int64"):
         read_pool_events(path)
 
 

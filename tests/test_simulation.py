@@ -75,6 +75,33 @@ def test_tick_series_validate():
     crossed.validate(allow_crossed=True)
 
 
+def test_tick_series_validate_reports_the_first_offending_row():
+    # row 1 breaks the quote rule, row 3 the order: row 1 is reported
+    series = TickSeries(np.array([0, 1, 2, 2]), np.array([1.0, 0.0, 1.0, 1.0]), np.ones(4))
+    with pytest.raises(InvalidParams, match="row 1"):
+        series.validate()
+    # on one row the quote rule comes before the crossed check and the order
+    series = TickSeries(np.array([0, 0]), np.array([1.0, np.nan]), np.ones(2))
+    with pytest.raises(InvalidParams, match="row 1: quotes"):
+        series.validate()
+    series = TickSeries(np.array([0, 0]), np.array([1.0, 1.5]), np.ones(2))
+    with pytest.raises(InvalidParams, match="row 1: crossed"):
+        series.validate()
+    with pytest.raises(UnsortedInput, match="row 1"):
+        series.validate(allow_crossed=True)
+
+
+def test_pool_event_series_validate_reports_the_first_offending_row():
+    events = PoolEventSeries(np.array([0, 1, 1]), np.array([1.0, 1.0, -1.0]), np.zeros(3), np.zeros(3))
+    with pytest.raises(UnsortedInput, match="row 2"):
+        PoolEventSeries(np.array([0, 1, 1]), np.ones(3), np.zeros(3), np.zeros(3)).validate()
+    with pytest.raises(InvalidParams, match="row 2: price"):
+        events.validate()
+    events.fees_y[1] = -0.5
+    with pytest.raises(InvalidParams, match="row 1: fee"):
+        events.validate()
+
+
 def test_tick_series_round_trip_from_ticks():
     ticks = [QuoteTick(0, 0.99, 1.01), QuoteTick(3, 1.04, 1.08)]
     series = TickSeries.from_ticks(ticks)
