@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 
 from .errors import InvalidParams
-from .solvers import McConfig, SwapSpec, implied_corr_bounds
+from .solvers import SwapSpec, implied_corr_bounds
 
 QTY_QUANTUM = Decimal("1e-18")
 PRICE_QUANTUM = Decimal("1e-8")
@@ -53,7 +53,10 @@ def _as_decimal(value, quantum: Decimal, name: str) -> Decimal:
         raise InvalidParams(f"{name} is not a number: {value!r}") from None
     if not d.is_finite():
         raise InvalidParams(f"{name} must be finite, got {value!r}")
-    return d.quantize(quantum, rounding=ROUND_HALF_EVEN)
+    try:
+        return d.quantize(quantum, rounding=ROUND_HALF_EVEN)
+    except InvalidOperation:  # more digits than the decimal context holds
+        raise InvalidParams(f"{name} is too large to hold to {quantum} precision: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -223,15 +226,14 @@ def validate_quote(
     spec: SwapSpec,
     sigma_x: float | None = None,
     sigma_y: float | None = None,
-    mc: McConfig | None = None,
 ) -> QuoteVerdict:
     """Check a fixed-leg quote against arbitrage bounds.
 
     A quote at or above the current pool value (or negative) hands someone
     a risk-free profit regardless of volatility.  When both component
     volatilities are supplied, the quote must additionally lie inside the
-    fixed-leg interval spanned by correlations in [-1, +1], up to a small
-    slack for Monte Carlo noise.
+    fixed-leg interval spanned by correlations in [-1, +1], up to a slack
+    of 1e-3 times the pool value.
     """
     pi_bar = float(pi_bar)
     if not math.isfinite(pi_bar):
@@ -240,7 +242,7 @@ def validate_quote(
     if pi_bar < 0.0 or pi_bar >= cap:
         return QuoteVerdict.SINGLE_ASSET_ARBITRAGE
     if sigma_x is not None and sigma_y is not None:
-        pi_lo, pi_hi = implied_corr_bounds(spec, sigma_x, sigma_y, mc)
+        pi_lo, pi_hi = implied_corr_bounds(spec, sigma_x, sigma_y)
         slack = 1e-3 * cap
         if pi_bar < pi_lo - slack or pi_bar > pi_hi + slack:
             return QuoteVerdict.CORRELATION_BOUND_VIOLATION

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen-ticks, simulate, analyze, solve-vol, solve-corr,
-price-swap, auction.  Results go to stdout as JSON (sorted keys, so
-re-runs are byte-identical); every error path writes one line of
+price-swap, auction.  Results go to stdout as strict JSON (sorted keys, so
+re-runs are byte-identical; a missing or undefined number is null, never
+NaN); every error path writes one line of
 {"error": code, "detail": message} to stderr and exits nonzero:
 
     2  parse/validation problems (bad flags, malformed files, bad params)
@@ -16,6 +17,7 @@ re-runs are byte-identical); every error path writes one line of
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -49,8 +51,17 @@ from .solvers import McConfig, SwapSpec, attach_fee_vols, implied_corr, implied_
 DAY_SECONDS = 86400
 
 
-def _echo_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+def _echo_json(payload: dict, out: str | None = None) -> None:
+    """Print payload as strict JSON, and also write it to the file ``out``."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    click.echo(text)
+
+
+def _or_null(value: float) -> float | None:
+    return None if math.isnan(value) else value
 
 
 @click.group()
@@ -144,7 +155,7 @@ def _fit_report(xs, ys) -> dict:
     slope_origin, _, pearson = linear_fit(xs, ys, with_intercept=False)
     slope, intercept, _ = linear_fit(xs, ys, with_intercept=True)
     return {
-        "pearson": pearson,
+        "pearson": _or_null(pearson),
         "slope_origin": slope_origin,
         "slope": slope,
         "intercept": intercept,
@@ -168,8 +179,8 @@ def cmd_analyze(windows_path, out):
             "start": [w.window_start for w in stats],
             "fees": fees,
             "lvr": lvr,
-            "hist_vol": [w.hist_vol for w in stats],
-            "fee_vol": [w.fee_vol for w in stats],
+            "hist_vol": [_or_null(w.hist_vol) for w in stats],
+            "fee_vol": [_or_null(w.fee_vol) for w in stats],
         },
     }
     pairs = [
@@ -183,10 +194,7 @@ def cmd_analyze(windows_path, out):
         report["fee_vol_vs_hist_vol"] = _fit_report([p[0] for p in pairs], [p[1] for p in pairs])
     except DegenerateInput:
         report["fee_vol_vs_hist_vol"] = None
-    if out:
-        with open(out, "w") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _echo_json(report)
+    _echo_json(report, out)
 
 
 # ----- solvers ------------------------------------------------------------------
@@ -305,11 +313,7 @@ def cmd_price_swap(request_src):
 def cmd_auction(orders_path, out):
     """Clear one batch of swap orders at a uniform price."""
     result = clear_batch(read_orders(orders_path))
-    payload = clearing_result_to_dict(result)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _echo_json(payload)
+    _echo_json(clearing_result_to_dict(result), out)
 
 
 # ----- entry point -----------------------------------------------------------------

@@ -30,10 +30,9 @@ is nondecreasing and concave.  Three curve families are provided:
 
     Holdings at a price are found by inverting the strictly decreasing
     marginal price map ``q(u)``: one vectorized solve, a safeguarded Newton
-    iteration bracketed and seeded by a cached table of the map, serves the
-    scalar and the array methods alike.  Derivatives come from implicit
-    differentiation of the invariant, since finite differences lose all
-    precision in the flat region near the center.
+    iteration bracketed and seeded by a cached table of the map.  Derivatives
+    come from implicit differentiation of the invariant, since finite
+    differences lose all precision in the flat region near the center.
 
 Each curve prices the fee-swap floating leg ``C(q0) - E[C(Q)]`` for a
 driftless lognormal ``Q`` as a strip of out-of-the-money Black-Scholes
@@ -173,12 +172,13 @@ def _check_positive(value: float, name: str) -> float:
 class AmmCurve(ABC):
     """A two-asset AMM described by portfolio-update functions x(q), y(q).
 
-    Scalar methods validate their price argument and raise
-    :class:`~ammvol.errors.DomainError` outside the curve's price domain.
-    The ``*_grid`` methods are vectorized over numpy arrays and extend
-    beyond the tradeable range by valuing the boundary portfolio the pool
-    actually holds there; they exist for the Monte Carlo and simulation
-    engines where per-element validation would dominate the cost.
+    Each curve states its geometry once, in the vectorized kernels
+    ``holdings_grid``, ``xprime_grid`` and ``pool_value_grid``.  They take
+    numpy arrays without per-element validation and extend beyond the
+    tradeable range by valuing the boundary portfolio the pool actually
+    holds there.  The scalar methods ``holdings``, ``pool_value`` and
+    ``first_derivs`` are those kernels at one validated point: they raise
+    :class:`~ammvol.errors.DomainError` outside ``q_bounds``.
     """
 
     kind: ClassVar[str]
@@ -198,17 +198,31 @@ class AmmCurve(ABC):
         lo, hi = self.trade_bounds
         return lo < q < hi
 
-    @abstractmethod
+    def _require_in_domain(self, q: float) -> float:
+        q = _check_price(q)
+        q_lo, q_hi = self.q_bounds
+        if not (q_lo <= q <= q_hi):
+            raise DomainError(f"price {q!r} outside {self.kind} domain [{q_lo:.6g}, {q_hi:.6g}]")
+        return q
+
     def holdings(self, q: float) -> Holdings:
-        ...
+        x, y = self.holdings_grid(np.array([self._require_in_domain(q)]))
+        return Holdings(float(x[0]), float(y[0]))
 
     def holdings_near(self, q: float, x_hint: float | None = None) -> Holdings:
-        """holdings(q); the hint is ignored, kept for existing callers."""
+        """holdings(q), the hint ignored.  Stays only because the benchmark
+        tracer looks this name up (ROADMAP item 2)."""
         return self.holdings(q)
 
-    @abstractmethod
     def first_derivs(self, q: float) -> tuple[float, float]:
-        """(x'(q), y'(q)); zero once either holding is exhausted."""
+        """(x'(q), y'(q)); zero once either holding is exhausted.
+
+        y' follows from the tangency identity q*x' + y' = 0, written so that
+        a vanishing x' gives +0.0.
+        """
+        q = self._require_in_domain(q)
+        xp = float(self.xprime_grid(np.array([q]))[0])
+        return xp, 0.0 - q * xp
 
     @abstractmethod
     def second_derivs(self, q: float) -> tuple[float, float]:
@@ -216,8 +230,7 @@ class AmmCurve(ABC):
 
     def pool_value(self, q: float) -> float:
         """Pool value q*x(q) + y(q) in units of y."""
-        x, y = self.holdings(q)
-        return q * x + y
+        return float(self.pool_value_grid(np.array([self._require_in_domain(q)]))[0])
 
     @abstractmethod
     def holdings_grid(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +241,9 @@ class AmmCurve(ABC):
         x, y = self.holdings_grid(qs)
         return qs * x + y
 
-    def pool_value_grid_warm(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, object]:
-        """pool_value_grid and no solver state; kept for existing callers."""
+    def pool_value_grid_warm(self, qs: np.ndarray) -> tuple[np.ndarray, None]:
+        """(pool_value_grid(qs), None).  Stays only because the benchmark
+        tracer looks this name up (ROADMAP item 2)."""
         return self.pool_value_grid(qs), None
 
     @abstractmethod
@@ -242,13 +256,8 @@ class AmmCurve(ABC):
         """
 
     @abstractmethod
-    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, None]:
-        """Vectorized x'(q), zero outside the tradeable range.
-
-        Returns (x', None).  ``warm`` is accepted and ignored: no curve
-        carries solver state between calls any more, and the pair keeps
-        existing callers that unpack it working.
-        """
+    def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
+        """Vectorized x'(q), zero outside the tradeable range."""
 
     @abstractmethod
     def scaled_to_value(self, target_value: float, q: float) -> "AmmCurve":
@@ -281,27 +290,10 @@ class Cpmm(AmmCurve):
     def q_bounds(self) -> tuple[float, float]:
         return (0.0, math.inf)
 
-    def holdings(self, q: float) -> Holdings:
-        q = _check_price(q)
-        rq = math.sqrt(q)
-        L = self.liquidity_tokens
-        return Holdings(L / rq, L * rq)
-
-    def first_derivs(self, q: float) -> tuple[float, float]:
-        q = _check_price(q)
-        L = self.liquidity_tokens
-        # sqrt, not q**-1.5: libm pow and numpy's array power differ in the
-        # last bit, and xprime_grid must agree with this bit for bit
-        return (-0.5 * L / (q * math.sqrt(q)), 0.5 * L * q**-0.5)
-
     def second_derivs(self, q: float) -> tuple[float, float]:
-        q = _check_price(q)
+        q = self._require_in_domain(q)
         L = self.liquidity_tokens
         return (0.75 * L * q**-2.5, -0.25 * L * q**-1.5)
-
-    def pool_value(self, q: float) -> float:
-        q = _check_price(q)
-        return 2.0 * self.liquidity_tokens * math.sqrt(q)
 
     def holdings_grid(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         qs = np.asarray(qs, dtype=float)
@@ -315,11 +307,10 @@ class Cpmm(AmmCurve):
         qs = np.asarray(qs, dtype=float)
         return 2.0 * self.liquidity_tokens * np.sqrt(np.maximum(qs, 0.0))
 
-    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, None]:
+    def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)
         with np.errstate(divide="ignore"):
-            xp = np.where(qs > 0.0, -0.5 * self.liquidity_tokens / (qs * np.sqrt(qs)), 0.0)
-        return xp, None
+            return np.where(qs > 0.0, -0.5 * self.liquidity_tokens / (qs * np.sqrt(qs)), 0.0)
 
     def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
         # E[sqrt(Q)] = sqrt(q0) * exp(-s**2/8), the lognormal half-moment
@@ -370,24 +361,8 @@ class ConcentratedCpmm(AmmCurve):
     def trade_bounds(self) -> tuple[float, float]:
         return (self.p_lo, self.p_hi)
 
-    def holdings(self, q: float) -> Holdings:
-        q = _check_price(q)
-        qc = min(max(q, self.p_lo), self.p_hi)
-        L = self.liquidity_tokens
-        # correctly rounded sqrt, as in holdings_grid: the two agree bit for bit
-        x = L * (1.0 / math.sqrt(qc) - 1.0 / math.sqrt(self.p_hi))
-        y = L * (math.sqrt(qc) - math.sqrt(self.p_lo))
-        return Holdings(max(x, 0.0), max(y, 0.0))
-
-    def first_derivs(self, q: float) -> tuple[float, float]:
-        q = _check_price(q)
-        if not self.is_interior(q):
-            return (0.0, 0.0)
-        L = self.liquidity_tokens
-        return (-0.5 * L / (q * math.sqrt(q)), 0.5 * L * q**-0.5)
-
     def second_derivs(self, q: float) -> tuple[float, float]:
-        q = _check_price(q)
+        q = self._require_in_domain(q)
         if not self.is_interior(q):
             return (0.0, 0.0)
         L = self.liquidity_tokens
@@ -401,12 +376,11 @@ class ConcentratedCpmm(AmmCurve):
         y = np.maximum(L * (np.sqrt(qc) - math.sqrt(self.p_lo)), 0.0)
         return x, y
 
-    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, None]:
+    def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)
         inside = (qs > self.p_lo) & (qs < self.p_hi)
         qsafe = np.where(inside, qs, 1.0)
-        xp = np.where(inside, -0.5 * self.liquidity_tokens / (qsafe * np.sqrt(qsafe)), 0.0)
-        return xp, None
+        return np.where(inside, -0.5 * self.liquidity_tokens / (qsafe * np.sqrt(qsafe)), 0.0)
 
     def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
         # -dx = L/2 * k**-1.5 dk on the range, i.e. L/2 * k**-0.5 per unit log k
@@ -454,18 +428,6 @@ class StableSwap(AmmCurve):
 
     # ----- invariant machinery in centered units u = c*x, v = y ---------
 
-    def _v_from_u(self, u: float) -> float:
-        # Positive root of 16*A*u*v**2 + 4*u*(4*A*(u - D) + D)*v - D**3 = 0,
-        # written to avoid cancellation for either sign of b.
-        A = self.amplification
-        D = self.invariant_scale
-        a = 16.0 * A * u
-        b = 4.0 * u * (4.0 * A * (u - D) + D)
-        s = math.sqrt(b * b + 4.0 * a * D**3)
-        if b >= 0.0:
-            return 2.0 * D**3 / (b + s)
-        return (s - b) / (2.0 * a)
-
     def _state(self, u: float):
         """Invariant point and implicit derivatives at u.
 
@@ -477,7 +439,7 @@ class StableSwap(AmmCurve):
         A = self.amplification
         c = self.price_center
         k = self.invariant_scale**3 / 4.0
-        v = self._v_from_u(u)
+        v = float(self._grid_v(u))
         n1 = 4.0 * A + k / (u * u * v)
         n2 = 4.0 * A + k / (u * v * v)
         vp = -n1 / n2
@@ -506,7 +468,7 @@ class StableSwap(AmmCurve):
     def _u_bounds(self) -> tuple[float, float]:
         floor = HOLDINGS_FLOOR * self.invariant_scale
         u_min = floor * self.price_center  # x floor
-        u_max = self._v_from_u(floor)  # y floor, by u <-> v symmetry
+        u_max = float(self._grid_v(floor))  # y floor, by u <-> v symmetry
         return u_min, u_max
 
     @cached_property
@@ -516,16 +478,11 @@ class StableSwap(AmmCurve):
         log_qc = self._grid_eval(np.log([self._u_bounds[0], floor]))[2]
         return self.price_center * math.exp(-log_qc[1]), self.price_center * math.exp(log_qc[0])
 
-    def _require_in_domain(self, q: float) -> float:
-        q = _check_price(q)
-        q_lo, q_hi = self.q_bounds
-        if not (q_lo <= q <= q_hi):
-            raise DomainError(f"price {q!r} outside stableswap domain [{q_lo:.6g}, {q_hi:.6g}]")
-        return q
-
     # ----- vectorized invariant machinery --------------------------------
 
     def _grid_v(self, u: np.ndarray) -> np.ndarray:
+        # Positive root of 16*A*u*v**2 + 4*u*(4*A*(u - D) + D)*v - D**3 = 0,
+        # written to avoid cancellation for either sign of b.
         A = self.amplification
         D = self.invariant_scale
         a = 16.0 * A * u
@@ -636,33 +593,20 @@ class StableSwap(AmmCurve):
         dlogu = np.where(mirror, -elast, 1.0) / slope
         return u.reshape(shape), v.reshape(shape), dlogu.reshape(shape)
 
-    def _solve_one(self, q: float) -> tuple[float, float]:
-        u, v, _ = self._grid_solve(np.array([q]))
-        return float(u[0]), float(v[0])
-
     # ----- public surface -------------------------------------------------
 
-    @property
-    def trade_bounds(self) -> tuple[float, float]:
-        return self.q_bounds
-
-    def holdings(self, q: float) -> Holdings:
-        q = self._require_in_domain(q)
-        u, v = self._solve_one(q)
-        return Holdings(u / self.price_center, v)
-
     def first_derivs(self, q: float) -> tuple[float, float]:
-        q = self._require_in_domain(q)
-        u, _ = self._solve_one(q)
-        _, vp, _, _, qp, _ = self._state(u)
+        # implicit differentiation, independent of the solve's slope that
+        # xprime_grid uses: the tests check one against the other
+        u = self._grid_solve(np.array([self._require_in_domain(q)]))[0][0]
+        _, vp, _, _, qp, _ = self._state(float(u))
         c = self.price_center
         # x = u/c, so dx/dq = (1/c) / (dq/du); dy/dq = v' / q'
         return ((1.0 / c) / qp, vp / qp)
 
     def second_derivs(self, q: float) -> tuple[float, float]:
-        q = self._require_in_domain(q)
-        u, _ = self._solve_one(q)
-        _, vp, vpp, _, qp, qpp = self._state(u)
+        u = self._grid_solve(np.array([self._require_in_domain(q)]))[0][0]
+        _, vp, vpp, _, qp, qpp = self._state(float(u))
         c = self.price_center
         xpp = -qpp / (c * qp**3)
         ypp = vpp / qp**2 - vp * qpp / qp**3
@@ -692,15 +636,14 @@ class StableSwap(AmmCurve):
         u, _, log_qc, _, _ = self._grid_eval(log_u)
         return log_qc + math.log(self.price_center), u / self.price_center
 
-    def xprime_grid(self, qs: np.ndarray, warm=None) -> tuple[np.ndarray, None]:
+    def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)
         q_lo, q_hi = self.q_bounds
         qc = np.clip(qs, q_lo, q_hi)
         u, _, dlogu = self._grid_solve(qc)
         inside = (qs > q_lo) & (qs < q_hi)
         # x = u/c, so dx/dq = (u/c) * (d log u / d log q) / q
-        xp = np.where(inside, (u / self.price_center) * dlogu / qc, 0.0)
-        return xp, None
+        return np.where(inside, (u / self.price_center) * dlogu / qc, 0.0)
 
     def scaled_to_value(self, target_value: float, q: float) -> "StableSwap":
         # The invariant is 1-homogeneous in (u, v, D): scaling D scales the

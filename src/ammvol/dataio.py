@@ -229,7 +229,8 @@ def clearing_result_to_dict(result: ClearingResult) -> dict:
 
 def read_json(source: str, what: str, record: str):
     """Inline JSON (starts with '{') or the JSON file at that path, parsed;
-    ``what`` names the file and ``record`` its content in ParseError text."""
+    ``what`` names the file and ``record`` its content in ParseError text.
+    NaN and Infinity are not JSON, and the commands echo requests back."""
     text = source
     if not source.lstrip().startswith("{"):
         try:
@@ -237,8 +238,12 @@ def read_json(source: str, what: str, record: str):
                 text = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read {what} file {source!r}: {exc}") from None
+
+    def reject(constant):
+        raise ParseError(f"{record} is not valid JSON: {constant} is not a number")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{record} is not valid JSON: {exc}") from None
 

@@ -179,8 +179,7 @@ def mc_fee_plus_terminal_value(
     the discounted terminal pool value, and returns (mean, stderr) over
     paths.  When fees accrue at the implied rate the expectation equals the
     initial dollar pool value, which is what the test suite checks.  Each
-    step evaluates x' on all paths with one cold ``xprime_grid`` call; no
-    solver state is carried from step to step.
+    step evaluates x' on all paths with one ``xprime_grid`` call.
 
     ``stablecoin_flat`` freezes py at p0y (a literal zero-drift stablecoin
     leg).  With r > 0 this breaks the martingale property; it exists for
@@ -221,7 +220,7 @@ def mc_fee_plus_terminal_value(
         px = np.exp(ln_px)
         py = np.exp(ln_py)
         q = px / py
-        xp, _ = curve.xprime_grid(q)
+        xp = curve.xprime_grid(q)
         fee_rate = py * (-0.5 * var * q * q * xp)
         fees += math.exp(-r * k * dt) * fee_rate * dt
 

@@ -230,6 +230,16 @@ class WindowStat:
     hist_vol: float
     fee_vol: float = math.nan
 
+    def __post_init__(self):
+        if not (math.isfinite(self.fees) and self.fees >= 0.0):
+            raise InvalidParams(f"window fees must be finite and >= 0, got {self.fees!r}")
+        if not math.isfinite(self.lvr):
+            raise InvalidParams(f"window lvr must be finite, got {self.lvr!r}")
+        for name in ("hist_vol", "fee_vol"):
+            vol = getattr(self, name)
+            if not (math.isnan(vol) or 0.0 <= vol < math.inf):
+                raise InvalidParams(f"window {name} must be nan (missing) or finite and >= 0, got {vol!r}")
+
 
 # ----- single-tick arbitrage ------------------------------------------------
 

@@ -19,8 +19,9 @@ Every valuation and inversion goes through the curve's deterministic
 ``floating_leg`` kernel, an option strip (see ``ammvol.curves``), and its
 analytic vega; implied vols are safeguarded Newton solves on it.  Monte
 Carlo stays as the independent oracle (``mc_expected_pool_value``,
-``mc_floating_leg``) and as the stderr ``implied_vol`` reports; functions
-taking an McConfig without reporting a stderr ignore it.
+``mc_floating_leg``) and as the stderr ``implied_vol`` reports.  Only
+``floating_leg_value`` still takes an McConfig it ignores: the benchmark
+passes one to it by position.
 """
 
 from __future__ import annotations
@@ -143,9 +144,7 @@ def mc_expected_pool_value(
     return mc_mean_stderr(vals, mc.antithetic)
 
 
-def lognormal_kernel_expectation(
-    curve: AmmCurve, p0: float, sigma: float, maturity: float, mc: McConfig | None = None
-) -> float:
+def lognormal_kernel_expectation(curve: AmmCurve, p0: float, sigma: float, maturity: float) -> float:
     """E[C(p0 * kernel(sigma))] from the curve's floating-leg kernel.
 
     Exact for sigma=0 and for Cpmm.
@@ -293,9 +292,7 @@ def implied_vol_cpmm_closed_form(
     return math.sqrt(8.0 / maturity * math.log(cap / (cap - pi_bar)))
 
 
-def implied_corr_bounds(
-    spec: SwapSpec, sigma_x: float, sigma_y: float, mc: McConfig | None = None
-) -> tuple[float, float]:
+def implied_corr_bounds(spec: SwapSpec, sigma_x: float, sigma_y: float) -> tuple[float, float]:
     """Fixed-leg interval consistent with correlations in [-1, +1].
 
     The effective pair volatility ranges over [|sx-sy|, sx+sy], so the
@@ -324,7 +321,6 @@ def implied_corr(
     a small slack of) the interval endpoints pin rho to exactly +1 or -1;
     anything further outside is rejected.
     """
-    mc = mc or McConfig()
     sigma_x = float(sigma_x)
     sigma_y = float(sigma_y)
     if not (sigma_x > 0.0 and sigma_y > 0.0):
@@ -332,7 +328,7 @@ def implied_corr(
     pi_bar = float(pi_bar)
     if not math.isfinite(pi_bar):
         raise InvalidParams(f"fixed leg must be a finite number, got {pi_bar!r}")
-    pi_lo, pi_hi = implied_corr_bounds(spec, sigma_x, sigma_y, mc)
+    pi_lo, pi_hi = implied_corr_bounds(spec, sigma_x, sigma_y)
     slack = 1e-3 * spec.pool_value_now()
     if pi_bar < pi_lo - slack or pi_bar > pi_hi + slack:
         raise OutOfBounds(
@@ -352,9 +348,7 @@ def implied_corr(
     return CorrSolution(rho=rho, sigma_bar=sigma_bar, stderr=stderr, iterations=iterations)
 
 
-def fee_vol_from_realized(
-    window_fees: float, spec: SwapSpec, mc: McConfig | None = None, tol: float = 1e-6
-) -> float:
+def fee_vol_from_realized(window_fees: float, spec: SwapSpec, tol: float = 1e-6) -> float:
     """Volatility implied by treating realized window fees as the fixed leg.
 
     spec.p0x should be the pool spot at the window start and spec.maturity
@@ -371,9 +365,7 @@ def fee_vol_from_realized(
     return _solve_leg(spec, fees, _require_below_cap(spec, fees), tol)[0]
 
 
-def attach_fee_vols(
-    ledger: SimLedger, stats: list[WindowStat], mc: McConfig | None = None
-) -> list[WindowStat]:
+def attach_fee_vols(ledger: SimLedger, stats: list[WindowStat]) -> list[WindowStat]:
     """Fill in each window's fee_vol from its realized fees.
 
     Each window is priced as its own swap: spot at the window start, window

@@ -142,11 +142,10 @@ def test_fee_vol_curve_agnostic(month_of_ticks):
     stable_ledger = run_simulation(
         StableSwap(100.0, 2.0, 1.0), series, 5e-4, SimConfig(initial_investment=100.0)
     )
-    mc = McConfig(n_paths=1 << 14, seed=0, antithetic=True)
     vols = {}
     for name, ledger in (("cpmm", cpmm_ledger), ("stableswap", stable_ledger)):
         windows = rolling_windows(ledger, 2 * 3600, 2 * 3600)
-        vols[name] = np.array([w.fee_vol for w in attach_fee_vols(ledger, windows, mc)])
+        vols[name] = np.array([w.fee_vol for w in attach_fee_vols(ledger, windows)])
 
     a, b = vols["cpmm"], vols["stableswap"]
     rel_dev = np.abs(a - b) / (0.5 * (a + b))

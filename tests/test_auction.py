@@ -15,7 +15,6 @@ from ammvol import (
     ClearingResult,
     Cpmm,
     InvalidParams,
-    McConfig,
     OrderSide,
     QuoteVerdict,
     SwapOrder,
@@ -60,6 +59,14 @@ def test_order_snapping_and_validation():
         ask("e", "abc", 1)
     with pytest.raises(InvalidParams):
         ask("f", math.inf, 1)
+
+
+def test_order_too_large_to_quantize_is_invalid_params():
+    # 1e30 at 18 decimal places needs more digits than the decimal context holds
+    with pytest.raises(InvalidParams, match="quantity"):
+        SwapOrder("o", "bid", "1", "1e30", 0)
+    with pytest.raises(InvalidParams, match="limit_price"):
+        SwapOrder("o", "bid", "1e30", "1", 0)
 
 
 # ----- golden clears -------------------------------------------------------------
@@ -248,11 +255,10 @@ def test_validate_quote_verdicts():
 
 
 def test_validate_quote_with_component_vols():
-    mc = McConfig(n_paths=4096, seed=2)
-    assert validate_quote(1.4, SPEC, 2.0, 1.0, mc) is QuoteVerdict.CORRELATION_BOUND_VIOLATION
-    assert validate_quote(0.1, SPEC, 2.0, 1.0, mc) is QuoteVerdict.CORRELATION_BOUND_VIOLATION
-    assert validate_quote(0.9, SPEC, 2.0, 1.0, mc) is QuoteVerdict.OK
+    assert validate_quote(1.4, SPEC, 2.0, 1.0) is QuoteVerdict.CORRELATION_BOUND_VIOLATION
+    assert validate_quote(0.1, SPEC, 2.0, 1.0) is QuoteVerdict.CORRELATION_BOUND_VIOLATION
+    assert validate_quote(0.9, SPEC, 2.0, 1.0) is QuoteVerdict.OK
     # endpoint quotes stay acceptable thanks to the slack
-    assert validate_quote(0.2350, SPEC, 2.0, 1.0, mc) is QuoteVerdict.OK
+    assert validate_quote(0.2350, SPEC, 2.0, 1.0) is QuoteVerdict.OK
     with pytest.raises(InvalidParams):
         validate_quote(math.nan, SPEC)

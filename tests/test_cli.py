@@ -171,6 +171,54 @@ def test_analyze_writes_report_file(tmp_path, capsys):
     assert report["fee_vol_vs_hist_vol"]["pearson"] == pytest.approx(1.0, abs=1e-9)
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_analyze_prints_strict_json_for_simulate_output(tmp_path, capsys):
+    # without fee vols every fee_vol is missing, and a flat column has no pearson
+    ticks, windows, out = tmp_path / "t.csv", tmp_path / "w.csv", tmp_path / "report.json"
+    run_json(capsys, "gen-ticks", "--out", str(ticks), "--days", "0.5", "--interval", "10", "--seed", "4")
+    run_json(
+        capsys, "simulate", "--ticks", str(ticks), "--curve", CPMM_CURVE, "--no-fee-vol",
+        "--windows-out", str(windows), "--window-days", str(2 / 24), "--stride-days", str(2 / 24),
+    )
+    code, stdout, _ = run(capsys, "analyze", "--windows", str(windows), "--out", str(out))
+    assert code == 0
+    report = _strict_json(stdout)
+    assert _strict_json(out.read_text()) == report
+    assert report["windows"] == 6
+    assert report["series"]["fee_vol"] == [None] * 6
+    assert all(isinstance(v, float) for v in report["series"]["hist_vol"])
+    assert report["fee_vol_vs_hist_vol"] is None
+
+
+def test_analyze_undefined_pearson_is_null(tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    path.write_text(WINDOW_HEADER + "0,10,1.0,2.0,0.5,nan\n10,20,2.0,2.0,0.6,nan\n")
+    code, stdout, _ = run(capsys, "analyze", "--windows", str(path))
+    assert code == 0
+    report = _strict_json(stdout)
+    assert report["fees_vs_lvr"]["pearson"] is None
+    assert report["series"]["fee_vol"] == [None, None]
+
+
+@pytest.mark.parametrize(
+    "row", ["10,20,inf,1.0,0.5,0.5", "10,20,-1.0,1.0,0.5,0.5", "10,20,1.0,nan,0.5,0.5",
+            "10,20,1.0,1.0,-0.5,0.5", "10,20,1.0,1.0,0.5,inf"],
+)
+def test_analyze_rejects_window_rule_violation(tmp_path, capsys, row):
+    path = tmp_path / "w.csv"
+    path.write_text(WINDOW_HEADER + "0,10,1.0,1.0,0.5,0.5\n" + row + "\n20,30,3.0,3.0,0.5,0.5\n")
+    code, err = error_of(capsys, "analyze", "--windows", str(path))
+    assert code == 2
+    assert err["error"] == "parse_error"
+    assert err["detail"].startswith("line 3")
+
+
 # ----- solve-vol --------------------------------------------------------------------
 
 
@@ -195,6 +243,15 @@ def test_solve_vol_missing_key(capsys):
     assert code == 2
     assert err["error"] == "parse_error"
     assert "p0x" in err["detail"] or "piBar" in err["detail"]
+
+
+def test_solve_vol_rejects_non_json_constants(capsys):
+    # the request is echoed back, so NaN anywhere in it would make the output invalid JSON
+    request = '{"curve": {"kind": "cpmm", "L": 1.0}, "T": 1.0, "p0x": 1.0, "piBar": 1.0, "note": NaN}'
+    code, err = error_of(capsys, "solve-vol", request)
+    assert code == 2
+    assert err["error"] == "parse_error"
+    assert "NaN" in err["detail"]
 
 
 def test_solve_vol_request_from_file(tmp_path, capsys):

@@ -282,15 +282,14 @@ def test_stableswap_holdings_near_matches_cold_solve():
 
 @pytest.mark.parametrize("amp", [100.0, 1000.0, 20000.0])
 def test_stableswap_xprime_grid_fed_back_matches_scalar(amp):
-    # the path engines pass each call's second value into the next call;
-    # the flat center, where d log q / d log u is about 1/A, is the hard part
+    # tick-sized hops across the flat center, where d log q / d log u is
+    # about 1/A, are the hard part
     curve = StableSwap(amp, 2.0, 1.0)
     rng = np.random.default_rng(23)
     qs = np.exp(rng.normal(0.0, 0.01, 16))
-    state = None
     for _ in range(30):
         qs = qs * np.exp(rng.normal(0.0, 1e-3, qs.size))  # tick-sized hops
-        xp, state = curve.xprime_grid(qs, state)
+        xp = curve.xprime_grid(qs)
         scalar = [curve.first_derivs(float(q))[0] for q in qs]
         np.testing.assert_allclose(xp, scalar, rtol=1e-10)
 
@@ -354,7 +353,7 @@ def test_curvature_matches_parametric_quotient(curve):
 @pytest.mark.parametrize("curve", [CPMM, CONC], ids=lambda c: c.kind)
 def test_xprime_grid_is_bit_equal_to_first_derivs(curve):
     qs = np.linspace(0.6, 1.6, 20_000)
-    xp, _ = curve.xprime_grid(qs)
+    xp = curve.xprime_grid(qs)
     scalar = np.array([curve.first_derivs(float(q))[0] for q in qs])
     assert np.array_equal(xp, scalar), int(np.count_nonzero(xp != scalar))
 
@@ -364,7 +363,7 @@ def test_grid_methods_agree_with_scalar(curve):
     qs = grid_for(curve)
     x, y = curve.holdings_grid(qs)
     vals = curve.pool_value_grid(qs)
-    xp, _ = curve.xprime_grid(qs)
+    xp = curve.xprime_grid(qs)
     for i, q in enumerate(qs):
         q = float(q)
         xs, ys = curve.holdings(q)

@@ -279,7 +279,7 @@ def test_fee_vol_general_path_agrees_with_closed_form_shape():
     spec = SwapSpec(curve=STABLE, maturity=0.25, p0x=1.0)
     mc = McConfig(n_paths=1 << 14, seed=31)
     fees = floating_leg_value(spec, 0.6, mc)
-    assert fee_vol_from_realized(fees, spec, mc) == pytest.approx(0.6, abs=2e-6)
+    assert fee_vol_from_realized(fees, spec) == pytest.approx(0.6, abs=2e-6)
 
 
 def test_attach_fee_vols_round_trip():
