@@ -213,23 +213,45 @@ def _require(request: dict, *keys):
             raise ParseError(f"request is missing key {key!r}")
 
 
+def _field(request: dict, key: str, kind: type, default=None):
+    """request[key], or ``default`` when the key is absent, as ``kind``.
+
+    A float field must hold a JSON number, an int field an integral one and
+    a bool field true or false; any other value is a ParseError, never a
+    silent conversion (``bool("false")`` is True).
+    """
+    value = request.get(key, default)
+    try:
+        if kind is bool:
+            valid = isinstance(value, bool)
+        else:
+            valid = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+            valid = valid and (kind is float or float(value).is_integer())
+    except OverflowError:  # an integer beyond the float range
+        valid = False
+    if not valid:
+        expected = {bool: "true or false", int: "an integer", float: "a finite number"}[kind]
+        raise ParseError(f"request key {key!r} must be {expected}, got {value!r}")
+    return kind(value)
+
+
 def _spec_from_request(request: dict) -> SwapSpec:
     _require(request, "curve", "T", "p0x")
     return SwapSpec(
         curve=curve_from_dict(request["curve"]),
-        maturity=float(request["T"]),
-        p0x=float(request["p0x"]),
-        p0y=float(request.get("p0y", 1.0)),
-        r=float(request.get("r", 0.0)),
-        liquidity_tokens=float(request.get("liquidityTokens", 1.0)),
+        maturity=_field(request, "T", float),
+        p0x=_field(request, "p0x", float),
+        p0y=_field(request, "p0y", float, 1.0),
+        r=_field(request, "r", float, 0.0),
+        liquidity_tokens=_field(request, "liquidityTokens", float, 1.0),
     )
 
 
 def _mc_from_request(request: dict) -> McConfig:
     return McConfig(
-        n_paths=int(request.get("paths", 100_000)),
-        seed=int(request.get("seed", 0)),
-        antithetic=bool(request.get("antithetic", True)),
+        n_paths=_field(request, "paths", int, 100_000),
+        seed=_field(request, "seed", int, 0),
+        antithetic=_field(request, "antithetic", bool, True),
     )
 
 
@@ -244,8 +266,8 @@ def cmd_solve_vol(request_src):
     _require(request, "piBar")
     spec = _spec_from_request(request)
     solution = implied_vol(
-        spec, float(request["piBar"]), _mc_from_request(request),
-        tol=float(request.get("tol", 1e-6)),
+        spec, _field(request, "piBar", float), _mc_from_request(request),
+        tol=_field(request, "tol", float, 1e-6),
     )
     _echo_json(
         {
@@ -266,11 +288,11 @@ def cmd_solve_corr(request_src):
     spec = _spec_from_request(request)
     solution = implied_corr(
         spec,
-        float(request["sigmaX"]),
-        float(request["sigmaY"]),
-        float(request["piBar"]),
+        _field(request, "sigmaX", float),
+        _field(request, "sigmaY", float),
+        _field(request, "piBar", float),
         _mc_from_request(request),
-        tol=float(request.get("tol", 1e-6)),
+        tol=_field(request, "tol", float, 1e-6),
     )
     _echo_json(
         {
@@ -290,14 +312,14 @@ def cmd_price_swap(request_src):
     request = _load_request(request_src)
     spec = _spec_from_request(request)
     if "sigma" in request:
-        sigma = float(request["sigma"])
+        sigma = _field(request, "sigma", float)
     else:
         _require(request, "sigmaX", "sigmaY", "rho")
         sigma = effective_variance(
             GbmParams(
-                sigma_x=float(request["sigmaX"]),
-                sigma_y=float(request["sigmaY"]),
-                rho=float(request["rho"]),
+                sigma_x=_field(request, "sigmaX", float),
+                sigma_y=_field(request, "sigmaY", float),
+                rho=_field(request, "rho", float),
             )
         ) ** 0.5
     value, stderr = mc_floating_leg(spec, sigma, _mc_from_request(request))

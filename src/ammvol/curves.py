@@ -30,9 +30,11 @@ is nondecreasing and concave.  Three curve families are provided:
 
     Holdings at a price are found by inverting the strictly decreasing
     marginal price map ``q(u)``: one vectorized solve, a safeguarded Newton
-    iteration bracketed and seeded by a cached table of the map.  Derivatives
-    come from implicit differentiation of the invariant, since finite
-    differences lose all precision in the flat region near the center.
+    iteration bracketed and seeded by a dense table of the inverse map that
+    every pool with the same amplification shares.  The seed lands within
+    rounding of the root, so one evaluation of the map per price suffices.
+    Derivatives come from implicit differentiation of the invariant, since
+    finite differences lose all precision in the flat region near the center.
 
 Each curve prices the fee-swap floating leg ``C(q0) - E[C(Q)]`` for a
 driftless lognormal ``Q`` as a strip of out-of-the-money Black-Scholes
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -66,13 +68,25 @@ _STRIP_TABLE_POINTS = 2048
 # The StableSwap price->holdings solve freezes an element once a step moves
 # log u by at most _SOLVE_XTOL or its log-price residual is within
 # _SOLVE_RTOL of the target's magnitude (the rounding floor); an element
-# still moving after _SOLVE_MAX_ITER iterations raises NoConvergence.  A table-seeded Newton needs 2-3 iterations; bisecting a
-# whole table cell down to _SOLVE_XTOL takes about 40.  Brackets are padded
-# by _SOLVE_PAD in log u so that a root within rounding of a node stays in.
+# still moving after _SOLVE_MAX_ITER iterations raises NoConvergence.  The
+# dense seed table puts nearly every seed within _SOLVE_XTOL, so one
+# evaluation freezes it; bisecting a whole table cell down to _SOLVE_XTOL
+# takes about 40.  Brackets are padded by _SOLVE_PAD in log u so that a
+# root within rounding of a node stays in.
 _SOLVE_XTOL = 1e-13
 _SOLVE_PAD = 1e-9
 _SOLVE_RTOL = 4.0 * np.finfo(float).eps
 _SOLVE_MAX_ITER = 64
+
+# The solve is seeded from a table of _SEED_NODES nodes per amplification
+# and domain floor, built _SEED_CHUNK nodes at a time, no more than a Monte
+# Carlo step solves at once; the last _SEED_CACHE tables stay cached.  This
+# many nodes put the seed within _SOLVE_XTOL for A up to 1e4; at A = 1e5,
+# 2-5% of prices beyond a hundredfold move from the center take a second
+# evaluation.  Each set-up of a fresh process pays the build, about 4 ms.
+_SEED_NODES = 16384
+_SEED_CHUNK = 8192
+_SEED_CACHE = 16
 
 
 class Holdings(NamedTuple):
@@ -527,66 +541,106 @@ class StableSwap(AmmCurve):
         _, big, log_qc, slope, _ = self._grid_eval(log_s)
         return log_qc, log_s, np.log(big), 1.0 / slope
 
+    def _table_seed(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(seed, lower, upper bracket) of w = log min(u, v) at targets t.
+
+        The _price_table cell holding each target brackets its root, padded
+        by _SOLVE_PAD for rounding at the nodes, and cubic Hermite
+        interpolation through the cell's end nodes and slopes seeds it.
+        """
+        table_l, log_s, _, dlog_s = self._price_table
+        j = np.clip(np.searchsorted(table_l, t), 1, table_l.size - 1)
+        h = table_l[j] - table_l[j - 1]
+        a = log_s[j - 1]
+        b = log_s[j]
+        w = _hermite((t - table_l[j - 1]) / h, a, b, h * dlog_s[j - 1], h * dlog_s[j])
+        # log s falls as the price rises: node j bounds the root from below
+        return w, b - _SOLVE_PAD, a + _SOLVE_PAD
+
+    def _newton(self, t: np.ndarray, w: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
+        """Rows (smaller holding, larger holding, d log q / dw, d log v /
+        d log u, Newton update of w) at the roots w = log min(u, v) of
+        log(q/c) = t >= 0, from seeds w inside brackets [w_lo, w_hi].
+
+        Each iteration takes the Newton step if it stays inside the bracket
+        and bisects otherwise (rtsafe, Press et al., Numerical Recipes 9.4).
+        An element is frozen once its Newton step is at most _SOLVE_XTOL or
+        its residual is at the rounding floor: its first four rows are
+        evaluated at the last w, and the fifth is the step from there, the
+        root to rounding.  One still moving after _SOLVE_MAX_ITER iterations
+        raises NoConvergence.  The first evaluation fills the rows of every
+        element; only elements that iterate again are written after it.
+        """
+        out = None
+        todo = None
+        w = np.clip(w, w_lo, w_hi)
+        for _ in range(_SOLVE_MAX_ITER):
+            small, big, log_qc, slope, elast = self._grid_eval(w)
+            f = log_qc - t  # decreasing in w
+            step = w - f / slope
+            # a step of at most _SOLVE_XTOL stays inside the bracket unless
+            # the bracket is narrower than that, and then so is the bisection
+            done = (np.abs(step - w) <= _SOLVE_XTOL) | (np.abs(f) <= _SOLVE_RTOL * t)
+            if out is None:
+                out = np.stack([small, big, slope, elast, step])
+            else:
+                frozen = todo[done]
+                for row, value in zip(out, (small, big, slope, elast, step)):
+                    row[frozen] = value[done]
+            if done.all():
+                return out
+            keep = np.flatnonzero(~done)
+            todo = keep if todo is None else todo[keep]
+            above = f[keep] > 0.0
+            w = w[keep]
+            w_lo = np.where(above, w, w_lo[keep])
+            w_hi = np.where(above, w_hi[keep], w)
+            step = step[keep]
+            w = np.where((step >= w_lo) & (step <= w_hi), step, 0.5 * (w_lo + w_hi))
+            t = t[keep]
+        raise NoConvergence(
+            f"stableswap price inversion left {todo.size} of {out.shape[1]} prices "
+            f"unconverged after {_SOLVE_MAX_ITER} iterations"
+        )
+
+    def _solve_targets(self, t: np.ndarray) -> np.ndarray:
+        """``_newton``'s rows at targets t = |log(q/c)|, seeded from the
+        dense table ``_seed_table`` that every pool with this amplification
+        and domain floor shares.
+
+        The cell index is read off the node spacing directly; the cell's end
+        nodes bracket the root, padded by _SOLVE_PAD, and cubic Hermite
+        interpolation between them lands within _SOLVE_XTOL of it, so
+        nearly every element freezes after one evaluation.
+        """
+        seed = _seed_table(self.amplification, min(self.price_center, 1.0))
+        t = np.minimum(t, seed.t_max)
+        z = np.log1p(t / seed.tau) / seed.h
+        j = np.minimum(z.astype(np.intp), seed.w.size - 2)
+        a = seed.w[j]
+        b = seed.w[j + 1]
+        log_d = math.log(self.invariant_scale)
+        w = _hermite(z - j, a, b, seed.m[j], seed.m[j + 1]) + log_d
+        # log s falls as the price rises: node j + 1 bounds the root from below
+        return self._newton(t, w, b + (log_d - _SOLVE_PAD), a + (log_d + _SOLVE_PAD))
+
     def _grid_solve(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, d log u / d log q) at prices qs already clipped to q_bounds.
 
         The invariant is symmetric in (u, v) with q -> c**2/q, so the solve
         finds w = log min(u, v), the u of the price max(q, c**2/q) >= c, and
         the larger holding follows from it without amplifying the rounding.
-        The table cell holding each target brackets its root, padded by
-        _SOLVE_PAD for rounding at the nodes, and cubic Hermite
-        interpolation through the cell's end nodes and slopes seeds it.
-        Each iteration takes the Newton step if it stays inside the bracket
-        and bisects otherwise (rtsafe, Press et al., Numerical Recipes 9.4).
-        An element is frozen once its step is at most _SOLVE_XTOL or its
-        residual is at the rounding floor; one still moving after
-        _SOLVE_MAX_ITER iterations raises NoConvergence.
+        ``_solve_targets`` finds w with about one evaluation of the price
+        map per price.
         """
         c = self.price_center
         shape = qs.shape
         qs = qs.ravel()
         if np.isnan(qs).any():
             raise DomainError("stableswap price grid contains NaN")
-        table_l, log_s, _, dlog_s = self._price_table
         # |log(qs/c)| to full relative precision on both sides of the center
         mirror = qs < c
-        t = np.minimum(np.log1p(np.abs(qs - c) / np.minimum(qs, c)), table_l[-1])
-        j = np.clip(np.searchsorted(table_l, t), 1, table_l.size - 1)
-        h = table_l[j] - table_l[j - 1]
-        r = (t - table_l[j - 1]) / h
-        a = log_s[j - 1]
-        b = log_s[j]
-        ab = b - a
-        w = a + r * ab + r * (1.0 - r) * ((1.0 - r) * (h * dlog_s[j - 1] - ab) - r * (h * dlog_s[j] - ab))
-        # log s falls as the price rises: node j bounds the root from below
-        w_lo = b - _SOLVE_PAD
-        w_hi = a + _SOLVE_PAD
-        w = np.clip(w, w_lo, w_hi)
-        out = np.empty((4, t.size))  # smaller and larger holding, slope, d log v / d log u
-        todo = np.arange(t.size)
-        for _ in range(_SOLVE_MAX_ITER):
-            small, big, log_qc, slope, elast = self._grid_eval(w)
-            f = log_qc - t  # decreasing in w
-            above = f > 0.0
-            w_lo = np.where(above, w, w_lo)
-            w_hi = np.where(above, w_hi, w)
-            step = w - f / slope
-            step = np.where((step >= w_lo) & (step <= w_hi), step, 0.5 * (w_lo + w_hi))
-            done = (np.abs(step - w) <= _SOLVE_XTOL) | (np.abs(f) <= _SOLVE_RTOL * t)
-            if done.all():
-                out[:, todo] = small, big, slope, elast
-                break
-            if done.any():
-                out[:, todo[done]] = small[done], big[done], slope[done], elast[done]
-                keep = np.flatnonzero(~done)
-                todo, t, step, w_lo, w_hi = todo[keep], t[keep], step[keep], w_lo[keep], w_hi[keep]
-            w = step
-        else:
-            raise NoConvergence(
-                f"stableswap price inversion left {todo.size} of {qs.size} prices "
-                f"unconverged after {_SOLVE_MAX_ITER} iterations"
-            )
-        small, big, slope, elast = out
+        small, big, slope, elast, _ = self._solve_targets(np.log1p(np.abs(qs - c) / np.minimum(qs, c)))
         # mirrored: u is the larger holding, and d log q = -d log(c**2/q)
         u = np.where(mirror, big, small)
         v = np.where(mirror, small, big)
@@ -660,6 +714,56 @@ class StableSwap(AmmCurve):
             "D": self.invariant_scale,
             "center": self.price_center,
         }
+
+
+def _hermite(r, a, b, ma, mb):
+    """Cubic Hermite interpolant at r in [0, 1] of the cell with end values
+    a, b and end slopes ma, mb per unit cell width."""
+    ab = b - a
+    return a + r * ab + r * (1.0 - r) * ((1.0 - r) * (ma - ab) - r * (mb - ab))
+
+
+class _SeedTable(NamedTuple):
+    """Dense seed of the StableSwap solve in D-normalized units.
+
+    Node k sits at the target t_k = tau * expm1(k * h), uniform in
+    z = log1p(t / tau), and holds w_k - log D and its slope h * dw/dz.
+    """
+
+    tau: float
+    h: float
+    t_max: float
+    w: np.ndarray
+    m: np.ndarray
+
+
+@lru_cache(maxsize=_SEED_CACHE)
+def _seed_table(amplification: float, floor_center: float) -> _SeedTable:
+    """The dense seed of every StableSwap(amplification, D, c) with
+    min(c, 1) == floor_center.
+
+    The invariant is 1-homogeneous in (u, v, D) and the map from log u to
+    log(q/c) does not involve c, so w - log D depends on A alone, and the
+    domain floor HOLDINGS_FLOOR * D * min(c, 1) fixes the table's reach.
+    Nodes are solved on the unit pool by ``_newton`` from the explicit
+    _price_table, in chunks no larger than a Monte Carlo step.  tau is
+    -d log q / d log u at the center, 2 / (2A + 1): linear spacing in t
+    across the flat center, logarithmic beyond it.
+    """
+    unit = StableSwap(amplification, 1.0, floor_center)
+    t_max = float(unit._price_table[0][-1])
+    tau = 2.0 / (2.0 * amplification + 1.0)
+    h = math.log1p(t_max / tau) / (_SEED_NODES - 1)
+    t = np.minimum(tau * np.expm1(np.arange(_SEED_NODES) * h), t_max)
+    w = np.empty(_SEED_NODES)
+    m = np.empty(_SEED_NODES)
+    for lo in range(0, _SEED_NODES, _SEED_CHUNK):
+        part = slice(lo, lo + _SEED_CHUNK)
+        _, _, slope, _, w[part] = unit._newton(t[part], *unit._table_seed(t[part]))
+        m[part] = (tau + t[part]) * h / slope  # dw/dt = 1/slope, dt/dz = tau + t
+    w.flags.writeable = False  # shared by every pool with this key
+    m.flags.writeable = False
+    return _SeedTable(tau, h, t_max, w, m)
 
 
 # ----- module-level operations ---------------------------------------------

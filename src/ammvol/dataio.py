@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -230,7 +231,8 @@ def clearing_result_to_dict(result: ClearingResult) -> dict:
 def read_json(source: str, what: str, record: str):
     """Inline JSON (starts with '{') or the JSON file at that path, parsed;
     ``what`` names the file and ``record`` its content in ParseError text.
-    NaN and Infinity are not JSON, and the commands echo requests back."""
+    NaN and Infinity are not JSON, and the commands echo requests back, so
+    a number beyond the range of a double (1e400) is refused too."""
     text = source
     if not source.lstrip().startswith("{"):
         try:
@@ -242,8 +244,14 @@ def read_json(source: str, what: str, record: str):
     def reject(constant):
         raise ParseError(f"{record} is not valid JSON: {constant} is not a number")
 
+    def finite(literal):
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ParseError(f"{record} holds {literal}, beyond the range of a double")
+        return value
+
     try:
-        return json.loads(text, parse_constant=reject)
+        return json.loads(text, parse_constant=reject, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{record} is not valid JSON: {exc}") from None
 

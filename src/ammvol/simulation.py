@@ -231,6 +231,10 @@ class WindowStat:
     fee_vol: float = math.nan
 
     def __post_init__(self):
+        if not self.window_start < self.window_end:
+            raise InvalidParams(
+                f"window must start before it ends, got [{self.window_start!r}, {self.window_end!r})"
+            )
         if not (math.isfinite(self.fees) and self.fees >= 0.0):
             raise InvalidParams(f"window fees must be finite and >= 0, got {self.fees!r}")
         if not math.isfinite(self.lvr):
@@ -749,11 +753,25 @@ def historical_volatility(mids, sampling_interval_seconds: float, demean: bool =
     return per_step * math.sqrt(YEAR_SECONDS / sampling_interval_seconds)
 
 
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values / 2**e, e) with 2**e just above the largest magnitude.
+
+    Dividing by a power of two is exact, so moments of the scaled series
+    are those of the original times a power of two, and they cannot
+    overflow.
+    """
+    e = math.frexp(float(np.max(np.abs(values))))[1]
+    return np.ldexp(values, -e), e
+
+
 def linear_fit(xs, ys, with_intercept: bool = False) -> tuple[float, float, float]:
     """(slope, intercept, pearson) of ys on xs.
 
     with_intercept=False fits least squares through the origin; the Pearson
-    correlation is always that of the raw series.
+    correlation is always that of the raw series.  Each series is scaled by
+    a power of two to magnitudes at most 1 before its moments are taken, so
+    finite series of any size fit; a slope or intercept beyond the float
+    range raises DegenerateInput.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -761,6 +779,10 @@ def linear_fit(xs, ys, with_intercept: bool = False) -> tuple[float, float, floa
         raise DegenerateInput("series must be one-dimensional and of equal length")
     if xs.size < 2:
         raise DegenerateInput("need at least 2 points to fit")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise DegenerateInput("series must be finite")
+    xs, ex = _unit_scaled(xs)
+    ys, ey = _unit_scaled(ys)
     var_x = float(np.var(xs))
     if var_x == 0.0:
         raise DegenerateInput("xs has zero variance")
@@ -773,6 +795,11 @@ def linear_fit(xs, ys, with_intercept: bool = False) -> tuple[float, float, floa
             raise DegenerateInput("xs is identically zero")
         slope = float(np.dot(xs, ys) / denom)
         intercept = 0.0
+    try:
+        slope = math.ldexp(slope, ey - ex)
+        intercept = math.ldexp(intercept, ey)
+    except OverflowError:
+        raise DegenerateInput("the fitted line is beyond the float range") from None
     var_y = float(np.var(ys))
     if var_y == 0.0:
         pearson = math.nan

@@ -219,6 +219,33 @@ def test_analyze_rejects_window_rule_violation(tmp_path, capsys, row):
     assert err["detail"].startswith("line 3")
 
 
+@pytest.mark.parametrize("row", ["10,10,2.0,2.0,0.5,0.5", "20,10,2.0,2.0,0.5,0.5"])
+def test_analyze_rejects_window_that_does_not_start_before_it_ends(tmp_path, capsys, row):
+    path = tmp_path / "w.csv"
+    path.write_text(WINDOW_HEADER + "0,10,1.0,1.0,0.5,0.5\n" + row + "\n20,30,3.0,3.0,0.5,0.5\n")
+    code, err = error_of(capsys, "analyze", "--windows", str(path))
+    assert code == 2
+    assert err["error"] == "parse_error"
+    assert err["detail"].startswith("line 3")
+
+
+def test_analyze_fits_windows_of_any_finite_size(tmp_path, capsys):
+    # the moments of fees near 1e200 overflow unless the series are scaled
+    path = tmp_path / "w.csv"
+    path.write_text(
+        WINDOW_HEADER + "0,10,1e200,1.0,0.5,0.5\n10,20,2e200,2.0,0.5,0.5\n20,30,3e200,3.5,0.5,0.5\n"
+    )
+    code, stdout, err = run(capsys, "analyze", "--windows", str(path))
+    assert code == 0, err
+    fit = _strict_json(stdout)["fees_vs_lvr"]
+    # fees are 1e200 * (1, 2, 3); lvr is (1, 2, 3.5)
+    assert fit["slope_origin"] == pytest.approx(15.5 / 14.0 * 1e-200, rel=1e-12)
+    assert fit["slope"] == pytest.approx(1.25e-200, rel=1e-12)
+    assert fit["intercept"] == pytest.approx(-1.0 / 3.0, rel=1e-12)
+    # centered: x (-1, 0, 1), y (-7/6, -1/6, 4/3), so sum xy 2.5, sum xx 2, sum yy 19/6
+    assert fit["pearson"] == pytest.approx(2.5 / math.sqrt(19.0 / 3.0), rel=1e-12)
+
+
 # ----- solve-vol --------------------------------------------------------------------
 
 
@@ -259,6 +286,38 @@ def test_solve_vol_request_from_file(tmp_path, capsys):
     req.write_text('{"curve": {"kind": "cpmm", "L": 1.0}, "T": 1.0, "p0x": 1.0, "piBar": 0.0}')
     out = run_json(capsys, "solve-vol", str(req))
     assert out["sigma"] == 0.0 and out["iterations"] == 0
+
+
+SOLVE_VOL_BASE = {"curve": {"kind": "cpmm", "L": 1.0}, "T": 1.0, "p0x": 1.0, "piBar": 0.2}
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"T": "x"}, {"p0x": None}, {"piBar": [0.2]}, {"tol": "1e-6"}, {"paths": "abc"}, {"paths": 2.5},
+     {"seed": True}, {"antithetic": "false"}, {"antithetic": 0}],
+    ids=lambda field: ",".join(f"{key}={value!r}" for key, value in field.items()),
+)
+def test_solve_vol_rejects_request_fields_of_the_wrong_type(capsys, field):
+    code, err = error_of(capsys, "solve-vol", json.dumps({**SOLVE_VOL_BASE, **field}))
+    assert code == 2
+    assert err["error"] == "parse_error"
+    assert repr(next(iter(field))) in err["detail"]
+
+
+def test_solver_requests_reject_numbers_beyond_a_double(capsys):
+    request = json.dumps(SOLVE_VOL_BASE)[:-1] + ', "note": 1e400}'
+    code, err = error_of(capsys, "solve-vol", request)
+    assert code == 2
+    assert err["error"] == "parse_error"
+    code, err = error_of(capsys, "price-swap", '{"curve": {"kind": "cpmm", "L": 1.0}, "T": 1.0, "p0x": 1.0, "sigma": 1e999}')
+    assert code == 2
+    assert err["error"] == "parse_error"
+
+
+def test_solve_vol_accepts_integral_numbers_and_booleans(capsys):
+    request = {**SOLVE_VOL_BASE, "T": 1, "paths": 2048.0, "seed": 3, "antithetic": False}
+    out = run_json(capsys, "solve-vol", json.dumps(request))
+    assert out["sigma"] > 0.0
 
 
 # ----- solve-corr -------------------------------------------------------------------

@@ -465,6 +465,27 @@ def test_linear_fit_degenerate_inputs():
     assert math.isnan(pearson)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e200, 1e300])
+def test_linear_fit_is_scale_free(scale):
+    # moments of the raw series would under- or overflow at these scales
+    xs, ys = [1.0, 2.0, 3.0], [1.0, 2.0, 3.5]
+    for with_intercept in (False, True):
+        ref_slope, ref_intercept, ref_pearson = linear_fit(xs, ys, with_intercept)
+        slope, intercept, pearson = linear_fit([scale * x for x in xs], [scale * y for y in ys], with_intercept)
+        assert slope == pytest.approx(ref_slope, rel=1e-12)
+        assert intercept == pytest.approx(scale * ref_intercept, rel=1e-12)
+        assert pearson == pytest.approx(ref_pearson, rel=1e-12)
+
+
+def test_linear_fit_rejects_non_finite_series_and_slope():
+    with pytest.raises(DegenerateInput):
+        linear_fit([1.0, math.inf], [1.0, 2.0])
+    with pytest.raises(DegenerateInput):
+        linear_fit([1.0, 2.0], [math.nan, 2.0])
+    with pytest.raises(DegenerateInput):
+        linear_fit([1e-200, 2e-200, 3e-200], [1e200, 2e200, 3.5e200])
+
+
 # ----- synthetic tick generator ------------------------------------------------------
 
 

@@ -3,10 +3,12 @@
 Property tests draw random pools (A in [1e-2, 1e5], D in [1e-3, 1e6],
 c in [0.1, 10]) and prices uniform in log q over the whole domain, both
 endpoints included, and check the array solve against a bisection in
-60-digit decimal arithmetic on the original implicit price formula.  The
-remaining tests pin the solve's failure modes: an exhausted iteration
-budget raises NoConvergence (exit code 6 on the CLI) instead of returning an
-unconverged holding, and the package imports without scipy.
+60-digit decimal arithmetic on the original implicit price formula.  Other
+tests pin the solve's failure modes: an exhausted iteration budget raises
+NoConvergence (exit code 6 on the CLI) instead of returning an unconverged
+holding, and the package imports without scipy.  The last ones hold the
+dense seed table to its purpose: the solve returns its nodes, takes one
+evaluation of the price map per price, and is shared across pool scales.
 """
 
 import json
@@ -14,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -104,9 +107,17 @@ def test_scalar_holdings_equal_array_elements_and_x_falls(curve, fracs):
     assert np.all(np.diff(y) >= 0.0)
 
 
+def exhaust_solve_budget(monkeypatch):
+    # one iteration, and only an exact root may freeze: the dense seed
+    # table would otherwise freeze nearly every price at its first one
+    monkeypatch.setattr(ammvol.curves, "_SOLVE_MAX_ITER", 1)
+    monkeypatch.setattr(ammvol.curves, "_SOLVE_XTOL", 0.0)
+    monkeypatch.setattr(ammvol.curves, "_SOLVE_RTOL", 0.0)
+
+
 def test_exhausted_iteration_budget_raises(monkeypatch):
     curve = StableSwap(100.0, 2.0, 1.0)
-    monkeypatch.setattr(ammvol.curves, "_SOLVE_MAX_ITER", 1)
+    exhaust_solve_budget(monkeypatch)
     with pytest.raises(NoConvergence):
         curve.holdings_grid(np.array([1.3]))
     with pytest.raises(NoConvergence):
@@ -114,7 +125,7 @@ def test_exhausted_iteration_budget_raises(monkeypatch):
 
 
 def test_cli_maps_exhausted_solve_to_no_convergence(monkeypatch, capsys):
-    monkeypatch.setattr(ammvol.curves, "_SOLVE_MAX_ITER", 1)
+    exhaust_solve_budget(monkeypatch)
     request = {"curve": {"kind": "stableswap", "A": 100.0, "D": 2.0}, "T": 1.0, "p0x": 1.0, "sigma": 0.3}
     code = main(["price-swap", json.dumps(request)])
     captured = capsys.readouterr()
@@ -136,3 +147,86 @@ def test_package_imports_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ----- the dense seed table -------------------------------------------------------
+
+
+@contextmanager
+def counted_evaluations():
+    """Count the log u points StableSwap._grid_eval is called on."""
+    points = [0]
+    original = StableSwap._grid_eval
+
+    def counted(self, log_u):
+        points[0] += np.size(log_u)
+        return original(self, log_u)
+
+    StableSwap._grid_eval = counted
+    try:
+        yield points
+    finally:
+        StableSwap._grid_eval = original
+
+
+def seed_of(curve):
+    return ammvol.curves._seed_table(curve.amplification, min(curve.price_center, 1.0))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(pools)
+def test_solve_at_every_seed_node_returns_the_node(curve):
+    seed = seed_of(curve)
+    t = np.minimum(seed.tau * np.expm1(np.arange(seed.w.size) * seed.h), seed.t_max)
+    small = curve._solve_targets(t)[0]
+    w = seed.w + math.log(curve.invariant_scale)
+    assert np.max(np.abs(np.log(small) - w)) <= ammvol.curves._SOLVE_XTOL, curve
+
+
+def assert_one_evaluation_per_price(curve, qs):
+    lo, hi = curve.q_bounds
+    curve.holdings_grid(np.array([curve.price_center]))  # the table build is not per price
+    with counted_evaluations() as points:
+        x, y = curve.holdings_grid(qs)
+    assert points[0] <= 1.01 * qs.size, (curve, points[0] / qs.size)
+    for i in range(0, qs.size, 1000):
+        assert tuple(curve.holdings(float(np.clip(qs[i], lo, hi)))) == (x[i], y[i])
+
+
+# log(px/py) of the martingale check: sigma_x 0.8, sigma_y 0.3, rho 0.5, T 0.25
+MC_LOG_SPREAD = math.sqrt((0.8**2 + 0.3**2 - 2.0 * 0.5 * 0.8 * 0.3) * 0.25)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(pools, st.integers(0, 2**32 - 1))
+def test_seeded_solve_takes_one_evaluation_per_price_of_the_martingale_spread(curve, draw):
+    rng = np.random.default_rng(draw)
+    c = curve.price_center
+    qs = c * np.exp(rng.standard_normal(10_000) * MC_LOG_SPREAD * np.sqrt(rng.uniform(0.0, 1.0, 10_000)))
+    qs[:100] = c  # every path starts at the center
+    assert_one_evaluation_per_price(curve, qs)
+
+
+# the seed table reaches rounding in the far tail for A up to 1e4 (see
+# _SEED_NODES); beyond that a few percent of these prices take two evaluations
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.builds(StableSwap, log_decade(-2.0, 4.0), log_decade(-3.0, 6.0), log_decade(-1.0, 1.0)),
+       st.integers(0, 2**32 - 1))
+def test_seeded_solve_takes_one_evaluation_per_price_uniform_in_log_q(curve, draw):
+    lo, hi = curve.q_bounds
+    qs = np.exp(np.random.default_rng(draw).uniform(math.log(lo), math.log(hi), 10_000))
+    assert_one_evaluation_per_price(curve, qs)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(log_decade(-2.0, 5.0), log_decade(-3.0, 6.0), log_decade(-3.0, 6.0), log_decade(-1.0, 1.0))
+def test_pools_differing_only_in_scale_share_one_seed_table(amplification, d1, d2, center):
+    first = StableSwap(amplification, d1, center)
+    first.holdings_grid(np.array([center]))
+    before = ammvol.curves._seed_table.cache_info()
+    second = StableSwap(amplification, d2, center)
+    second.holdings_grid(np.array([center * 1.01]))
+    first.scaled_to_value(3.0, center).holdings_grid(np.array([center / 1.01]))
+    after = ammvol.curves._seed_table.cache_info()
+    assert after.misses == before.misses
+    assert seed_of(second) is seed_of(first)
