@@ -453,7 +453,7 @@ class StableSwap(AmmCurve):
         A = self.amplification
         c = self.price_center
         k = self.invariant_scale**3 / 4.0
-        v = float(self._grid_v(u))
+        v = float(self._grid_v(np.array([u]))[0])
         n1 = 4.0 * A + k / (u * u * v)
         n2 = 4.0 * A + k / (u * v * v)
         vp = -n1 / n2
@@ -482,7 +482,7 @@ class StableSwap(AmmCurve):
     def _u_bounds(self) -> tuple[float, float]:
         floor = HOLDINGS_FLOOR * self.invariant_scale
         u_min = floor * self.price_center  # x floor
-        u_max = float(self._grid_v(floor))  # y floor, by u <-> v symmetry
+        u_max = float(self._grid_v(np.array([floor]))[0])  # y floor, by u <-> v symmetry
         return u_min, u_max
 
     @cached_property
@@ -494,16 +494,31 @@ class StableSwap(AmmCurve):
 
     # ----- vectorized invariant machinery --------------------------------
 
+    # The kernels below work in place, in an order that keeps few
+    # temporaries alive at once: at Monte Carlo sizes each is tens of kB, and
+    # memory beyond what the allocator retains is paged in afresh per call.
+
     def _grid_v(self, u: np.ndarray) -> np.ndarray:
         # Positive root of 16*A*u*v**2 + 4*u*(4*A*(u - D) + D)*v - D**3 = 0,
-        # written to avoid cancellation for either sign of b.
+        # written to avoid cancellation for either sign of b: with a = 16*A*u
+        # and p = sqrt(b**2 + 4*a*D**3) + |b| it is 2*D**3/p for b >= 0, else p/(2a).
         A = self.amplification
         D = self.invariant_scale
-        a = 16.0 * A * u
-        b = 4.0 * u * (4.0 * A * (u - D) + D)
-        s = np.sqrt(b * b + 4.0 * a * D**3)
+        b = u - D
+        b *= 4.0 * A
+        b += D
+        b *= 4.0 * u
+        a = u * (16.0 * A)
+        p = a * 4.0
+        p *= D**3
+        p += b * b
+        np.sqrt(p, out=p)
+        p += np.abs(b)
+        a *= 2.0
         with np.errstate(divide="ignore", over="ignore"):
-            return np.where(b >= 0.0, 2.0 * D**3 / (b + s), (s - b) / (2.0 * a))
+            np.divide(p, a, out=a)
+            np.divide(2.0 * D**3, p, out=a, where=b >= 0.0)
+        return a
 
     def _grid_eval(self, log_u: np.ndarray):
         """(u, v, log(q/c), d log q / d log u, d log v / d log u) at log u.
@@ -515,17 +530,40 @@ class StableSwap(AmmCurve):
         / ((alpha + 1)*(beta + 1)**2) is a sum of positive terms: both keep
         full relative precision in the flat region where q barely moves.
         """
-        s = 16.0 * self.amplification / self.invariant_scale**3
         u = np.exp(log_u)
         v = self._grid_v(u)
-        alpha = s * u * u * v
-        beta = s * u * v * v
+        # alpha = s*u*u*v and beta = s*u*v*v with s = 16*A/D**3
+        beta = u * (16.0 * self.amplification / self.invariant_scale**3)
+        alpha = beta * u
+        alpha *= v
+        beta *= v
+        beta *= v
+        # the slope's numerator; then alpha + 1 and beta + 1 in place
+        slope = alpha * alpha
+        slope -= alpha * beta
+        slope += beta * beta
+        slope += alpha
+        slope += beta
+        slope += 1.0
+        alpha += 1.0
+        beta += 1.0
+        slope *= -2.0
+        log_qc = beta * beta
+        log_qc *= alpha
+        slope /= log_qc
+        # log(q/c) = +-log1p(|v - u| / den), den = (beta + 1)*u above the center
+        # and (alpha + 1)*v below it, both positive
+        np.multiply(alpha, v, out=log_qc)
         d = v - u
-        up = d >= 0.0
-        log_qc = np.copysign(np.log1p(np.abs(d) / np.where(up, (beta + 1.0) * u, (alpha + 1.0) * v)), d)
-        num = alpha * alpha - alpha * beta + beta * beta + alpha + beta + 1.0
-        slope = -2.0 * num / ((alpha + 1.0) * (beta + 1.0) ** 2)
-        return u, v, log_qc, slope, -(alpha + 1.0) / (beta + 1.0)
+        np.multiply(beta, u, out=log_qc, where=d >= 0.0)
+        np.divide(d, log_qc, out=log_qc)
+        np.abs(log_qc, out=log_qc)
+        np.log1p(log_qc, out=log_qc)
+        np.copysign(log_qc, d, out=log_qc)
+        # d log v / d log u = -(alpha + 1)/(beta + 1)
+        np.negative(alpha, out=alpha)
+        alpha /= beta
+        return u, v, log_qc, slope, alpha
 
     @cached_property
     def _price_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -557,32 +595,34 @@ class StableSwap(AmmCurve):
         # log s falls as the price rises: node j bounds the root from below
         return w, b - _SOLVE_PAD, a + _SOLVE_PAD
 
-    def _newton(self, t: np.ndarray, w: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
-        """Rows (smaller holding, larger holding, d log q / dw, d log v /
-        d log u, Newton update of w) at the roots w = log min(u, v) of
-        log(q/c) = t >= 0, from seeds w inside brackets [w_lo, w_hi].
+    def _newton(self, t: np.ndarray, w: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray):
+        """(smaller holding, larger holding, d log q / dw, d log v / d log u,
+        Newton update of w) at the roots w = log min(u, v) of log(q/c) = t
+        >= 0, from seeds w, clipped in place into brackets [w_lo, w_hi].
 
         Each iteration takes the Newton step if it stays inside the bracket
         and bisects otherwise (rtsafe, Press et al., Numerical Recipes 9.4).
         An element is frozen once its Newton step is at most _SOLVE_XTOL or
-        its residual is at the rounding floor: its first four rows are
+        its residual is at the rounding floor: its first four outputs are
         evaluated at the last w, and the fifth is the step from there, the
         root to rounding.  One still moving after _SOLVE_MAX_ITER iterations
-        raises NoConvergence.  The first evaluation fills the rows of every
-        element; only elements that iterate again are written after it.
+        raises NoConvergence.  The first evaluation's arrays are the outputs;
+        only elements that iterate again are written back into them.
         """
         out = None
         todo = None
-        w = np.clip(w, w_lo, w_hi)
+        np.clip(w, w_lo, w_hi, out=w)
         for _ in range(_SOLVE_MAX_ITER):
-            small, big, log_qc, slope, elast = self._grid_eval(w)
-            f = log_qc - t  # decreasing in w
-            step = w - f / slope
+            small, big, f, slope, elast = self._grid_eval(w)
+            f -= t  # log(q/c) - t, decreasing in w
+            done = np.abs(f) <= _SOLVE_RTOL * t
+            step = f / slope
+            np.subtract(w, step, out=step)
             # a step of at most _SOLVE_XTOL stays inside the bracket unless
             # the bracket is narrower than that, and then so is the bisection
-            done = (np.abs(step - w) <= _SOLVE_XTOL) | (np.abs(f) <= _SOLVE_RTOL * t)
+            done |= np.abs(step - w) <= _SOLVE_XTOL
             if out is None:
-                out = np.stack([small, big, slope, elast, step])
+                out = (small, big, slope, elast, step)
             else:
                 frozen = todo[done]
                 for row, value in zip(out, (small, big, slope, elast, step)):
@@ -599,68 +639,85 @@ class StableSwap(AmmCurve):
             w = np.where((step >= w_lo) & (step <= w_hi), step, 0.5 * (w_lo + w_hi))
             t = t[keep]
         raise NoConvergence(
-            f"stableswap price inversion left {todo.size} of {out.shape[1]} prices "
+            f"stableswap price inversion left {todo.size} of {out[0].size} prices "
             f"unconverged after {_SOLVE_MAX_ITER} iterations"
         )
 
-    def _solve_targets(self, t: np.ndarray) -> np.ndarray:
-        """``_newton``'s rows at targets t = |log(q/c)|, seeded from the
-        dense table ``_seed_table`` that every pool with this amplification
-        and domain floor shares.
+    def _solve_targets(self, t: np.ndarray):
+        """``_newton``'s outputs at targets t = |log(q/c)|, clamped in place
+        to the table's reach, seeded from the dense table ``_seed_table``
+        that every pool with this amplification and domain floor shares.
+        """
+        seed = _seed_table(self.amplification, min(self.price_center, 1.0))
+        np.minimum(t, seed.t_max, out=t)
+        return self._newton(t, *self._dense_seed(seed, t))
+
+    def _dense_seed(self, seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(seed, lower, upper bracket) of w = log min(u, v) at targets t.
 
         The cell index is read off the node spacing directly; the cell's end
         nodes bracket the root, padded by _SOLVE_PAD, and cubic Hermite
         interpolation between them lands within _SOLVE_XTOL of it, so
         nearly every element freezes after one evaluation.
         """
-        seed = _seed_table(self.amplification, min(self.price_center, 1.0))
-        t = np.minimum(t, seed.t_max)
-        z = np.log1p(t / seed.tau) / seed.h
-        j = np.minimum(z.astype(np.intp), seed.w.size - 2)
-        a = seed.w[j]
-        b = seed.w[j + 1]
+        r = t / seed.tau
+        np.log1p(r, out=r)
+        r /= seed.h
+        j = r.astype(np.intp)
+        np.minimum(j, seed.w.size - 2, out=j)
+        r -= j
+        a = seed.w.take(j)
+        ma = seed.m.take(j)
+        j += 1
+        b = seed.w.take(j)
+        w = _hermite(r, a, b, ma, seed.m.take(j))
         log_d = math.log(self.invariant_scale)
-        w = _hermite(z - j, a, b, seed.m[j], seed.m[j + 1]) + log_d
+        w += log_d
         # log s falls as the price rises: node j + 1 bounds the root from below
-        return self._newton(t, w, b + (log_d - _SOLVE_PAD), a + (log_d + _SOLVE_PAD))
+        b += log_d - _SOLVE_PAD
+        a += log_d + _SOLVE_PAD
+        return w, b, a
 
-    def _grid_solve(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, d log u / d log q) at prices qs already clipped to q_bounds.
+    def _grid_solve(self, qs: np.ndarray):
+        """(mirror, *``_newton``'s five outputs) at prices qs already
+        clipped to q_bounds, each a flat array.
 
         The invariant is symmetric in (u, v) with q -> c**2/q, so the solve
         finds w = log min(u, v), the u of the price max(q, c**2/q) >= c, and
         the larger holding follows from it without amplifying the rounding.
+        Where ``mirror`` (q < c) u is the larger holding and d log q =
+        -d log(c**2/q); each caller maps back only the outputs it uses.
         ``_solve_targets`` finds w with about one evaluation of the price
         map per price.
         """
         c = self.price_center
-        shape = qs.shape
         qs = qs.ravel()
         if np.isnan(qs).any():
             raise DomainError("stableswap price grid contains NaN")
         # |log(qs/c)| to full relative precision on both sides of the center
-        mirror = qs < c
-        small, big, slope, elast, _ = self._solve_targets(np.log1p(np.abs(qs - c) / np.minimum(qs, c)))
-        # mirrored: u is the larger holding, and d log q = -d log(c**2/q)
-        u = np.where(mirror, big, small)
-        v = np.where(mirror, small, big)
-        dlogu = np.where(mirror, -elast, 1.0) / slope
-        return u.reshape(shape), v.reshape(shape), dlogu.reshape(shape)
+        t = qs - c
+        np.abs(t, out=t)
+        t /= np.minimum(qs, c)
+        np.log1p(t, out=t)
+        return (qs < c, *self._solve_targets(t))
 
     # ----- public surface -------------------------------------------------
+
+    def _u_at(self, q: float) -> float:
+        """u = c*x at one validated price."""
+        mirror, small, big, _, _, _ = self._grid_solve(np.array([self._require_in_domain(q)]))
+        return float(big[0] if mirror[0] else small[0])
 
     def first_derivs(self, q: float) -> tuple[float, float]:
         # implicit differentiation, independent of the solve's slope that
         # xprime_grid uses: the tests check one against the other
-        u = self._grid_solve(np.array([self._require_in_domain(q)]))[0][0]
-        _, vp, _, _, qp, _ = self._state(float(u))
+        _, vp, _, _, qp, _ = self._state(self._u_at(q))
         c = self.price_center
         # x = u/c, so dx/dq = (1/c) / (dq/du); dy/dq = v' / q'
         return ((1.0 / c) / qp, vp / qp)
 
     def second_derivs(self, q: float) -> tuple[float, float]:
-        u = self._grid_solve(np.array([self._require_in_domain(q)]))[0][0]
-        _, vp, vpp, _, qp, qpp = self._state(float(u))
+        _, vp, vpp, _, qp, qpp = self._state(self._u_at(q))
         c = self.price_center
         xpp = -qpp / (c * qp**3)
         ypp = vpp / qp**2 - vp * qpp / qp**3
@@ -669,8 +726,10 @@ class StableSwap(AmmCurve):
     def holdings_grid(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         qs = np.asarray(qs, dtype=float)
         q_lo, q_hi = self.q_bounds
-        u, v, _ = self._grid_solve(np.clip(qs, q_lo, q_hi))
-        return u / self.price_center, v
+        mirror, small, big, _, _, _ = self._grid_solve(np.clip(qs, q_lo, q_hi))
+        u = np.where(mirror, big, small)
+        u /= self.price_center
+        return u.reshape(qs.shape), np.where(mirror, small, big).reshape(qs.shape)
 
     def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
         # x = u/c, so -dx = (u/c) d(log u) along the explicit q(u): no
@@ -693,11 +752,18 @@ class StableSwap(AmmCurve):
     def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)
         q_lo, q_hi = self.q_bounds
-        qc = np.clip(qs, q_lo, q_hi)
-        u, _, dlogu = self._grid_solve(qc)
-        inside = (qs > q_lo) & (qs < q_hi)
+        qc = np.clip(qs, q_lo, q_hi).ravel()
+        mirror, small, big, slope, elast, _ = self._grid_solve(qc)
         # x = u/c, so dx/dq = (u/c) * (d log u / d log q) / q
-        return np.where(inside, (u / self.price_center) * dlogu / qc, 0.0)
+        dlogu = np.where(mirror, np.negative(elast, out=elast), 1.0)
+        dlogu /= slope
+        xp = np.where(mirror, big, small)
+        xp /= self.price_center
+        xp *= dlogu
+        xp /= qc
+        # the clip lands on an end point exactly where qs is outside
+        xp[(qc == q_lo) | (qc == q_hi)] = 0.0
+        return xp.reshape(qs.shape)
 
     def scaled_to_value(self, target_value: float, q: float) -> "StableSwap":
         # The invariant is 1-homogeneous in (u, v, D): scaling D scales the
@@ -718,9 +784,21 @@ class StableSwap(AmmCurve):
 
 def _hermite(r, a, b, ma, mb):
     """Cubic Hermite interpolant at r in [0, 1] of the cell with end values
-    a, b and end slopes ma, mb per unit cell width."""
+    a, b and end slopes ma, mb per unit cell width.  Overwrites ma and mb,
+    which every caller gathers afresh."""
     ab = b - a
-    return a + r * ab + r * (1.0 - r) * ((1.0 - r) * (ma - ab) - r * (mb - ab))
+    ma -= ab
+    mb -= ab
+    rc = 1.0 - r
+    ma *= rc
+    mb *= r
+    ma -= mb
+    rc *= r
+    ma *= rc  # r*(1 - r)*((1 - r)*(ma - ab) - r*(mb - ab))
+    ab *= r
+    ab += a
+    ab += ma
+    return ab
 
 
 class _SeedTable(NamedTuple):

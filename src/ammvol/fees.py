@@ -160,6 +160,16 @@ def mc_mean_stderr(vals: np.ndarray, antithetic: bool) -> tuple[float, float]:
     return mean, stderr
 
 
+def _walk(ln_p: np.ndarray, drift: float, shock: np.ndarray) -> None:
+    """Add drift + shock to ln_p, and drift - shock to the antithetic mates
+    in its second half when ln_p is twice as long as shock."""
+    if ln_p.size == shock.size:
+        ln_p += drift + shock
+    else:
+        ln_p[: shock.size] += drift + shock
+        ln_p[shock.size :] += drift - shock
+
+
 def mc_fee_plus_terminal_value(
     curve: AmmCurve,
     params: GbmParams,
@@ -179,7 +189,10 @@ def mc_fee_plus_terminal_value(
     the discounted terminal pool value, and returns (mean, stderr) over
     paths.  When fees accrue at the implied rate the expectation equals the
     initial dollar pool value, which is what the test suite checks.  Each
-    step evaluates x' on all paths with one ``xprime_grid`` call.
+    step evaluates x' on all paths with one ``xprime_grid`` call.  With
+    ``antithetic`` the second half of the paths are the mates of the first:
+    each step draws normals z for the first half and moves the mates by
+    drift - s*z, which equals drift + s*(-z) exactly.
 
     ``stablecoin_flat`` freezes py at p0y (a literal zero-drift stablecoin
     leg).  With r > 0 this breaks the martingale property; it exists for
@@ -187,8 +200,8 @@ def mc_fee_plus_terminal_value(
     """
     p0x = _check_price(p0x)
     p0y = _check_price(p0y)
-    if maturity <= 0.0:
-        raise InvalidParams(f"maturity must be positive, got {maturity!r}")
+    if not (math.isfinite(maturity) and maturity > 0.0):
+        raise InvalidParams(f"maturity must be a positive finite number, got {maturity!r}")
     if n_paths < 2 or n_steps < 1:
         raise InvalidParams("need n_paths >= 2 and n_steps >= 1")
     if stablecoin_flat:
@@ -216,22 +229,26 @@ def mc_fee_plus_terminal_value(
     ln_px = np.full(n_eff, math.log(p0x))
     ln_py = np.full(n_eff, math.log(p0y))
     fees = np.zeros(n_eff)
+    rate = -0.5 * var
     for k in range(n_steps):
-        px = np.exp(ln_px)
         py = np.exp(ln_py)
-        q = px / py
+        q = np.exp(ln_px)
+        q /= py
         xp = curve.xprime_grid(q)
-        fee_rate = py * (-0.5 * var * q * q * xp)
-        fees += math.exp(-r * k * dt) * fee_rate * dt
+        # the fee rate py * (-var/2 * q**2 * x'(q)), discounted, over dt
+        fee = q * rate
+        fee *= q
+        fee *= xp
+        fee *= py
+        fee *= math.exp(-r * k * dt)
+        fee *= dt
+        fees += fee
 
         z = rng.standard_normal((2, half))
-        if antithetic:
-            z = np.concatenate([z, -z], axis=1)
-        zx = z[0]
         zy = rho * z[0] + rho_c * z[1]
-        ln_px += drift_x + sx * zx
+        _walk(ln_px, drift_x, sx * z[0])
         if not stablecoin_flat:
-            ln_py += drift_y + sy * zy
+            _walk(ln_py, drift_y, sy * zy)
 
     px = np.exp(ln_px)
     py = np.exp(ln_py)

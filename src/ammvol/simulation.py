@@ -268,13 +268,14 @@ def _execute_leg(pool, spot, x, y, target, side, exec_price, fee_rate, timestamp
     if dx == 0.0 and dy == 0.0:
         return None, target, x1, y1, 0.0, 0.0
     gamma = fee_rate
+    # the fee is withheld from the arbitrageur's gross input; a leg of a
+    # few ulps can leave the input holding falling by rounding, and pays none
     if side is FillSide.POOL_SELLS_X:
-        # arbitrageur pays y in; the fee is withheld from the gross input
-        fee_y = gamma * dy / (1.0 - gamma)
+        fee_y = gamma * max(dy, 0.0) / (1.0 - gamma)
         fee_x = 0.0
         fee_paid = fee_y
     else:
-        fee_x = gamma * dx / (1.0 - gamma)
+        fee_x = gamma * max(dx, 0.0) / (1.0 - gamma)
         fee_y = 0.0
         fee_paid = fee_x
     fill = Fill(timestamp, side, dx, dy, fee_paid, exec_price)
@@ -538,7 +539,8 @@ def run_simulation(
     xs, ys = pool.holdings_grid(np.concatenate(([initial_spot], ev_spot)))
     dx, dy = np.diff(xs), np.diff(ys)
     up = ev_spot > np.concatenate(([initial_spot], ev_spot[:-1]))
-    fee = fee_rate * np.where(up, dy, dx) / om
+    fee = np.where(up, dy, dx)
+    fee = fee_rate * np.maximum(fee, 0.0, out=fee) / om
     fee_x, fee_y = np.where(up, 0.0, fee), np.where(up, fee, 0.0)
     fee_usd = fee_y + fee_x * mids[ev]
     exec_price = np.where(up, bids[ev], asks[ev])

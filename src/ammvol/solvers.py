@@ -123,6 +123,15 @@ def _draw_normals(mc: McConfig) -> np.ndarray:
     return rng.standard_normal(mc.n_paths)
 
 
+def _check_kernel(p0: float, sigma: float, maturity: float) -> None:
+    if not (math.isfinite(p0) and p0 > 0.0):
+        raise InvalidParams(f"p0 must be a positive finite number, got {p0!r}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise InvalidParams(f"sigma must be a nonnegative finite number, got {sigma!r}")
+    if not (math.isfinite(maturity) and maturity > 0.0):
+        raise InvalidParams(f"maturity must be a positive finite number, got {maturity!r}")
+
+
 def mc_expected_pool_value(
     curve: AmmCurve, p0: float, sigma: float, maturity: float, mc: McConfig | None = None
 ) -> tuple[float, float]:
@@ -132,12 +141,7 @@ def mc_expected_pool_value(
     validated against.
     """
     mc = mc or McConfig()
-    if not p0 > 0.0:
-        raise InvalidParams(f"p0 must be positive, got {p0!r}")
-    if sigma < 0.0:
-        raise InvalidParams(f"sigma must be nonnegative, got {sigma!r}")
-    if not maturity > 0.0:
-        raise InvalidParams(f"maturity must be positive, got {maturity!r}")
+    _check_kernel(p0, sigma, maturity)
     z = _draw_normals(mc)
     q = p0 * np.exp(-0.5 * sigma * sigma * maturity + sigma * math.sqrt(maturity) * z)
     vals = curve.pool_value_grid(q)
@@ -149,13 +153,10 @@ def lognormal_kernel_expectation(curve: AmmCurve, p0: float, sigma: float, matur
 
     Exact for sigma=0 and for Cpmm.
     """
-    if not p0 > 0.0:
-        raise InvalidParams(f"p0 must be positive, got {p0!r}")
+    _check_kernel(p0, sigma, maturity)
     c0 = float(curve.pool_value_grid(np.array([p0]))[0])
     if sigma == 0.0:
         return c0
-    if not (sigma > 0.0 and maturity > 0.0):
-        raise InvalidParams("p0, sigma and maturity must be positive")
     return c0 - curve.floating_leg(p0, sigma * math.sqrt(maturity))[0]
 
 

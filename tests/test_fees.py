@@ -1,8 +1,10 @@
-"""Implied fee rate and realized-LVR increment tests.
+"""Implied fee rate, realized-LVR increment and martingale engine tests.
 
 Analytic goldens from the unit-liquidity constant-product algebra:
 lvr(q) = sigma**2/4 * sqrt(q), and the one-step realized increment with
-py = 1 collapses to (sqrt(q1) - sqrt(q0))**2 / sqrt(q0).
+py = 1 collapses to (sqrt(q1) - sqrt(q0))**2 / sqrt(q0).  The martingale
+Monte Carlo must equal, bit for bit, a plain copy of its step loop that
+draws the antithetic mates by concatenating -z.
 """
 
 import math
@@ -26,6 +28,7 @@ from ammvol import (
     mc_fee_plus_terminal_value,
     realized_lvr_increment,
 )
+from ammvol.fees import mc_mean_stderr
 
 CPMM = Cpmm(1.0)
 
@@ -230,3 +233,61 @@ def test_mc_validation_and_stablecoin_warning():
         mc_fee_plus_terminal_value(
             CPMM, GbmParams(0.4, r=0.05), 1.0, 1.0, 0.1, 64, 4, stablecoin_flat=True
         )
+
+
+def reference_fee_plus_terminal_value(
+    curve, params, p0x, p0y, maturity, n_paths, n_steps, seed, antithetic, stablecoin_flat
+):
+    """The martingale Monte Carlo step loop in its plainest form."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    half = n_paths // 2 if antithetic else n_paths
+    n_eff = 2 * half if antithetic else n_paths
+    dt = maturity / n_steps
+    r = params.r
+    sx = params.sigma_x * math.sqrt(dt)
+    sy = params.sigma_y * math.sqrt(dt)
+    drift_x = (r - 0.5 * params.sigma_x**2) * dt
+    drift_y = (r - 0.5 * params.sigma_y**2) * dt
+    rho = params.rho
+    rho_c = math.sqrt(max(1.0 - rho * rho, 0.0))
+    var = effective_variance(params)
+
+    ln_px = np.full(n_eff, math.log(p0x))
+    ln_py = np.full(n_eff, math.log(p0y))
+    fees = np.zeros(n_eff)
+    for k in range(n_steps):
+        px = np.exp(ln_px)
+        py = np.exp(ln_py)
+        q = px / py
+        xp = curve.xprime_grid(q)
+        fee_rate = py * (-0.5 * var * q * q * xp)
+        fees += math.exp(-r * k * dt) * fee_rate * dt
+
+        z = rng.standard_normal((2, half))
+        if antithetic:
+            z = np.concatenate([z, -z], axis=1)
+        zx = z[0]
+        zy = rho * z[0] + rho_c * z[1]
+        ln_px += drift_x + sx * zx
+        if not stablecoin_flat:
+            ln_py += drift_y + sy * zy
+
+    px = np.exp(ln_px)
+    py = np.exp(ln_py)
+    totals = fees + math.exp(-r * maturity) * py * curve.pool_value_grid(px / py)
+    return mc_mean_stderr(totals, antithetic)
+
+
+@pytest.mark.filterwarnings("ignore:stablecoin_flat:RuntimeWarning")
+@pytest.mark.parametrize("stablecoin_flat", [False, True])
+@pytest.mark.parametrize("n_paths", [255, 256])
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize(
+    "curve", [CPMM, ConcentratedCpmm(1.0, 0.5, 2.0), StableSwap(100.0, 2.0, 1.0)], ids=lambda c: c.kind
+)
+def test_mc_fee_plus_terminal_value_equals_the_plain_loop(curve, antithetic, n_paths, stablecoin_flat):
+    params = GbmParams(0.8, 0.3, 0.5, 0.03)
+    args = (curve, params, 1.2, 0.9, 0.25, n_paths, 50, 2024, antithetic, stablecoin_flat)
+    got = mc_fee_plus_terminal_value(*args)
+    want = reference_fee_plus_terminal_value(*args)
+    assert got == want

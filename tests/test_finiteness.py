@@ -1,7 +1,9 @@
-"""Non-finite quotes, prices and fees are rejected at the validation point.
+"""Non-finite quotes, prices, fees and Monte Carlo inputs are rejected at
+the validation point.
 
 NaN compares false against every bound, so sign checks alone let it through
-and a replay would carry it silently into window statistics.
+and a replay would carry it silently into window statistics; an infinite
+maturity, vol or price turns a Monte Carlo estimate into NaN.
 """
 
 import numpy as np
@@ -11,9 +13,13 @@ from ammvol import (
     Cpmm,
     GbmParams,
     InvalidParams,
+    McConfig,
     PoolEventSeries,
     SimConfig,
     TickSeries,
+    lognormal_kernel_expectation,
+    mc_expected_pool_value,
+    mc_fee_plus_terminal_value,
     replay_pool_events,
     run_simulation,
     synthetic_gbm_ticks,
@@ -42,3 +48,25 @@ def test_pool_events_reject_non_finite_values(field, bad):
         events.validate()
     with pytest.raises(InvalidParams):
         replay_pool_events(Cpmm(1.0), events)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_martingale_mc_rejects_non_finite_maturity(bad):
+    with pytest.raises(InvalidParams, match="maturity"):
+        mc_fee_plus_terminal_value(Cpmm(1.0), GbmParams(0.5), 1.0, 1.0, bad, n_paths=4, n_steps=2)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("name", ["p0", "sigma", "maturity"])
+def test_mc_expected_pool_value_rejects_non_finite_inputs(name, bad):
+    args = {"p0": 1.0, "sigma": 0.5, "maturity": 1.0, name: bad}
+    with pytest.raises(InvalidParams, match=name):
+        mc_expected_pool_value(Cpmm(1.0), mc=McConfig(n_paths=16), **args)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("name", ["p0", "sigma", "maturity"])
+def test_lognormal_kernel_expectation_rejects_non_finite_inputs(name, bad):
+    args = {"p0": 1.0, "sigma": 0.5, "maturity": 1.0, name: bad}
+    with pytest.raises(InvalidParams, match=name):
+        lognormal_kernel_expectation(Cpmm(1.0), **args)

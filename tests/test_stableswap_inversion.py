@@ -8,7 +8,9 @@ tests pin the solve's failure modes: an exhausted iteration budget raises
 NoConvergence (exit code 6 on the CLI) instead of returning an unconverged
 holding, and the package imports without scipy.  The last ones hold the
 dense seed table to its purpose: the solve returns its nodes, takes one
-evaluation of the price map per price, and is shared across pool scales.
+evaluation of the price map per price, and is shared across pool scales;
+and where a far-tail price still takes a second evaluation, its result is
+the one it gets alone.
 """
 
 import json
@@ -230,3 +232,31 @@ def test_pools_differing_only_in_scale_share_one_seed_table(amplification, d1, d
     after = ammvol.curves._seed_table.cache_info()
     assert after.misses == before.misses
     assert seed_of(second) is seed_of(first)
+
+
+def test_stragglers_written_back_equal_their_solve_alone():
+    # at A = 1e5 a few far-tail prices miss rounding from the seed and
+    # iterate again; each element must not depend on its neighbours
+    curve = StableSwap(1e5, 2.0, 3.0)
+    lo, hi = curve.q_bounds
+    qs = np.exp(np.random.default_rng(1).uniform(math.log(lo), math.log(hi), 400))
+    curve.holdings_grid(np.array([curve.price_center]))  # the table build is not per price
+    with counted_evaluations() as points:
+        x, y = curve.holdings_grid(qs)
+    assert qs.size < points[0] < 2 * qs.size  # first-evaluation freezes and stragglers
+    xp = curve.xprime_grid(qs)
+    stragglers = []
+    for i, q in enumerate(qs):
+        alone = qs[i : i + 1]
+        with counted_evaluations() as points:
+            assert tuple(a[0] for a in curve.holdings_grid(alone)) == (x[i], y[i]), q
+        if points[0] > 1:
+            stragglers.append(i)
+        assert curve.xprime_grid(alone)[0] == xp[i], q
+        x_ref, y_ref = stable_x_y_oracle(curve, float(q))
+        assert x[i] == pytest.approx(x_ref, rel=1e-11), q
+        assert y[i] == pytest.approx(y_ref, rel=1e-11), q
+    # their outputs are the converged iterate's, whose Newton step is
+    # rounding, not the first evaluation's, which moved more than _SOLVE_XTOL
+    _, small, _, _, _, step = curve._grid_solve(qs[stragglers])
+    assert np.all(np.abs(step - np.log(small)) <= 0.1 * ammvol.curves._SOLVE_XTOL)
