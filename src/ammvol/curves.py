@@ -31,14 +31,19 @@ is nondecreasing and concave.  Three curve families are provided:
     Holdings at a price are found by inverting the strictly decreasing
     marginal price map ``q(u)``: one vectorized solve, a safeguarded Newton
     iteration bracketed and seeded by a dense table of the inverse map that
-    every pool with the same amplification shares.  The seed lands within
-    rounding of the root, so one evaluation of the map per price suffices.
+    every pool with the same amplification shares.  The same solve builds
+    that table, refining it level by level from its two end nodes, the
+    center and the domain floor, which are known in closed form.  The seed
+    lands within rounding of the root, so one evaluation of the map per
+    price suffices.
     Derivatives come from implicit differentiation of the invariant, since
     finite differences lose all precision in the flat region near the center.
 
 Each curve prices the fee-swap floating leg ``C(q0) - E[C(Q)]`` for a
 driftless lognormal ``Q`` as a strip of out-of-the-money Black-Scholes
 options weighted by ``-dx``, since ``C'' = x'`` (Carr & Madan 1998).
+StableSwap integrates its strip along the explicit map ``q(u)``, and one
+solve on three prices places the spot node and the ends of the strip.
 """
 
 from __future__ import annotations
@@ -58,12 +63,9 @@ from .errors import DegenerateCurve, DomainError, InvalidParams, NoConvergence, 
 HOLDINGS_FLOOR = 1e-12
 
 # Floating-leg strips reach this many standard deviations into both tails
-# with this many Simpson intervals (a multiple of 4).  StableSwap tabulates
-# its price map at this many points; the table brackets the strips and
-# seeds the price->holdings solve.
+# with this many Simpson intervals (a multiple of 4).
 _STRIP_WIDTH = 8.0
 _STRIP_INTERVALS = 2048
-_STRIP_TABLE_POINTS = 2048
 
 # The StableSwap price->holdings solve freezes an element once a step moves
 # log u by at most _SOLVE_XTOL or its log-price residual is within
@@ -79,12 +81,16 @@ _SOLVE_RTOL = 4.0 * np.finfo(float).eps
 _SOLVE_MAX_ITER = 64
 
 # The solve is seeded from a table of _SEED_NODES nodes per amplification
-# and domain floor, built _SEED_CHUNK nodes at a time, no more than a Monte
-# Carlo step solves at once; the last _SEED_CACHE tables stay cached.  This
-# many nodes put the seed within _SOLVE_XTOL for A up to 1e4; at A = 1e5,
-# 2-5% of prices beyond a hundredfold move from the center take a second
-# evaluation.  Each set-up of a fresh process pays the build, about 4 ms.
+# and domain floor; the last _SEED_CACHE tables stay cached.  The table is
+# refined from its two end nodes through the _SEED_LEVELS node counts, each
+# level solved from the one before it, _SEED_CHUNK nodes at a time, no more
+# than a Monte Carlo step solves at once: under two evaluations of the price
+# map per final node in all.  _SEED_NODES nodes put the seed within
+# _SOLVE_XTOL for A up to 1e4; at A = 1e5, 2-5% of prices beyond a
+# hundredfold move from the center take a second evaluation.  Each set-up
+# of a fresh process pays the build, about 4-5 ms.
 _SEED_NODES = 16384
+_SEED_LEVELS = (64, 4096, _SEED_NODES)
 _SEED_CHUNK = 8192
 _SEED_CACHE = 16
 
@@ -479,17 +485,10 @@ class StableSwap(AmmCurve):
         return v, vp, vpp, q, qp, qpp
 
     @cached_property
-    def _u_bounds(self) -> tuple[float, float]:
-        floor = HOLDINGS_FLOOR * self.invariant_scale
-        u_min = floor * self.price_center  # x floor
-        u_max = float(self._grid_v(np.array([floor]))[0])  # y floor, by u <-> v symmetry
-        return u_min, u_max
-
-    @cached_property
     def q_bounds(self) -> tuple[float, float]:
         # u at the x floor, and by u <-> v symmetry the mirror of v at the y floor
         floor = HOLDINGS_FLOOR * self.invariant_scale
-        log_qc = self._grid_eval(np.log([self._u_bounds[0], floor]))[2]
+        log_qc = self._grid_eval(np.log([floor * self.price_center, floor]))[2]
         return self.price_center * math.exp(-log_qc[1]), self.price_center * math.exp(log_qc[0])
 
     # ----- vectorized invariant machinery --------------------------------
@@ -564,36 +563,6 @@ class StableSwap(AmmCurve):
         np.negative(alpha, out=alpha)
         alpha /= beta
         return u, v, log_qc, slope, alpha
-
-    @cached_property
-    def _price_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Half of the price map, for the smaller holding s = min(u, v).
-
-        Nodes are uniform in log s from the center D/2 down to the lower of
-        the two floors, where q >= c and s = u.  Returns (log(q/c) ascending,
-        log s, log of the larger holding, d log s / d log q).
-        """
-        D = self.invariant_scale
-        s_min = HOLDINGS_FLOOR * D * min(self.price_center, 1.0)
-        log_s = np.linspace(math.log(0.5 * D), math.log(s_min), _STRIP_TABLE_POINTS)
-        _, big, log_qc, slope, _ = self._grid_eval(log_s)
-        return log_qc, log_s, np.log(big), 1.0 / slope
-
-    def _table_seed(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(seed, lower, upper bracket) of w = log min(u, v) at targets t.
-
-        The _price_table cell holding each target brackets its root, padded
-        by _SOLVE_PAD for rounding at the nodes, and cubic Hermite
-        interpolation through the cell's end nodes and slopes seeds it.
-        """
-        table_l, log_s, _, dlog_s = self._price_table
-        j = np.clip(np.searchsorted(table_l, t), 1, table_l.size - 1)
-        h = table_l[j] - table_l[j - 1]
-        a = log_s[j - 1]
-        b = log_s[j]
-        w = _hermite((t - table_l[j - 1]) / h, a, b, h * dlog_s[j - 1], h * dlog_s[j])
-        # log s falls as the price rises: node j bounds the root from below
-        return w, b - _SOLVE_PAD, a + _SOLVE_PAD
 
     def _newton(self, t: np.ndarray, w: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray):
         """(smaller holding, larger holding, d log q / dw, d log v / d log u,
@@ -732,17 +701,14 @@ class StableSwap(AmmCurve):
         return u.reshape(qs.shape), np.where(mirror, small, big).reshape(qs.shape)
 
     def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
-        # x = u/c, so -dx = (u/c) d(log u) along the explicit q(u): no
-        # price->holdings inversion.  The table places the bracket and (to its
-        # accuracy) the spot node; beyond the domain x is frozen, -dx = 0.
-        log_qc, log_s, log_big, _ = self._price_table
+        # x = u/c, so -dx = (u/c) d(log u) along the explicit q(u): the strip's
+        # nodes need no price->holdings solve.  One solve places the spot node
+        # and the bracket, clipped to the domain, beyond which x is frozen and
+        # -dx = 0; the clip is in log q, so no price overflows.
         reach = _strip_reach(s)
-        l0 = math.log(q0 / self.price_center)
-        ls = np.array([l0 + reach, l0, l0 - reach])
-        # the q < c half is the mirror image: u is the larger holding there
-        log_u = np.where(ls >= 0.0, np.interp(ls, log_qc, log_s), np.interp(-ls, log_qc, log_big))
-        u_min, u_max = self._u_bounds
-        a, t0, b = np.clip(log_u, math.log(u_min), math.log(u_max))
+        lo, hi = np.log(self.q_bounds) - math.log(q0)
+        x, _ = self.holdings_grid(q0 * np.exp(np.clip([reach, 0.0, -reach], lo, hi)))
+        a, t0, b = np.log(self.price_center * x)
         return _otm_strip(q0, s, a, t0, b, self._strip_nodes)
 
     def _strip_nodes(self, log_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -822,26 +788,39 @@ def _seed_table(amplification: float, floor_center: float) -> _SeedTable:
 
     The invariant is 1-homogeneous in (u, v, D) and the map from log u to
     log(q/c) does not involve c, so w - log D depends on A alone, and the
-    domain floor HOLDINGS_FLOOR * D * min(c, 1) fixes the table's reach.
-    Nodes are solved on the unit pool by ``_newton`` from the explicit
-    _price_table, in chunks no larger than a Monte Carlo step.  tau is
-    -d log q / d log u at the center, 2 / (2A + 1): linear spacing in t
-    across the flat center, logarithmic beyond it.
+    domain floor HOLDINGS_FLOOR * D * min(c, 1) fixes the table's reach
+    t_max.  tau is -d log q / d log u at the center, 2 / (2A + 1): linear
+    spacing in t across the flat center, logarithmic beyond it.  The table
+    starts from its two end nodes, known in closed form: the center (w =
+    log 1/2, t = 0, slope -tau) and the floor (w = log s_min, t = t_max).
+    Each of the _SEED_LEVELS finer tables is solved on the unit pool by
+    ``_newton``, seeded by ``_dense_seed`` from the table before it, in
+    chunks no larger than a Monte Carlo step.
     """
     unit = StableSwap(amplification, 1.0, floor_center)
-    t_max = float(unit._price_table[0][-1])
     tau = 2.0 / (2.0 * amplification + 1.0)
-    h = math.log1p(t_max / tau) / (_SEED_NODES - 1)
-    t = np.minimum(tau * np.expm1(np.arange(_SEED_NODES) * h), t_max)
-    w = np.empty(_SEED_NODES)
-    m = np.empty(_SEED_NODES)
-    for lo in range(0, _SEED_NODES, _SEED_CHUNK):
-        part = slice(lo, lo + _SEED_CHUNK)
-        _, _, slope, _, w[part] = unit._newton(t[part], *unit._table_seed(t[part]))
-        m[part] = (tau + t[part]) * h / slope  # dw/dt = 1/slope, dt/dz = tau + t
+    w_floor = math.log(HOLDINGS_FLOOR * floor_center)
+    _, _, t_floor, slope_floor, _ = unit._grid_eval(np.array([w_floor]))
+    t_max = float(t_floor[0])
+    z_max = math.log1p(t_max / tau)
+    # m = h * dw/dz with dw/dt = 1/slope and dt/dz = tau + t
+    seed = _SeedTable(
+        tau, z_max, t_max, np.array([math.log(0.5), w_floor]),
+        np.array([-z_max, (tau + t_max) * z_max / slope_floor[0]]),
+    )
+    for n in _SEED_LEVELS:
+        h = z_max / (n - 1)
+        t = np.minimum(tau * np.expm1(np.arange(n) * h), t_max)
+        w = np.empty(n)
+        m = np.empty(n)
+        for lo in range(0, n, _SEED_CHUNK):
+            part = slice(lo, lo + _SEED_CHUNK)
+            _, _, slope, _, w[part] = unit._newton(t[part], *unit._dense_seed(seed, t[part]))
+            m[part] = (tau + t[part]) * h / slope
+        seed = _SeedTable(tau, h, t_max, w, m)
     w.flags.writeable = False  # shared by every pool with this key
     m.flags.writeable = False
-    return _SeedTable(tau, h, t_max, w, m)
+    return seed
 
 
 # ----- module-level operations ---------------------------------------------

@@ -34,6 +34,19 @@ from .errors import InvalidParams, RangeError
 YEAR_SECONDS = 365.25 * 86400.0
 
 
+def _check_nonnegative(value: float, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise InvalidParams(f"{name} must be a nonnegative finite number, got {value!r}")
+    return value
+
+
+def _check_seed(seed: int) -> None:
+    # the counter-based generator takes nonnegative integer seeds only
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidParams(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class GbmParams:
     """Risk-neutral GBM parameters: rate r and per-sqrt-year vols."""
@@ -45,10 +58,7 @@ class GbmParams:
 
     def __post_init__(self):
         for name in ("sigma_x", "sigma_y", "r"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise InvalidParams(f"{name} must be >= 0, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_nonnegative(getattr(self, name), name))
         rho = float(self.rho)
         if not math.isfinite(rho) or not -1.0 <= rho <= 1.0:
             raise InvalidParams(f"rho must lie in [-1, 1], got {rho!r}")
@@ -100,8 +110,8 @@ def cpmm_unit_lvr_with_rate(q: float, r: float, sigma: float) -> float:
     the rebalancing benchmark grows at the rate as well.
     """
     q = _check_price(q)
-    if r < 0.0 or sigma < 0.0:
-        raise InvalidParams("r and sigma must be >= 0")
+    r = _check_nonnegative(r, "r")
+    sigma = _check_nonnegative(sigma, "sigma")
     return (r + sigma * sigma / 4.0) * math.sqrt(q)
 
 
@@ -115,12 +125,11 @@ def concentrated_lvr_with_rate(
     whenever r > 0: the idle rate on the p_lo boundary stock is not owed.
     """
     q = _check_price(q)
-    if r < 0.0 or sigma < 0.0:
-        raise InvalidParams("r and sigma must be >= 0")
+    r = _check_nonnegative(r, "r")
+    sigma = _check_nonnegative(sigma, "sigma")
     if not (0.0 < p_lo < p_hi):
         raise RangeError(f"need 0 < p_lo < p_hi, got [{p_lo!r}, {p_hi!r}]")
-    if liquidity_tokens < 0.0:
-        raise InvalidParams("liquidity_tokens must be >= 0")
+    liquidity_tokens = _check_nonnegative(liquidity_tokens, "liquidity_tokens")
     if not (p_lo <= q <= p_hi):
         return 0.0
     return liquidity_tokens * ((r + sigma * sigma / 4.0) * math.sqrt(q) - r * math.sqrt(p_lo))
@@ -204,6 +213,7 @@ def mc_fee_plus_terminal_value(
         raise InvalidParams(f"maturity must be a positive finite number, got {maturity!r}")
     if n_paths < 2 or n_steps < 1:
         raise InvalidParams("need n_paths >= 2 and n_steps >= 1")
+    _check_seed(seed)
     if stablecoin_flat:
         warnings.warn(
             "stablecoin_flat freezes py with nonzero r: the fee identity no "

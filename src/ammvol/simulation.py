@@ -48,7 +48,7 @@ from .errors import (
     InvalidParams,
     UnsortedInput,
 )
-from .fees import YEAR_SECONDS, GbmParams, effective_variance
+from .fees import YEAR_SECONDS, GbmParams, _check_seed, effective_variance
 
 _LVR_MODES = ("trade_side", "pool_spot")
 
@@ -742,10 +742,10 @@ def historical_volatility(mids, sampling_interval_seconds: float, demean: bool =
     mids = np.asarray(mids, dtype=float)
     if mids.size < 2:
         raise InsufficientData("need at least 2 samples for a volatility estimate")
-    if sampling_interval_seconds <= 0:
-        raise InvalidParams("sampling interval must be positive")
-    if np.any(mids <= 0.0):
-        raise InvalidParams("prices must be positive")
+    if not (math.isfinite(sampling_interval_seconds) and sampling_interval_seconds > 0):
+        raise InvalidParams("sampling interval must be positive and finite")
+    if not np.all((mids > 0.0) & np.isfinite(mids)):
+        raise InvalidParams("prices must be positive and finite")
     r = np.diff(np.log(mids))
     if demean:
         # a single demeaned return is identically zero
@@ -836,6 +836,7 @@ def synthetic_gbm_ticks(
     interval_seconds = int(interval_seconds)
     if duration_seconds <= 0 or interval_seconds <= 0:
         raise InvalidParams("duration and interval must be positive whole seconds")
+    _check_seed(seed)
 
     n = duration_seconds // interval_seconds + 1
     timestamps = start_timestamp + interval_seconds * np.arange(n, dtype=np.int64)

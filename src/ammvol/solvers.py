@@ -33,7 +33,7 @@ import numpy as np
 
 from .curves import AmmCurve
 from .errors import ArbitrageViolation, InvalidParams, NoConvergence, OutOfBounds
-from .fees import YEAR_SECONDS, mc_mean_stderr
+from .fees import YEAR_SECONDS, _check_nonnegative, _check_seed, mc_mean_stderr
 from .simulation import SimLedger, WindowStat
 
 # implied vols are sought on (0, _SIGMA_CAP]
@@ -98,6 +98,7 @@ class McConfig:
     def __post_init__(self):
         if int(self.n_paths) != self.n_paths or self.n_paths < 2:
             raise InvalidParams(f"n_paths must be an integer >= 2, got {self.n_paths!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,7 @@ def _draw_normals(mc: McConfig) -> np.ndarray:
 def _check_kernel(p0: float, sigma: float, maturity: float) -> None:
     if not (math.isfinite(p0) and p0 > 0.0):
         raise InvalidParams(f"p0 must be a positive finite number, got {p0!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise InvalidParams(f"sigma must be a nonnegative finite number, got {sigma!r}")
+    _check_nonnegative(sigma, "sigma")
     if not (math.isfinite(maturity) and maturity > 0.0):
         raise InvalidParams(f"maturity must be a positive finite number, got {maturity!r}")
 
@@ -173,14 +173,12 @@ def _leg(spec: SwapSpec, sigma: float) -> tuple[float, float]:
 def mc_floating_leg(spec: SwapSpec, sigma: float, mc: McConfig | None = None) -> tuple[float, float]:
     """(floating leg value, MC stderr) in dollars for the swap notional.
 
-    Curves whose leg has a closed form return it with zero stderr.
+    Curves whose leg has a closed form, a zero vol and a zero notional
+    return the kernel's leg with zero stderr.
     """
-    if sigma < 0.0:
-        raise InvalidParams(f"sigma must be nonnegative, got {sigma!r}")
+    sigma = _check_nonnegative(sigma, "sigma")
     scale = spec.notional_scale
-    if sigma == 0.0 or scale == 0.0:
-        return 0.0, 0.0
-    if spec.curve.exact_floating_leg:
+    if spec.curve.exact_floating_leg or sigma == 0.0 or scale == 0.0:
         return _leg(spec, sigma)[0], 0.0
     c0 = spec.pool_value_now() / scale
     mean, stderr = mc_expected_pool_value(spec.curve, spec.q0, sigma, spec.maturity, mc)
@@ -189,9 +187,7 @@ def mc_floating_leg(spec: SwapSpec, sigma: float, mc: McConfig | None = None) ->
 
 def floating_leg_value(spec: SwapSpec, sigma: float, mc: McConfig | None = None) -> float:
     """Present value of the accrued fee/LVR stream over the swap horizon."""
-    if sigma < 0.0:
-        raise InvalidParams(f"sigma must be nonnegative, got {sigma!r}")
-    return _leg(spec, sigma)[0]
+    return _leg(spec, _check_nonnegative(sigma, "sigma"))[0]
 
 
 def _solve_leg(spec: SwapSpec, pi_bar: float, cap: float, tol: float) -> tuple[float, float, int]:

@@ -367,6 +367,28 @@ def test_price_swap_component_vols(capsys):
     assert "sigma" in err["detail"]
 
 
+# ----- seeds ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen-ticks", "--out", "unused.csv", "--days", "0.01", "--seed", "-1"],
+        ["price-swap", json.dumps({**SOLVE_VOL_BASE, "sigma": 1.0, "seed": -1})],
+        ["solve-vol", json.dumps({**SOLVE_VOL_BASE, "seed": -1})],
+        ["solve-corr", json.dumps({**SOLVE_VOL_BASE, "sigmaX": 2.0, "sigmaY": 1.0, "piBar": 0.5, "seed": -1})],
+    ],
+    ids=lambda args: args[0],
+)
+def test_negative_seed_is_invalid_input(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    code, err = error_of(capsys, *args)
+    assert code == 2
+    assert err["error"] == "invalid_input"
+    assert "seed" in err["detail"]
+    assert not (tmp_path / "unused.csv").exists()
+
+
 # ----- auction ----------------------------------------------------------------------
 
 

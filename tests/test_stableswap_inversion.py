@@ -10,7 +10,9 @@ holding, and the package imports without scipy.  The last ones hold the
 dense seed table to its purpose: the solve returns its nodes, takes one
 evaluation of the price map per price, and is shared across pool scales;
 and where a far-tail price still takes a second evaluation, its result is
-the one it gets alone.
+the one it gets alone.  The table builds itself from its two end nodes
+within two evaluations per node, and a fresh pool's first floating-leg
+strip solves only its three placement prices beyond the strip's nodes.
 """
 
 import json
@@ -260,3 +262,21 @@ def test_stragglers_written_back_equal_their_solve_alone():
     # rounding, not the first evaluation's, which moved more than _SOLVE_XTOL
     _, small, _, _, _, step = curve._grid_solve(qs[stragglers])
     assert np.all(np.abs(step - np.log(small)) <= 0.1 * ammvol.curves._SOLVE_XTOL)
+
+
+def test_cold_seed_table_build_takes_at_most_two_evaluations_per_node():
+    builds = {}
+    for amplification in (1e-2, 1.0, 100.0, 1e4, 1e5):
+        with counted_evaluations() as points:
+            ammvol.curves._seed_table.__wrapped__(amplification, 1.0)  # bypasses the cache
+        builds[amplification] = points[0]
+    assert max(builds.values()) <= 2 * ammvol.curves._SEED_NODES, builds
+
+
+def test_first_strip_on_a_fresh_copy_evaluates_little_beyond_its_nodes():
+    # scaling evaluates the pool value, which builds the shared seed table
+    fresh = StableSwap(100.0, 2.0, 1.0).scaled_to_value(100.0, 1.0)
+    with counted_evaluations() as points:
+        fresh.floating_leg(1.0, 0.05)
+    # the spot splits the strip in two, each with an end node of its own
+    assert points[0] <= ammvol.curves._STRIP_INTERVALS + 2 + 8

@@ -5,7 +5,9 @@ weighted by its liquidity.  The raw Monte Carlo estimator
 ``mc_expected_pool_value`` checks the strip within 3 standard errors, the
 constant-product closed form checks a range position wide enough to cover
 the whole kernel, central differences check the analytic vega, and
-scipy's ndtr checks the kernel's own normal CDF.
+scipy's ndtr checks the kernel's own normal CDF.  A StableSwap strip off
+the center matches the same strip at 128 times the intervals, which holds
+only when its spot node sits on the spot.
 """
 
 import math
@@ -24,6 +26,7 @@ from ammvol import (
     mc_expected_pool_value,
     mc_floating_leg,
 )
+import ammvol.curves
 from ammvol.curves import _ndtr
 
 TOTAL_VOLS = (0.005, 0.05, 0.5, 2.0)
@@ -69,6 +72,19 @@ def test_wide_range_matches_cpmm_closed_form():
             want, want_vega = Cpmm(1.5).floating_leg(q0, s)
             assert leg == pytest.approx(want, rel=1e-5)
             assert vega == pytest.approx(want_vega, rel=1e-5)
+
+
+@pytest.mark.parametrize("pool", [(100.0, 2.0, 1.0), (1000.0, 3.0, 1.5), (0.5, 1.0, 1.0)], ids=str)
+def test_stableswap_strip_converges_off_the_center(pool, monkeypatch):
+    # at s = 0.005 the kink at the spot dominates the quadrature error unless
+    # it falls on a node; the reference strip has 2**18 intervals
+    curve = StableSwap(*pool)
+    for q0 in (0.9 * curve.price_center, 1.3 * curve.price_center):
+        leg, _ = curve.floating_leg(q0, 0.005)
+        with monkeypatch.context() as patch:
+            patch.setattr(ammvol.curves, "_STRIP_INTERVALS", 2**18)
+            fine, _ = curve.floating_leg(q0, 0.005)
+        assert leg == pytest.approx(fine, rel=1e-9), q0
 
 
 @pytest.mark.parametrize("curve", [Cpmm(1.0), RANGE, STABLE], ids=lambda c: c.kind)
