@@ -6,6 +6,7 @@ error objects can be asserted directly.
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -113,6 +114,17 @@ def test_simulate_malformed_ticks_exit_code(tmp_path, capsys):
     assert code == 2
     assert err["error"] == "parse_error"
     assert "line 3" in err["detail"]
+
+
+def test_simulate_header_only_ticks_prints_one_error_line(tmp_path, capsys):
+    ticks = tmp_path / "h.csv"
+    ticks.write_text("timestamp,bid,ask\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "simulate", "--ticks", str(ticks), "--curve", CPMM_CURVE, "--no-fee-vol")
+    assert caught == []
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ['{"error": "invalid_input", "detail": "h.csv has no data rows"}']
 
 
 def test_simulate_bad_curve_json_exit_code(tmp_path, capsys):

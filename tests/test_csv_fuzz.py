@@ -2,11 +2,13 @@
 
 Valid tick, pool-event, window and order files get one or two random
 edits: dropped or extra fields, junk and non-UTF-8 bytes, quoted fields,
-blank lines, NaN/inf/negative values, crossed quotes, swapped rows,
-duplicate order ids, timestamps beyond int64 and fields over csv's size
-limit.  Each reader must return or raise only ParseError, UnsortedInput or
-EmptyInput, with the class and line that ``reference`` gives, and the CLI
-must never exit 1 on the file.
+blank lines, lone carriage returns, NaN/inf/negative values, crossed
+quotes, swapped rows, duplicate order ids, timestamps beyond int64 and
+fields over csv's size limit.  Each reader must return or raise only
+ParseError, UnsortedInput or EmptyInput, with the class and line that
+``reference`` gives, and the CLI must never exit 1 on the file.  Where the
+vectorized tick and pool-event pass takes a file, the row loop takes it too
+and reads the same bits.
 
 ``reference`` reads the file one row at a time and checks each row
 completely before the next: header, field count, a parse in which bytes
@@ -20,15 +22,18 @@ import io
 import math
 import os
 import tempfile
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ammvol import EmptyInput, ParseError, UnsortedInput, WindowStat
+from ammvol import EmptyInput, ParseError, UnsortedInput, WindowStat, dataio
 from ammvol.auction import SwapOrder
 from ammvol.cli import main
 from ammvol.dataio import read_orders, read_pool_events, read_ticks, read_windows
 from ammvol.errors import InvalidParams
+from ammvol.simulation import PoolEventSeries, TickSeries
 
 HEADERS = {
     "ticks": ["timestamp", "bid", "ask"],
@@ -126,13 +131,13 @@ def reference(path, kind, allow_crossed=False):
 # ----- file edits -----------------------------------------------------------------
 
 JUNK = ["", " ", "abc", "nan", "inf", "-inf", "-1", "0", "-0.0", "1e999", "1e30", "0x10",
-        "1_0", " 7 ", str(2**63), str(-2**63 - 1), str(INT64_MAX)]
+        "1_0", " 7 ", str(2**63), str(-2**63 - 1), str(INT64_MAX), "+5", "\u0663", "1.0"]
 BAD_BYTES = [b"\xff", b"\xc3\x28", b"\x80abc", b"\xe2\x82", b"\x00"]
 # weighted by repetition; a field over the size limit is slow to write, so rarer
 EDITS = (
     ["junk", "bytes", "swap", "copy_row", "crossed"] * 4
-    + ["drop", "extra", "quote", "newline_in_quotes", "blank"] * 2
-    + ["big_field", "header", "no_rows"]
+    + ["drop", "extra", "quote", "newline_in_quotes", "blank", "lone_cr"] * 2
+    + ["big_field", "big_number", "header", "no_rows"]
 )
 
 
@@ -142,6 +147,7 @@ def edited_file(draw, kind):
     rows = [[field.encode() for field in row] for row in ROWS[kind]]
     header = [field.encode() for field in HEADERS[kind]]
     blank_after = set()
+    ends = {}  # row -> line terminator other than \n
     for _ in range(draw(st.integers(1, 2))):
         i = draw(st.integers(0, len(rows) - 1))
         j = draw(st.integers(0, len(header) - 1))
@@ -169,15 +175,20 @@ def edited_file(draw, kind):
             rows.insert(draw(st.integers(i + 1, len(rows))), list(row))
         elif edit == "crossed" and len(row) >= 3:
             row[1], row[2] = b"1.5", b"0.5"
+        elif edit == "lone_cr":
+            ends[i] = b"\r"
         elif edit == "big_field" and j < len(row):
             row[j] = b"1" * 131_073
+        elif edit == "big_number" and j < len(row):  # over the limit, yet a float
+            row[j] = b"1." + b"0" * 131_073
         elif edit == "header":
             header = header[:-1] if draw(st.booleans()) else header + [b"x"]
         elif edit == "no_rows":
             rows, blank_after = [], {-1}
             break
     body = (b"\n" if -1 in blank_after else b"") + b"".join(
-        b",".join(row) + b"\n" + (b"\n" if i in blank_after else b"") for i, row in enumerate(rows)
+        b",".join(row) + ends.get(i, b"\n") + (b"\n" if i in blank_after else b"")
+        for i, row in enumerate(rows)
     )
     return b",".join(header) + b"\n" + body
 
@@ -227,3 +238,35 @@ def test_readers_match_row_by_row_reference(case):
             assert _outcome(read, path) == reference(path, kind, allow_crossed), data
         if kind in CLI:
             assert _cli_code(CLI[kind](path)) != 1, data
+
+
+SERIES = {"ticks": TickSeries, "events": PoolEventSeries}
+
+
+def _row_loop(read, path):
+    """What ``read`` returns with the vectorized pass switched off."""
+    with mock.patch.object(dataio, "_load_columns", return_value=None):
+        return read(path)
+
+
+def _bits(series):
+    return [col.view(np.uint64).tolist() for col in vars(series).values()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SERIES)).flatmap(lambda kind: st.tuples(st.just(kind), edited_file(kind))))
+def test_vectorized_pass_reads_what_the_row_loop_reads(case):
+    kind, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"{kind}.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        fast = dataio._load_columns(path, HEADERS[kind], SERIES[kind])
+        if fast is None:
+            return
+        for col in vars(fast).values():
+            assert col.flags.c_contiguous, data
+        for read, allow_crossed in READERS[kind]:
+            rules = {"allow_crossed": allow_crossed} if kind == "ticks" else {}
+            if fast.fault(**rules) is None:
+                assert _bits(_row_loop(read, path)) == _bits(fast), data

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ammvol import (
     SimConfig,
     StableSwap,
     SwapOrder,
+    TickSeries,
     UnsortedInput,
     WindowStat,
     clear_batch,
@@ -21,6 +23,7 @@ from ammvol import (
     synthetic_gbm_ticks,
 )
 from ammvol.dataio import (
+    _fmt,
     clearing_result_to_dict,
     read_curve,
     read_orders,
@@ -31,6 +34,7 @@ from ammvol.dataio import (
     write_ticks,
     write_windows,
 )
+from ammvol.simulation import SimLedger
 
 
 @pytest.fixture
@@ -162,6 +166,31 @@ def test_unreadable_fields_are_parse_errors(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "row", ["0,1." + "0" * 131_073 + ",1.5", "0,1.0\x1c,1.5"], ids=["over_field_limit", "file_separator"]
+)
+def test_rows_loadtxt_parses_are_refused_as_the_row_loop_refuses_them(tmp_path, row):
+    # np.loadtxt reads either row as (0, 1.0, 1.5); csv and float() refuse it
+    path = tmp_path / "t.csv"
+    path.write_text("timestamp,bid,ask\n" + row + "\n")
+    with pytest.raises(ParseError) as err:
+        read_ticks(path)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("reader, header", [(read_ticks, "timestamp,bid,ask"),
+                                            (read_pool_events, "timestamp,price,fee_x,fee_y")])
+@pytest.mark.parametrize("rest", ["", "\n\r\n"])
+def test_header_only_file_is_empty_input_without_a_warning(tmp_path, reader, header, rest):
+    path = tmp_path / "h.csv"
+    path.write_text(header + "\n" + rest)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EmptyInput, match="no data rows"):
+            reader(path)
+    assert caught == []
+
+
 # ----- pool events ------------------------------------------------------------------
 
 
@@ -217,6 +246,30 @@ def test_write_ledger_expands_per_tick(tmp_path, tick_series):
     # repr round trip: the written floats parse back exactly
     assert float(last[2]) == ledger.total_fees_usd
     assert float(last[3]) == ledger.total_lvr_usd
+
+
+def test_writers_match_a_per_row_reference(tmp_path):
+    # long enough to span the writers' blocks of rows
+    ts = np.arange(10_007) * 1_000_003 - 5
+    values = np.resize([0.1, 1e-05, 1e16, 5e-324, 1.7976931348623157e308], ts.size)
+    spread = np.roll(values, 2)  # no row has ask == bid
+
+    def per_row(header, *cols):
+        rows = (",".join([str(int(t))] + [_fmt(v) for v in row]) + "\n" for t, *row in zip(*cols))
+        return (",".join(header) + "\n" + "".join(rows)).encode()
+
+    path = tmp_path / "t.csv"
+    write_ticks(path, TickSeries(ts, values, spread))
+    assert path.read_bytes() == per_row(["timestamp", "bid", "ask"], ts, values, spread)
+    ledger = SimLedger(
+        curve=Cpmm(1.0), fee_rate=0.0005, lvr_mode="trade_side", timestamps=ts, mids=values,
+        initial_spot=1.0, fills=[], event_ts=ts, event_spot=values, event_cum_fees_x=values,
+        event_cum_fees_y=values, event_cum_fees_usd=spread, event_cum_lvr_usd=np.roll(values, 4),
+    )
+    write_ledger(path, ledger)
+    assert path.read_bytes() == per_row(
+        ["timestamp", "spot", "cum_fees_usd", "cum_lvr_usd"], ts, values, spread, np.roll(values, 4)
+    )
 
 
 def test_windows_round_trip_preserves_nan(tmp_path):
