@@ -15,9 +15,13 @@ so the CLI exits 2 on them.
 Tick and pool-event files are parsed in one vectorized pass,
 ``_load_columns`` (one ``np.loadtxt`` call), whose columns meet the same
 ``fault`` rules.  It takes only files that it reads exactly as the row loop
-would; any other file, and any file that breaks a rule, is read again by
-the row loop, which reports the error.  The tick and ledger writers format
-blocks of rows from whole columns.
+would: the first line is exactly the header, the data rows hold only the
+bytes of ``_NUMBER_BYTES``, no line is longer than csv's field-size limit,
+and loadtxt neither raises nor warns (numpy 1.23 to 1.26 read ``1.5`` into
+an int64 column as 1, with a DeprecationWarning; every numpy warns on a
+file without data rows).  Any other file, and any file that breaks a rule,
+is read again by the row loop, which reports the error.  The tick and
+ledger writers format blocks of rows from whole columns.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -126,25 +131,21 @@ _NUMBER_BYTES = b"0123456789+-.eE, \t\r\n"
 
 def _load_columns(path, header, series_type):
     """``series_type`` from one ``np.loadtxt`` pass over the data rows, with
-    C-contiguous columns, or None where that pass might read the file
-    otherwise than ``_read_rows``: a first line other than exactly
-    ``header``, a byte outside ``_NUMBER_BYTES``, no data row, a line over
-    csv's field-size limit or a row that loadtxt refuses.  The rules are
-    not checked here."""
+    C-contiguous columns, or None where the row loop must read the file."""
     with open(path, "rb") as fh:
         head, body = fh.readline(), fh.read()
-    no_rows = not body or body.isspace()  # loadtxt would warn
-    if head.rstrip(b"\r\n") != ",".join(header).encode() or no_rows or body.translate(None, _NUMBER_BYTES):
+    if head.rstrip(b"\r\n") != ",".join(header).encode() or body.translate(None, _NUMBER_BYTES):
         return None
     # csv refuses a field over its size limit, and no field outgrows its line
     ends = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n"))
     if np.diff(ends, prepend=-1, append=len(body)).max() - 1 > csv.field_size_limit():
         return None
     dtype = np.dtype([(header[0], np.int64)] + [(name, float) for name in header[1:]])
-    with io.TextIOWrapper(io.BytesIO(body), encoding="ascii", newline="\n") as lines:
-        try:  # a lone \r, a field count other than the header's or a bad number raise
+    with io.TextIOWrapper(io.BytesIO(body), encoding="ascii", newline="\n") as lines, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:  # a lone \r, a field count other than the header's, a bad number or a warning raise
             rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
+        except (ValueError, Warning):
             return None
     return series_type(*(np.ascontiguousarray(rows[name]) for name in header))
 

@@ -178,6 +178,30 @@ def test_rows_loadtxt_parses_are_refused_as_the_row_loop_refuses_them(tmp_path, 
     assert err.value.line == 2
 
 
+def _loadtxt_through_a_float(real):
+    # numpy 1.23 to 1.26: an int64 field that is not an integer is read
+    # through a float, with a DeprecationWarning, instead of raising
+    def loadtxt(lines, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return real(lines, dtype=[(name, float) for name in dtype.names], **kwargs).astype(dtype)
+
+    return loadtxt
+
+
+@pytest.mark.parametrize("numpy_1_2x", [False, True], ids=["installed_numpy", "numpy_1_2x"])
+@pytest.mark.parametrize("stamp", ["1.5", "1e3", str(2**63)])
+def test_timestamps_that_are_not_int64_are_refused_on_any_numpy(tmp_path, monkeypatch, numpy_1_2x, stamp):
+    if numpy_1_2x:
+        monkeypatch.setattr(np, "loadtxt", _loadtxt_through_a_float(np.loadtxt))
+    path = tmp_path / "t.csv"
+    path.write_text(f"timestamp,bid,ask\n{stamp},1.0,1.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # as a user's default filters would hide it
+        with pytest.raises(ParseError) as err:
+            read_ticks(path)
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("reader, header", [(read_ticks, "timestamp,bid,ask"),
                                             (read_pool_events, "timestamp,price,fee_x,fee_y")])
 @pytest.mark.parametrize("rest", ["", "\n\r\n"])
