@@ -47,6 +47,7 @@ from .fees import (
 from .simulation import (
     Fill,
     FillSide,
+    FillTable,
     PoolEventSeries,
     PoolSimState,
     QuoteTick,

@@ -20,8 +20,12 @@ bytes of ``_NUMBER_BYTES``, no line is longer than csv's field-size limit,
 and loadtxt neither raises nor warns (numpy 1.23 to 1.26 read ``1.5`` into
 an int64 column as 1, with a DeprecationWarning; every numpy warns on a
 file without data rows).  Any other file, and any file that breaks a rule,
-is read again by the row loop, which reports the error.  The tick and
-ledger writers format blocks of rows from whole columns.
+is read again by the row loop, which reports the error.  Window rows must
+start after the row above them starts.
+
+The tick and ledger writers format blocks of rows a column at a time, one
+``repr`` per distinct column: a column bit-equal to an earlier one in the
+block (ask = bid at spread 0) reuses that column's text.
 """
 
 from __future__ import annotations
@@ -59,13 +63,21 @@ _WRITE_BLOCK = 4096
 
 def _write_columns(path, header, timestamps, *columns) -> None:
     """``header``, then one row per timestamp: the integer, then each float
-    column as ``_fmt`` writes it, a block of rows formatted at once."""
-    row = ",".join(["{}"] + ["{!r}"] * len(columns)) + "\n"
-    cols = [np.asarray(timestamps, dtype=np.int64)] + [np.asarray(col, dtype=float) for col in columns]
+    column as ``_fmt`` writes it.  Columns are compared in bits, since 0.0
+    and -0.0 are equal values with different text."""
+    row = ",".join(["{}"] * (len(columns) + 1)) + "\n"
+    timestamps = np.asarray(timestamps, dtype=np.int64)
+    columns = [np.asarray(col, dtype=float) for col in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(cols[0]), _WRITE_BLOCK):
-            fh.writelines(map(row.format, *(col[start:start + _WRITE_BLOCK].tolist() for col in cols)))
+        for start in range(0, timestamps.size, _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            bits, texts = [], []
+            for col in columns:
+                bits.append(col[block].view(np.int64))
+                same = next((k for k, prior in enumerate(bits[:-1]) if np.array_equal(prior, bits[-1])), None)
+                texts.append(list(map(repr, col[block].tolist())) if same is None else texts[same])
+            fh.write("".join(map(row.format, timestamps[block].tolist(), *texts)))
 
 
 def _dec_str(value) -> str:
@@ -224,9 +236,18 @@ def write_windows(path: str, stats: list[WindowStat]) -> None:
 
 
 def read_windows(path: str) -> list[WindowStat]:
-    stats, error = _read_rows(
-        path, _WINDOW_HEADER, lambda r: (WindowStat(int(r[0]), int(r[1]), *map(float, r[2:])),)
-    )
+    """Window rows; each must start after the row above it starts."""
+    previous = None  # the start of the row above
+
+    def parse(row):
+        nonlocal previous
+        stat = WindowStat(int(row[0]), int(row[1]), *map(float, row[2:]))
+        if previous is not None and not stat.window_start > previous:
+            raise InvalidParams(f"window start {stat.window_start} is not after the start {previous} above it")
+        previous = stat.window_start
+        return (stat,)
+
+    stats, error = _read_rows(path, _WINDOW_HEADER, parse)
     if error is not None:
         raise error
     return stats

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -180,6 +180,57 @@ class Fill:
     delta_y: float
     fee_paid: float
     execution_price: float
+
+
+@dataclass(frozen=True, eq=False)
+class FillTable(Sequence):
+    """The fills of a replay as columns, one row per fill in time order.
+    A ``Sequence[Fill]``: an item is a ``Fill`` built when it is read, a
+    slice is a ``FillTable``, and a table equals any sequence of equal
+    fills (``ledger.fills == []`` when nothing filled).  ``sells_x`` is True
+    where the side is ``FillSide.POOL_SELLS_X``."""
+
+    timestamp: np.ndarray = ()
+    sells_x: np.ndarray = ()
+    delta_x: np.ndarray = ()
+    delta_y: np.ndarray = ()
+    fee_paid: np.ndarray = ()
+    execution_price: np.ndarray = ()
+
+    def __post_init__(self):
+        for column, dtype in zip(fields(self), (np.int64, bool, float, float, float, float)):
+            object.__setattr__(self, column.name, np.asarray(getattr(self, column.name), dtype=dtype))
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, column.name) for column in fields(self))
+
+    @classmethod
+    def from_fills(cls, fills: Iterable[Fill]) -> "FillTable":
+        rows = [(f.timestamp, f.side is FillSide.POOL_SELLS_X, f.delta_x, f.delta_y, f.fee_paid,
+                 f.execution_price) for f in fills]
+        return cls(*zip(*rows)) if rows else cls()
+
+    def __len__(self) -> int:
+        return int(self.timestamp.size)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return FillTable(*(col[index] for col in self.columns))
+        return _fill(*(col[index].item() for col in self.columns))
+
+    def __iter__(self):
+        return map(_fill, *(col.tolist() for col in self.columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _fill(timestamp, sells_x, delta_x, delta_y, fee_paid, execution_price) -> Fill:
+    side = FillSide.POOL_SELLS_X if sells_x else FillSide.POOL_BUYS_X
+    return Fill(timestamp, side, delta_x, delta_y, fee_paid, execution_price)
 
 
 @dataclass(frozen=True)
@@ -387,7 +438,7 @@ class SimLedger:
     timestamps: np.ndarray
     mids: np.ndarray
     initial_spot: float
-    fills: list[Fill] = field(repr=False)
+    fills: FillTable = field(repr=False)
     event_ts: np.ndarray = field(repr=False)
     event_spot: np.ndarray = field(repr=False)
     event_cum_fees_x: np.ndarray = field(repr=False)
@@ -554,13 +605,12 @@ def run_simulation(
             keep[e] = False
             crossed_fills += outcome[0]
 
-    columns = (col[keep].tolist() for col in (ts[ev], up, dx, dy, fee, exec_price))
-    fills = [
-        Fill(t, FillSide.POOL_SELLS_X if u else FillSide.POOL_BUYS_X, a, b, f, p)
-        for t, u, a, b, f, p in zip(*columns)
-    ]
-    if crossed_fills:
-        fills = sorted(fills + crossed_fills, key=lambda fill: fill.timestamp)
+    fills = FillTable(*(col[keep] for col in (ts[ev], up, dx, dy, fee, exec_price)))
+    if crossed_fills:  # merged in time order, scan fills first on a tie
+        crossed_table = FillTable.from_fills(crossed_fills)
+        merged = [np.concatenate(pair) for pair in zip(fills.columns, crossed_table.columns)]
+        order = np.argsort(merged[0], kind="stable")
+        fills = FillTable(*(col[order] for col in merged))
     # arbitrage_step sums onto 0.0; adding 0.0 likewise turns -0.0 into 0.0
     cum_fx, cum_fy, cum_usd, cum_lvr = (np.cumsum(a) + 0.0 for a in (fee_x, fee_y, fee_usd, lvr))
 
@@ -659,7 +709,7 @@ def replay_pool_events(
         timestamps=events.timestamps,
         mids=prices,
         initial_spot=p0,
-        fills=[],
+        fills=FillTable(),
         event_ts=events.timestamps.copy(),
         event_spot=np.clip(prices, lo, hi),
         event_cum_fees_x=cum_fx,

@@ -6,9 +6,10 @@ through the floating leg kernel, for the quote requests, which round-trip
 sigma and rho through the solvers, and for the martingale Monte Carlo,
 whose checks bound each curve's |z| by 3 and require every pass to repeat
 the first pass's (mean, stderr).  One traced run of the StableSwap pipeline
-checks that the tracer still finds every curve method it wraps, and one of
-the martingale Monte Carlo that each step makes exactly one grid call on
-all paths.  Asserts correctness and counts only, nothing about timing.
+checks that the tracer still finds every curve method it wraps, one of the
+cpmm pipeline that it counts the replay's fills, and one of the martingale
+Monte Carlo that each step makes exactly one grid call on all paths.
+Asserts correctness and counts only, nothing about timing.
 """
 
 import json
@@ -43,6 +44,12 @@ def test_benchmark_smoke_run_is_correct(workload):
 
 def test_benchmark_traced_smoke_run_is_correct():
     smoke_run("pipeline_stableswap", "--trace", "1")
+
+
+def test_benchmark_traced_cpmm_pipeline_smoke_counts_fills():
+    # the tracer notes len(ledger.fills) of every replay
+    metrics = smoke_run("pipeline_cpmm", "--trace", "1")["metrics"]
+    assert metrics["simulation.fills"]["value"] > 0
 
 
 def test_benchmark_traced_martingale_smoke_counts_grid_points():

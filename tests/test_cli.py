@@ -241,6 +241,16 @@ def test_analyze_rejects_window_that_does_not_start_before_it_ends(tmp_path, cap
     assert err["detail"].startswith("line 3")
 
 
+@pytest.mark.parametrize("row", ["10,20,2.0,2.0,0.5,0.5", "5,30,2.0,2.0,0.5,0.5"])
+def test_analyze_rejects_window_that_does_not_start_after_the_row_above(tmp_path, capsys, row):
+    path = tmp_path / "w.csv"
+    path.write_text(WINDOW_HEADER + "0,10,1.0,1.0,0.5,0.5\n10,20,1.0,1.0,0.5,0.5\n" + row + "\n")
+    code, err = error_of(capsys, "analyze", "--windows", str(path))
+    assert code == 2
+    assert err["error"] == "parse_error"
+    assert err["detail"].startswith("line 4")
+
+
 def test_analyze_fits_windows_of_any_finite_size(tmp_path, capsys):
     # the moments of fees near 1e200 overflow unless the series are scaled
     path = tmp_path / "w.csv"

@@ -5,7 +5,8 @@ edits: dropped or extra fields, junk and non-UTF-8 bytes, quoted fields,
 blank lines, lone carriage returns, NaN/inf/negative values, crossed
 quotes, swapped rows, duplicate order ids, timestamps beyond int64 and
 fields over csv's size limit.  Each reader must return or raise only
-ParseError, UnsortedInput or EmptyInput, with the class and line that
+ParseError (a window start that is not after the row above it is one),
+UnsortedInput or EmptyInput, with the class and line that
 ``reference`` gives, and the CLI must never exit 1 on the file.  Where the
 vectorized tick and pool-event pass takes a file, the row loop takes it too
 and reads the same bits.
@@ -65,8 +66,7 @@ def _parse_row(kind, row, seen):
             raise OverflowError
         return t, [float(x) for x in row[1:]]
     if kind == "windows":
-        WindowStat(int(row[0]), int(row[1]), *map(float, row[2:]))
-        return None, []
+        return WindowStat(int(row[0]), int(row[1]), *map(float, row[2:])).window_start, []
     order_id = row[0].strip()
     if not order_id or order_id in seen:
         raise InvalidParams(order_id)
@@ -118,7 +118,7 @@ def reference(path, kind, allow_crossed=False):
                     return cls, line
                 if t is not None:
                     if previous is not None and t <= previous:
-                        return UnsortedInput, line
+                        return (ParseError if kind == "windows" else UnsortedInput), line
                     previous = t
                 rows += 1
         except csv.Error:

@@ -296,6 +296,48 @@ def test_writers_match_a_per_row_reference(tmp_path):
     )
 
 
+def test_writers_share_text_only_between_bit_equal_columns(tmp_path):
+    # a column reuses the text of an earlier one only where the bits agree
+    ts = np.arange(9_001) * 7 - 3
+    values = np.resize([0.1, 1e-05, -2.5, 5e-324, 1.7976931348623157e308, 3.0], ts.size)
+    signed_zeros = np.resize([0.0, -0.0, 0.0], ts.size)
+    path = tmp_path / "f.csv"
+
+    def check(header, *cols):
+        text = path.read_text()
+        rows = (",".join([str(int(t))] + [_fmt(v) for v in row]) + "\n" for t, *row in zip(*cols))
+        assert text == ",".join(header) + "\n" + "".join(rows)
+        back = list(zip(*(line.split(",") for line in text.splitlines()[1:])))
+        assert [int(t) for t in back[0]] == cols[0].tolist()
+        for got, want in zip(back[1:], cols[1:]):
+            assert np.array([float(v) for v in got]).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    spread_zero = synthetic_gbm_ticks(GbmParams(0.5), 1.0, 0.0, 9_000, 1, seed=11)
+    assert spread_zero.asks.view(np.int64).tolist() == spread_zero.bids.view(np.int64).tolist()
+    write_ticks(path, spread_zero)
+    check(["timestamp", "bid", "ask"], spread_zero.timestamps, spread_zero.bids, spread_zero.asks)
+
+    # equal in value, not in bits
+    zeros = TickSeries(ts, np.abs(signed_zeros), signed_zeros)
+    assert np.array_equal(zeros.bids, zeros.asks)
+    write_ticks(path, zeros)
+    check(["timestamp", "bid", "ask"], ts, zeros.bids, zeros.asks)
+    assert "\n4,0.0,-0.0\n" in path.read_text()
+
+    # cum_fees_usd bit-equal to spot; cum_lvr_usd equal to it but for signed zeros
+    lvr = values.copy()
+    lvr[::4] = signed_zeros[::4]
+    spot = np.where(lvr == 0.0, 0.0, values)
+    ledger = SimLedger(
+        curve=Cpmm(1.0), fee_rate=0.0005, lvr_mode="trade_side", timestamps=ts, mids=values,
+        initial_spot=1.0, fills=[], event_ts=ts, event_spot=spot, event_cum_fees_x=values,
+        event_cum_fees_y=values, event_cum_fees_usd=spot.copy(), event_cum_lvr_usd=lvr,
+    )
+    write_ledger(path, ledger)
+    check(["timestamp", "spot", "cum_fees_usd", "cum_lvr_usd"], ts, spot, spot, lvr)
+    assert "-0.0" in path.read_text()
+
+
 def test_windows_round_trip_preserves_nan(tmp_path):
     stats = [
         WindowStat(0, 100, 1.25, 1.3, 0.52, 0.49),
@@ -323,6 +365,18 @@ def test_read_windows_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         read_windows(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("start", ["50", "49"])
+def test_read_windows_rejects_a_start_that_is_not_after_the_one_above(tmp_path, start):
+    path = tmp_path / "w.csv"
+    path.write_text(
+        "start,end,fees,lvr,hist_vol,fee_vol\n0,100,1.0,1.0,0.5,0.5\n\n50,150,1.0,1.0,0.5,0.5\n"
+        f"{start},250,1.0,1.0,0.5,0.5\n200,300,1.0,1.0,0.5,0.5\n"
+    )
+    with pytest.raises(ParseError, match="is not after the start 50") as err:
+        read_windows(path)
+    assert err.value.line == 5
 
 
 # ----- orders ----------------------------------------------------------------------------
