@@ -60,6 +60,14 @@ def _echo_json(payload: dict, out: str | None = None) -> None:
     click.echo(text)
 
 
+def _seconds(days: float, option: str) -> int:
+    """Whole seconds in a day count given on the command line."""
+    seconds = days * DAY_SECONDS
+    if not math.isfinite(seconds):
+        raise ParseError(f"{option} must be a finite number of days, got {days!r}")
+    return int(round(seconds))
+
+
 def _or_null(value: float) -> float | None:
     return None if math.isnan(value) else value
 
@@ -88,7 +96,7 @@ def cmd_gen_ticks(out, p0, sigma, sigma_y, rho, rate, spread, days, interval, se
     """Write a synthetic GBM tick stream."""
     params = GbmParams(sigma_x=sigma, sigma_y=sigma_y, rho=rho, r=rate)
     series = synthetic_gbm_ticks(
-        params, p0, spread, int(round(days * DAY_SECONDS)), interval, seed, start_ts
+        params, p0, spread, _seconds(days, "--days"), interval, seed, start_ts
     )
     write_ticks(out, series)
     _echo_json({"out": out, "ticks": len(series), "seed": seed})
@@ -120,6 +128,9 @@ def cmd_simulate(ticks_path, curve_src, fee_bps, ledger_out, windows_out, window
                  stride_days, investment, no_scale, lvr_mode, with_fee_vol, paths, seed,
                  allow_crossed):
     """Replay a tick stream against a pool and write ledger/window CSVs."""
+    if windows_out:
+        window_seconds = _seconds(window_days, "--window-days")
+        stride_seconds = _seconds(window_days / 4.0 if stride_days is None else stride_days, "--stride-days")
     series = read_ticks(ticks_path, allow_crossed=allow_crossed)
     curve = read_curve(curve_src)
     config = SimConfig(
@@ -137,9 +148,7 @@ def cmd_simulate(ticks_path, curve_src, fee_bps, ledger_out, windows_out, window
         write_ledger(ledger_out, ledger)
         summary["ledger_out"] = ledger_out
     if windows_out:
-        window_seconds = int(round(window_days * DAY_SECONDS))
-        stride = window_days / 4.0 if stride_days is None else stride_days
-        stats = rolling_windows(ledger, window_seconds, int(round(stride * DAY_SECONDS)))
+        stats = rolling_windows(ledger, window_seconds, stride_seconds)
         if with_fee_vol:
             stats = attach_fee_vols(ledger, stats)
         write_windows(windows_out, stats)

@@ -42,8 +42,10 @@ is nondecreasing and concave.  Three curve families are provided:
 Each curve prices the fee-swap floating leg ``C(q0) - E[C(Q)]`` for a
 driftless lognormal ``Q`` as a strip of out-of-the-money Black-Scholes
 options weighted by ``-dx``, since ``C'' = x'`` (Carr & Madan 1998).
-StableSwap integrates its strip along the explicit map ``q(u)``, and one
-solve on three prices places the spot node and the ends of the strip.
+``Cpmm`` has it in closed form.  The other curves share one quadrature:
+Gauss-Legendre panels in ``z = sign(t) * log1p(|t| / tau)``, ``t = log(k/c)``,
+linear across a flat center and logarithmic beyond it, weighted by the
+curve's ``xprime_grid``; StableSwap's ``tau`` and ``c`` are its seed table's.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Callable, ClassVar, NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -63,9 +65,10 @@ from .errors import DegenerateCurve, DomainError, InvalidParams, NoConvergence, 
 HOLDINGS_FLOOR = 1e-12
 
 # Floating-leg strips reach this many standard deviations into both tails
-# with this many Simpson intervals (a multiple of 4).
+# with this many nodes, in Gauss-Legendre panels of _GL_ORDER nodes.
 _STRIP_WIDTH = 8.0
-_STRIP_INTERVALS = 2048
+_STRIP_INTERVALS = 576
+_GL_ORDER = 24
 
 # The StableSwap price->holdings solve freezes an element once a step moves
 # log u by at most _SOLVE_XTOL or its log-price residual is within
@@ -146,35 +149,21 @@ def _ndtr(v: np.ndarray) -> np.ndarray:
     return np.where(v < 0.0, tail, 1.0 - tail)
 
 
-_StripNodes = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-def _otm_strip(
-    q0: float, s: float, a: float, t0: float, b: float, nodes: _StripNodes
-) -> tuple[float, float]:
-    """(value, vega) of a strip of out-of-the-money options on forward q0.
-
-    Black-Scholes puts below the spot and calls above, total volatility s,
-    weighted by -dx and integrated by composite Simpson over [a, b] in the
-    curve's own variable t, with the spot's t0 as a node when inside since
-    the strip has a kink there.  ``nodes(t)`` gives (log strike, -dx/dt).
-    """
-    if a >= b:
-        return 0.0, 0.0
-    parts = [(a, t0), (t0, b)] if a < t0 < b else [(a, b)]
-    n = _STRIP_INTERVALS // len(parts)
-    simpson = np.full(n + 1, 2.0)
-    simpson[1::2] = 4.0
-    simpson[0] = simpson[-1] = 1.0
-    t = np.concatenate([np.linspace(lo, hi, n + 1) for lo, hi in parts])
-    log_k, density = nodes(t)
-    mass = density * np.concatenate([simpson * ((hi - lo) / (3.0 * n)) for lo, hi in parts])
-    lm = log_k - math.log(q0)
-    d1 = 0.5 * s - lm / s
-    side = np.where(lm >= 0.0, 1.0, -1.0)
-    otm = side * q0 * (_ndtr(side * d1) - np.exp(lm) * _ndtr(side * (d1 - s)))
-    vega = q0 * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
-    return float(otm @ mass), float(vega @ mass)
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the _GL_ORDER-node Gauss-Legendre rule
+    on [-1, 1]: Newton on the Legendre recurrence (Numerical Recipes 4.6)."""
+    n = _GL_ORDER
+    x = -np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p, p_prev = x, np.ones(n)
+        for j in range(2, n + 1):
+            p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
 
 
 def _strip_reach(s: float) -> float:
@@ -266,14 +255,45 @@ class AmmCurve(ABC):
         tracer looks this name up (ROADMAP item 2)."""
         return self.pool_value_grid(qs), None
 
-    @abstractmethod
     def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
         """(C(q0) - E[C(Q)], its derivative in s) with C the pool value.
 
         Q = q0 * exp(-s**2/2 + s*Z) for standard normal Z and total
         volatility s = sigma*sqrt(T) > 0.  ``exact_floating_leg`` marks
         curves that evaluate it in closed form rather than by quadrature.
+
+        Otherwise a strip of Black-Scholes puts below q0 and calls above,
+        weighted by -dx = -x'(k) k (d log k/dz) dz in ``_strip_axis``'s z, cut
+        at the spot and z = 0 (kinks) and clipped to ``trade_bounds``.
         """
+        tau, log_c = self._strip_axis()
+        lq0 = math.log(q0)
+        with np.errstate(divide="ignore"):  # a zero or infinite bound
+            lo, hi = np.log(self.trade_bounds)
+        a, b = max(lq0 - _strip_reach(s), lo), min(lq0 + _strip_reach(s), hi)
+        if a >= b:
+            return 0.0, 0.0
+        za, z0, zb = (math.copysign(math.log1p(abs(t - log_c) / tau), t - log_c) for t in (a, lq0, b))
+        cuts = [za, *sorted({c for c in (z0, 0.0) if za < c < zb}), zb]
+        n = max(1, _STRIP_INTERVALS // (_GL_ORDER * (len(cuts) - 1)))  # panels per part
+        edges = np.append(np.linspace(cuts[:-1], cuts[1:], n, endpoint=False, axis=1), zb)
+        half = 0.5 * np.diff(edges)[:, None]
+        x, w = _gauss_legendre()
+        z = (edges[:-1, None] + half * (1.0 + x)).ravel()
+        t = tau * np.expm1(np.abs(z))
+        log_k = np.copysign(t, z) + log_c
+        k = np.exp(log_k)
+        mass = -self.xprime_grid(k) * k * (t + tau) * (half * w).ravel()
+        lm = log_k - lq0
+        d1 = 0.5 * s - lm / s
+        side = np.where(lm >= 0.0, 1.0, -1.0)
+        otm = side * q0 * (_ndtr(side * d1) - np.exp(lm) * _ndtr(side * (d1 - s)))
+        vega = q0 * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+        return float(otm @ mass), float(vega @ mass)
+
+    def _strip_axis(self) -> tuple[float, float]:
+        """(tau, log c) of the strip variable z; see ``floating_leg``."""
+        return 1.0, 0.0
 
     @abstractmethod
     def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
@@ -401,15 +421,6 @@ class ConcentratedCpmm(AmmCurve):
         inside = (qs > self.p_lo) & (qs < self.p_hi)
         qsafe = np.where(inside, qs, 1.0)
         return np.where(inside, -0.5 * self.liquidity_tokens / (qsafe * np.sqrt(qsafe)), 0.0)
-
-    def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
-        # -dx = L/2 * k**-1.5 dk on the range, i.e. L/2 * k**-0.5 per unit log k
-        reach = _strip_reach(s)
-        lq0 = math.log(q0)
-        return _otm_strip(
-            q0, s, max(math.log(self.p_lo), lq0 - reach), lq0, min(math.log(self.p_hi), lq0 + reach),
-            lambda t: (t, 0.5 * self.liquidity_tokens * np.exp(-0.5 * t)),
-        )
 
     def scaled_to_value(self, target_value: float, q: float) -> "ConcentratedCpmm":
         q = _check_price(q)
@@ -700,20 +711,9 @@ class StableSwap(AmmCurve):
         u /= self.price_center
         return u.reshape(qs.shape), np.where(mirror, small, big).reshape(qs.shape)
 
-    def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
-        # x = u/c, so -dx = (u/c) d(log u) along the explicit q(u): the strip's
-        # nodes need no price->holdings solve.  One solve places the spot node
-        # and the bracket, clipped to the domain, beyond which x is frozen and
-        # -dx = 0; the clip is in log q, so no price overflows.
-        reach = _strip_reach(s)
-        lo, hi = np.log(self.q_bounds) - math.log(q0)
-        x, _ = self.holdings_grid(q0 * np.exp(np.clip([reach, 0.0, -reach], lo, hi)))
-        a, t0, b = np.log(self.price_center * x)
-        return _otm_strip(q0, s, a, t0, b, self._strip_nodes)
-
-    def _strip_nodes(self, log_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u, _, log_qc, _, _ = self._grid_eval(log_u)
-        return log_qc + math.log(self.price_center), u / self.price_center
+    def _strip_axis(self) -> tuple[float, float]:
+        seed = _seed_table(self.amplification, min(self.price_center, 1.0))
+        return seed.tau, math.log(self.price_center)
 
     def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)

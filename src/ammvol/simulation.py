@@ -109,7 +109,7 @@ class QuoteTick:
         return 0.5 * (self.bid + self.ask)
 
 
-@dataclass
+@dataclass(eq=False)
 class TickSeries:
     """Column-oriented tick storage: int64 timestamps, float bids/asks."""
 
@@ -422,7 +422,7 @@ def arbitrage_step(
 # ----- full-series replay -----------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class SimLedger:
     """Immutable record of one replay.
 
@@ -634,7 +634,7 @@ def run_simulation(
 # ----- on-chain pool event replay ---------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class PoolEventSeries:
     """Pre-extracted per-block pool data: spot price and fee accruals."""
 
@@ -876,10 +876,11 @@ def synthetic_gbm_ticks(
 
     The mid is a single GBM with drift params.r and the effective pair
     volatility sigma_bar; bid = mid*(1 - spread/2), ask = mid*(1 + spread/2).
-    Deterministic per seed (counter-based generator).
+    Deterministic per seed (counter-based generator).  A path that
+    overflows a double raises InvalidParams, as any invalid series does.
     """
-    if not p0 > 0.0:
-        raise InvalidParams("p0 must be positive")
+    if not (math.isfinite(p0) and p0 > 0.0):
+        raise InvalidParams(f"p0 must be a positive finite number, got {p0!r}")
     if not 0.0 <= spread < 1.0:
         raise InvalidParams("spread must lie in [0, 1)")
     duration_seconds = int(duration_seconds)
@@ -895,6 +896,8 @@ def synthetic_gbm_ticks(
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.standard_normal(n - 1)
     steps = (params.r - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * z
-    log_mid = math.log(p0) + np.concatenate([[0.0], np.cumsum(steps)])
-    mids = np.exp(log_mid)
-    return TickSeries(timestamps, mids * (1.0 - 0.5 * spread), mids * (1.0 + 0.5 * spread))
+    with np.errstate(over="ignore"):  # validate() names the first overflowed row
+        log_mid = math.log(p0) + np.concatenate([[0.0], np.cumsum(steps)])
+        mids = np.exp(log_mid)
+        series = TickSeries(timestamps, mids * (1.0 - 0.5 * spread), mids * (1.0 + 0.5 * spread))
+    return series.validate()

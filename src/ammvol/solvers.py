@@ -96,8 +96,13 @@ class McConfig:
     antithetic: bool = True
 
     def __post_init__(self):
-        if int(self.n_paths) != self.n_paths or self.n_paths < 2:
+        try:  # NaN and inf have no int(), a string no isfinite()
+            n_paths = int(self.n_paths) if math.isfinite(self.n_paths) else None
+        except TypeError:
+            n_paths = None
+        if n_paths is None or n_paths != self.n_paths or n_paths < 2:
             raise InvalidParams(f"n_paths must be an integer >= 2, got {self.n_paths!r}")
+        object.__setattr__(self, "n_paths", n_paths)  # so 1000.0 draws 1000 paths
         _check_seed(self.seed)
 
 

@@ -6,6 +6,7 @@ error objects can be asserted directly.
 
 import json
 import math
+import os
 import warnings
 
 import pytest
@@ -409,6 +410,33 @@ def test_negative_seed_is_invalid_input(tmp_path, monkeypatch, capsys, args):
     assert err["error"] == "invalid_input"
     assert "seed" in err["detail"]
     assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen-ticks", "--days", "nan"],
+        ["gen-ticks", "--days", "inf"],
+        ["gen-ticks", "--p0", "inf"],
+        # a path that overflows a double on its way
+        ["gen-ticks", "--p0", "1e308", "--sigma", "0", "--rate", "1000", "--days", "1", "--interval", "3600"],
+        ["simulate", "--window-days", "nan"],
+        ["simulate", "--window-days", "0.01", "--stride-days", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_numbers_are_invalid_input_and_write_nothing(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("timestamp,bid,ask\n0,1.0,1.0\n1,1.0,1.1\n")
+    command, *rest = args
+    if command == "gen-ticks":
+        paths = ["--out", "out.csv"]
+    else:
+        paths = ["--ticks", "t.csv", "--curve", CPMM_CURVE, "--ledger-out", "out.csv", "--windows-out", "w.csv"]
+    code, err = error_of(capsys, command, *paths, *rest)
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert os.listdir(tmp_path) == ["t.csv"]
 
 
 # ----- auction ----------------------------------------------------------------------

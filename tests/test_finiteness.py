@@ -102,6 +102,13 @@ def test_rates_and_vol_estimates_reject_non_finite_inputs(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_monte_carlo_path_counts_must_be_finite(bad):
+    with pytest.raises(InvalidParams, match="n_paths"):
+        McConfig(n_paths=bad)
+    assert McConfig(n_paths=1000.0).n_paths == 1000
+
+
 @pytest.mark.parametrize("seed", [-1, 2.0, "3"], ids=repr)
 def test_monte_carlo_seeds_must_be_nonnegative_integers(seed):
     with pytest.raises(InvalidParams, match="seed"):

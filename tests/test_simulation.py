@@ -364,6 +364,17 @@ def test_pool_event_series_validation():
         PoolEventSeries(np.array([0, 1]), np.ones(2), np.zeros(1), np.zeros(2))
 
 
+def test_replay_records_compare_by_identity():
+    # their array columns have no single truth value, so == is identity
+    series = synthetic_gbm_ticks(GbmParams(0.5), 1.0, 0.0, 600, 1, seed=3)
+    first, second = (run_simulation(CPMM, series, 5e-4, NO_SCALE) for _ in range(2))
+    events = PoolEventSeries(np.arange(2), np.ones(2), np.zeros(2), np.zeros(2))
+    assert first == first and series == series and events == events
+    assert first != second
+    assert series != synthetic_gbm_ticks(GbmParams(0.5), 1.0, 0.0, 600, 1, seed=3)
+    assert events != PoolEventSeries(np.arange(2), np.ones(2), np.zeros(2), np.zeros(2))
+
+
 # ----- windows, volatility, fits ----------------------------------------------------
 
 

@@ -6,11 +6,15 @@ weighted by its liquidity.  The raw Monte Carlo estimator
 constant-product closed form checks a range position wide enough to cover
 the whole kernel, central differences check the analytic vega, and
 scipy's ndtr checks the kernel's own normal CDF.  A StableSwap strip off
-the center matches the same strip at 128 times the intervals, which holds
-only when its spot node sits on the spot.
+the center matches the same strip at 455 times the nodes, which holds
+only when the spot is a cut and the nodes do not crowd the flat center.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +31,11 @@ from ammvol import (
     mc_floating_leg,
 )
 import ammvol.curves
-from ammvol.curves import _ndtr
+from ammvol.curves import _gauss_legendre, _ndtr
 
-TOTAL_VOLS = (0.005, 0.05, 0.5, 2.0)
+ROOT = Path(__file__).resolve().parents[1]
+
+TOTAL_VOLS = (0.005, 0.02, 0.05, 0.5, 2.0)
 RANGE = ConcentratedCpmm(1.0, 0.5, 2.0)
 STABLE = StableSwap(100.0, 2.0, 1.0)
 STABLE_SCALED = STABLE.scaled_to_value(100.0, 1.0)
@@ -38,18 +44,25 @@ MC = McConfig(n_paths=1 << 16, seed=11)
 # 0.4 and 2.2 sit outside the range; 0.99 is the edge of the StableSwap
 # liquidity peak and 1.3 lies in its thin wing.  Above the range the pool
 # value is flat, so draws that never cross into the range are identical and
-# the sample stderr cannot see rarer crossings: 2.2 keeps them frequent.
+# the sample stderr cannot see rarer crossings: 2.2 keeps them frequent at
+# every total vol but 0.02, where a draw crosses with probability 1e-6, so
+# that one pair is not sampled.  At 0.02 a StableSwap strip from 0.9 reaches
+# across the flat center, where most of the liquidity sits at A >= 1e4.
 CASES = (
     [(RANGE, q0) for q0 in (0.4, 1.0, 1.9, 2.2)]
     + [(curve, q0) for curve in (STABLE, STABLE_SCALED) for q0 in (1.0, 0.99, 1.3)]
     + [(StableSwap(50.0, 3.0, 1.5), 1.5)]
+    + [(StableSwap(amplification, 2.0, 1.0), 0.9) for amplification in (1e4, 1e5)]
 )
 
 
 def _id(case):
     curve, q0 = case
-    size = f"-D{curve.invariant_scale:g}" if isinstance(curve, StableSwap) else ""
-    return f"{curve.kind}{size}-q{q0}"
+    if not isinstance(curve, StableSwap):
+        return f"{curve.kind}-q{q0}"
+    # only the strongly amplified pools name their A
+    amplification = f"-A{curve.amplification:g}" if curve.amplification >= 1e3 else ""
+    return f"{curve.kind}{amplification}-D{curve.invariant_scale:g}-q{q0}"
 
 
 @pytest.mark.parametrize("case", CASES, ids=[_id(c) for c in CASES])
@@ -57,6 +70,8 @@ def test_strip_matches_raw_monte_carlo(case):
     curve, q0 = case
     c0 = float(curve.pool_value_grid(np.array([q0]))[0])
     for s in TOTAL_VOLS:
+        if (curve, q0, s) == (RANGE, 2.2, 0.02):
+            continue
         leg, _ = curve.floating_leg(q0, s)
         mean, stderr = mc_expected_pool_value(curve, q0, s, 1.0, MC)
         z = (leg - (c0 - mean)) / stderr if stderr > 0.0 else 0.0
@@ -74,17 +89,23 @@ def test_wide_range_matches_cpmm_closed_form():
             assert vega == pytest.approx(want_vega, rel=1e-5)
 
 
-@pytest.mark.parametrize("pool", [(100.0, 2.0, 1.0), (1000.0, 3.0, 1.5), (0.5, 1.0, 1.0)], ids=str)
+@pytest.mark.parametrize(
+    "pool",
+    [(100.0, 2.0, 1.0), (1000.0, 3.0, 1.5), (0.5, 1.0, 1.0), (1e4, 2.0, 1.0), (1e5, 2.0, 1.0)],
+    ids=str,
+)
 def test_stableswap_strip_converges_off_the_center(pool, monkeypatch):
     # at s = 0.005 the kink at the spot dominates the quadrature error unless
-    # it falls on a node; the reference strip has 2**18 intervals
+    # it falls on a cut; at s = 0.02 the strip spans the flat center, where
+    # the nodes must not crowd; the reference strip has 2**18 nodes
     curve = StableSwap(*pool)
-    for q0 in (0.9 * curve.price_center, 1.3 * curve.price_center):
-        leg, _ = curve.floating_leg(q0, 0.005)
-        with monkeypatch.context() as patch:
-            patch.setattr(ammvol.curves, "_STRIP_INTERVALS", 2**18)
-            fine, _ = curve.floating_leg(q0, 0.005)
-        assert leg == pytest.approx(fine, rel=1e-9), q0
+    for s in (0.005, 0.02):
+        for q0 in (0.9 * curve.price_center, 1.3 * curve.price_center):
+            leg, _ = curve.floating_leg(q0, s)
+            with monkeypatch.context() as patch:
+                patch.setattr(ammvol.curves, "_STRIP_INTERVALS", 2**18)
+                fine, _ = curve.floating_leg(q0, s)
+            assert leg == pytest.approx(fine, rel=1e-9), (q0, s)
 
 
 @pytest.mark.parametrize("curve", [Cpmm(1.0), RANGE, STABLE], ids=lambda c: c.kind)
@@ -117,6 +138,29 @@ def test_mc_floating_leg_is_the_sampled_oracle():
         0.0,
     )
     assert math.isfinite(value)
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    x, w = _gauss_legendre()
+    want_x, want_w = np.polynomial.legendre.leggauss(ammvol.curves._GL_ORDER)
+    np.testing.assert_allclose(x, want_x, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(w, want_w, rtol=0.0, atol=1e-14)
+
+
+def test_strips_import_no_module():
+    # a lazily imported numpy submodule would raise the peak RSS of every
+    # process that prices a strip
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, ammvol; before = set(sys.modules); "
+        "ammvol.StableSwap(100.0, 2.0, 1.0).floating_leg(0.9, 0.02); "
+        "ammvol.ConcentratedCpmm(1.0, 0.5, 2.0).floating_leg(0.9, 0.02); "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_normal_cdf_matches_scipy():
