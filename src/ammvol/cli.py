@@ -69,7 +69,7 @@ def _seconds(days: float, option: str) -> int:
 
 
 def _or_null(value: float) -> float | None:
-    return None if math.isnan(value) else value
+    return value if math.isfinite(value) else None
 
 
 @click.group()
@@ -281,7 +281,7 @@ def cmd_solve_vol(request_src):
     _echo_json(
         {
             "sigma": solution.sigma,
-            "stderr": solution.stderr,
+            "stderr": _or_null(solution.stderr),
             "iterations": solution.iterations,
             "request": request,
         }
@@ -307,7 +307,7 @@ def cmd_solve_corr(request_src):
         {
             "rho": solution.rho,
             "sigmaBar": solution.sigma_bar,
-            "stderr": solution.stderr,
+            "stderr": _or_null(solution.stderr),
             "iterations": solution.iterations,
             "request": request,
         }

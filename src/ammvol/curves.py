@@ -58,7 +58,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCurve, DomainError, InvalidParams, NoConvergence, RangeError
+from .errors import DegenerateCurve, DomainError, InvalidParams, NoConvergence, RangeError, check_positive
 
 # Holdings smaller than this fraction of the pool scale count as exhausted;
 # they bound the StableSwap price domain.
@@ -103,13 +103,6 @@ class Holdings(NamedTuple):
 
     x_qty: float
     y_qty: float
-
-
-def _check_price(q: float) -> float:
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise DomainError(f"price must be a positive finite number, got {q!r}")
-    return q
 
 
 # The standard normal CDF is Phi(-z) = phi(z) * R(z) for z >= 0, where the
@@ -171,13 +164,6 @@ def _strip_reach(s: float) -> float:
     return _STRIP_WIDTH * s + 0.5 * s * s
 
 
-def _check_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise InvalidParams(f"{name} must be a positive finite number, got {value!r}")
-    return value
-
-
 class AmmCurve(ABC):
     """A two-asset AMM described by portfolio-update functions x(q), y(q).
 
@@ -208,7 +194,7 @@ class AmmCurve(ABC):
         return lo < q < hi
 
     def _require_in_domain(self, q: float) -> float:
-        q = _check_price(q)
+        q = check_positive(q, "price", DomainError)
         q_lo, q_hi = self.q_bounds
         if not (q_lo <= q <= q_hi):
             raise DomainError(f"price {q!r} outside {self.kind} domain [{q_lo:.6g}, {q_hi:.6g}]")
@@ -323,7 +309,7 @@ class Cpmm(AmmCurve):
 
     def __post_init__(self):
         object.__setattr__(
-            self, "liquidity_tokens", _check_positive(self.liquidity_tokens, "liquidity_tokens")
+            self, "liquidity_tokens", check_positive(self.liquidity_tokens, "liquidity_tokens")
         )
 
     @property
@@ -358,8 +344,8 @@ class Cpmm(AmmCurve):
         return -c0 * math.expm1(-s * s / 8.0), 0.25 * c0 * s * math.exp(-s * s / 8.0)
 
     def scaled_to_value(self, target_value: float, q: float) -> "Cpmm":
-        q = _check_price(q)
-        target_value = _check_positive(target_value, "target_value")
+        q = check_positive(q, "price", DomainError)
+        target_value = check_positive(target_value, "target_value")
         return Cpmm(target_value / (2.0 * math.sqrt(q)))
 
     def to_dict(self) -> dict:
@@ -384,12 +370,12 @@ class ConcentratedCpmm(AmmCurve):
 
     def __post_init__(self):
         object.__setattr__(
-            self, "liquidity_tokens", _check_positive(self.liquidity_tokens, "liquidity_tokens")
+            self, "liquidity_tokens", check_positive(self.liquidity_tokens, "liquidity_tokens")
         )
-        p_lo = float(self.p_lo)
-        p_hi = float(self.p_hi)
-        if not (math.isfinite(p_lo) and math.isfinite(p_hi) and 0.0 < p_lo < p_hi):
-            raise RangeError(f"need 0 < p_lo < p_hi, got [{p_lo!r}, {p_hi!r}]")
+        p_lo = check_positive(self.p_lo, "p_lo", RangeError)
+        p_hi = check_positive(self.p_hi, "p_hi", RangeError)
+        if not p_lo < p_hi:
+            raise RangeError(f"need p_lo < p_hi, got [{p_lo!r}, {p_hi!r}]")
         object.__setattr__(self, "p_lo", p_lo)
         object.__setattr__(self, "p_hi", p_hi)
 
@@ -423,8 +409,8 @@ class ConcentratedCpmm(AmmCurve):
         return np.where(inside, -0.5 * self.liquidity_tokens / (qsafe * np.sqrt(qsafe)), 0.0)
 
     def scaled_to_value(self, target_value: float, q: float) -> "ConcentratedCpmm":
-        q = _check_price(q)
-        target_value = _check_positive(target_value, "target_value")
+        q = check_positive(q, "price", DomainError)
+        target_value = check_positive(target_value, "target_value")
         current = self.pool_value(q)
         if current <= 0.0:
             raise DegenerateCurve("position has zero value at this price, cannot rescale")
@@ -451,11 +437,11 @@ class StableSwap(AmmCurve):
     kind: ClassVar[str] = "stableswap"
 
     def __post_init__(self):
-        object.__setattr__(self, "amplification", _check_positive(self.amplification, "amplification"))
+        object.__setattr__(self, "amplification", check_positive(self.amplification, "amplification"))
         object.__setattr__(
-            self, "invariant_scale", _check_positive(self.invariant_scale, "invariant_scale")
+            self, "invariant_scale", check_positive(self.invariant_scale, "invariant_scale")
         )
-        object.__setattr__(self, "price_center", _check_positive(self.price_center, "price_center"))
+        object.__setattr__(self, "price_center", check_positive(self.price_center, "price_center"))
 
     # ----- invariant machinery in centered units u = c*x, v = y ---------
 
@@ -735,7 +721,7 @@ class StableSwap(AmmCurve):
         # The invariant is 1-homogeneous in (u, v, D): scaling D scales the
         # holdings and value at fixed price.
         q = self._require_in_domain(q)
-        target_value = _check_positive(target_value, "target_value")
+        target_value = check_positive(target_value, "target_value")
         current = self.pool_value(q)
         return StableSwap(self.amplification, self.invariant_scale * target_value / current, self.price_center)
 
@@ -828,8 +814,8 @@ def _seed_table(amplification: float, floor_center: float) -> _SeedTable:
 
 def dollar_pool_value(curve: AmmCurve, px: float, py: float) -> float:
     """Dollar pool value px*x(px/py) + py*y(px/py) = py * value(px/py)."""
-    px = _check_price(px)
-    py = _check_price(py)
+    px = check_positive(px, "price", DomainError)
+    py = check_positive(py, "price", DomainError)
     return py * curve.pool_value(px / py)
 
 
@@ -841,7 +827,7 @@ def curvature(curve: AmmCurve, q: float) -> float:
     fixes the orientation so flatter (more amplified) curves give smaller
     positive values.
     """
-    q = _check_price(q)
+    q = check_positive(q, "price", DomainError)
     if not curve.is_interior(q):
         raise DomainError(f"price {q!r} is not interior to the curve domain")
     xp, _ = curve.first_derivs(q)
@@ -856,7 +842,7 @@ def equivalent_cpmm_liquidity(curve: AmmCurve, q: float) -> float:
     Equals L identically for a Cpmm(L); zero wherever the position is out
     of range and the holdings are frozen.
     """
-    q = _check_price(q)
+    q = check_positive(q, "price", DomainError)
     xp, _ = curve.first_derivs(q)
     return -2.0 * q**1.5 * xp
 
@@ -883,7 +869,3 @@ def curve_from_dict(record: dict) -> AmmCurve:
         return StableSwap(record["A"], record["D"], record.get("center", 1.0))
     except KeyError as exc:
         raise InvalidParams(f"curve record for kind {kind!r} is missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, (InvalidParams, RangeError)):
-            raise
-        raise InvalidParams(f"bad curve record for kind {kind!r}: {exc}") from None

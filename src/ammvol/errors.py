@@ -2,10 +2,14 @@
 
 Everything is a ValueError or RuntimeError subclass so callers that do not
 care about the fine distinctions can catch the broad class, while the CLI
-maps each type to a distinct exit code.
+maps each type to a distinct exit code.  The argument rules every entry
+point applies to its numbers live here too, so each is written once.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Integral
 
 
 class AmmVolError(Exception):
@@ -64,3 +68,46 @@ class ParseError(AmmVolError, ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _as_float(value) -> float:
+    """float(value), or nan when float() refuses it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def check_positive(value, name: str, error: type[AmmVolError] = InvalidParams) -> float:
+    """value as a float, or ``error`` unless it is a positive finite number."""
+    number = _as_float(value)
+    if not 0.0 < number < math.inf:
+        raise error(f"{name} must be a positive finite number, got {value!r}")
+    return number
+
+
+def check_nonnegative(value, name: str, error: type[AmmVolError] = InvalidParams) -> float:
+    """value as a float, or ``error`` unless it is a nonnegative finite number."""
+    number = _as_float(value)
+    if not 0.0 <= number < math.inf:
+        raise error(f"{name} must be a nonnegative finite number, got {value!r}")
+    return number
+
+
+def check_count(value, name: str, least: int) -> int:
+    """value as an int, or InvalidParams unless it is a whole number >= least.
+
+    An integral float counts (1000.0 is 1000); a fraction is never truncated.
+    """
+    number = _as_float(value)
+    if not (number.is_integer() and number >= least):
+        raise InvalidParams(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value) if isinstance(value, Integral) else int(number)
+
+
+def check_seed(seed) -> int:
+    """The seed, or InvalidParams: the counter-based generator takes
+    nonnegative integers only."""
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise InvalidParams(f"seed must be a nonnegative integer, got {seed!r}")
+    return seed

@@ -13,38 +13,24 @@ accrue at exactly this rate makes the LP position a martingale: the fee
 stream is the fair "implied fee" for the liquidity.  In dollar terms the
 rate is F(px, py) = py * lvr(px/py).
 
-The module also provides the discrete realized-LVR increment used by the
-tick simulator (rebalancing P&L minus pool P&L over one step) and a Monte
-Carlo engine that verifies the martingale property by accruing F dt along
-discretized GBM paths.
+The module also provides the discrete realized-LVR increment (rebalancing
+P&L minus pool P&L over one step; the tick replay computes the same
+quantity inline) and a Monte Carlo engine that verifies the martingale
+property by accruing F dt along discretized GBM paths.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import AmmCurve, Holdings, _check_price, dollar_pool_value
-from .errors import InvalidParams, RangeError
+from .curves import AmmCurve, ConcentratedCpmm, Holdings, dollar_pool_value
+from .errors import DomainError, InvalidParams, check_count, check_nonnegative, check_positive, check_seed
 
 # Annualization convention: 365.25 days of 86400 seconds.
 YEAR_SECONDS = 365.25 * 86400.0
-
-
-def _check_nonnegative(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise InvalidParams(f"{name} must be a nonnegative finite number, got {value!r}")
-    return value
-
-
-def _check_seed(seed: int) -> None:
-    # the counter-based generator takes nonnegative integer seeds only
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise InvalidParams(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -58,9 +44,9 @@ class GbmParams:
 
     def __post_init__(self):
         for name in ("sigma_x", "sigma_y", "r"):
-            object.__setattr__(self, name, _check_nonnegative(getattr(self, name), name))
+            object.__setattr__(self, name, check_nonnegative(getattr(self, name), name))
         rho = float(self.rho)
-        if not math.isfinite(rho) or not -1.0 <= rho <= 1.0:
+        if not -1.0 <= rho <= 1.0:
             raise InvalidParams(f"rho must lie in [-1, 1], got {rho!r}")
         object.__setattr__(self, "rho", rho)
 
@@ -91,15 +77,15 @@ def effective_variance(params: GbmParams) -> float:
 
 def instantaneous_lvr(curve: AmmCurve, q: float, params: GbmParams) -> float:
     """Implied fee rate -0.5 * sigma_bar**2 * q**2 * x'(q), in y per year."""
-    q = _check_price(q)
+    q = check_positive(q, "price", DomainError)
     xp, _ = curve.first_derivs(q)
     return -0.5 * effective_variance(params) * q * q * xp
 
 
 def implied_fee_rate_dollars(curve: AmmCurve, px: float, py: float, params: GbmParams) -> float:
     """Dollar fee rate F(px, py) = py * lvr(px/py), dollars per year."""
-    px = _check_price(px)
-    py = _check_price(py)
+    px = check_positive(px, "price", DomainError)
+    py = check_positive(py, "price", DomainError)
     return py * instantaneous_lvr(curve, px / py, params)
 
 
@@ -109,9 +95,9 @@ def cpmm_unit_lvr_with_rate(q: float, r: float, sigma: float) -> float:
     Applies when asset y is a tokenized money-market account earning r, so
     the rebalancing benchmark grows at the rate as well.
     """
-    q = _check_price(q)
-    r = _check_nonnegative(r, "r")
-    sigma = _check_nonnegative(sigma, "sigma")
+    q = check_positive(q, "price", DomainError)
+    r = check_nonnegative(r, "r")
+    sigma = check_nonnegative(sigma, "sigma")
     return (r + sigma * sigma / 4.0) * math.sqrt(q)
 
 
@@ -124,12 +110,11 @@ def concentrated_lvr_with_rate(
     [p_lo, p_hi], zero outside.  Strictly below L times the full-range rate
     whenever r > 0: the idle rate on the p_lo boundary stock is not owed.
     """
-    q = _check_price(q)
-    r = _check_nonnegative(r, "r")
-    sigma = _check_nonnegative(sigma, "sigma")
-    if not (0.0 < p_lo < p_hi):
-        raise RangeError(f"need 0 < p_lo < p_hi, got [{p_lo!r}, {p_hi!r}]")
-    liquidity_tokens = _check_nonnegative(liquidity_tokens, "liquidity_tokens")
+    q = check_positive(q, "price", DomainError)
+    r = check_nonnegative(r, "r")
+    sigma = check_nonnegative(sigma, "sigma")
+    p_lo, p_hi = ConcentratedCpmm(1.0, p_lo, p_hi).trade_bounds  # the range rule
+    liquidity_tokens = check_nonnegative(liquidity_tokens, "liquidity_tokens")
     if not (p_lo <= q <= p_hi):
         return 0.0
     return liquidity_tokens * ((r + sigma * sigma / 4.0) * math.sqrt(q) - r * math.sqrt(p_lo))
@@ -160,13 +145,14 @@ def mc_mean_stderr(vals: np.ndarray, antithetic: bool) -> tuple[float, float]:
     """Path mean and its stderr; antithetic mates fill the second half."""
     if antithetic:
         half = vals.size // 2
-        pair = 0.5 * (vals[:half] + vals[half:])
-        mean = float(pair.mean())
-        stderr = float(pair.std(ddof=1) / math.sqrt(half)) if half > 1 else 0.0
-    else:
-        mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return mean, stderr
+        vals = 0.5 * (vals[:half] + vals[half:])
+    mean = float(vals.mean())
+    if vals.size < 2:
+        return mean, 0.0
+    # the std of the values over 2**e: scaling by a power of two is exact,
+    # and the squares cannot overflow
+    e = math.frexp(float(np.max(np.abs(vals))))[1]
+    return mean, math.ldexp(float(np.ldexp(vals, -e).std(ddof=1)) / math.sqrt(vals.size), e)
 
 
 def _walk(ln_p: np.ndarray, drift: float, shock: np.ndarray) -> None:
@@ -189,7 +175,6 @@ def mc_fee_plus_terminal_value(
     n_steps: int,
     seed: int = 0,
     antithetic: bool = True,
-    stablecoin_flat: bool = False,
 ) -> tuple[float, float]:
     """Sample mean and standard error of discounted fees plus terminal value.
 
@@ -202,25 +187,13 @@ def mc_fee_plus_terminal_value(
     ``antithetic`` the second half of the paths are the mates of the first:
     each step draws normals z for the first half and moves the mates by
     drift - s*z, which equals drift + s*(-z) exactly.
-
-    ``stablecoin_flat`` freezes py at p0y (a literal zero-drift stablecoin
-    leg).  With r > 0 this breaks the martingale property; it exists for
-    experimentation and warns when enabled.
     """
-    p0x = _check_price(p0x)
-    p0y = _check_price(p0y)
-    if not (math.isfinite(maturity) and maturity > 0.0):
-        raise InvalidParams(f"maturity must be a positive finite number, got {maturity!r}")
-    if n_paths < 2 or n_steps < 1:
-        raise InvalidParams("need n_paths >= 2 and n_steps >= 1")
-    _check_seed(seed)
-    if stablecoin_flat:
-        warnings.warn(
-            "stablecoin_flat freezes py with nonzero r: the fee identity no "
-            "longer prices the pool consistently across curves",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    p0x = check_positive(p0x, "price", DomainError)
+    p0y = check_positive(p0y, "price", DomainError)
+    maturity = check_positive(maturity, "maturity")
+    n_paths = check_count(n_paths, "n_paths", 2)
+    n_steps = check_count(n_steps, "n_steps", 1)
+    check_seed(seed)
 
     rng = np.random.Generator(np.random.Philox(seed))
     half = n_paths // 2 if antithetic else n_paths
@@ -257,8 +230,7 @@ def mc_fee_plus_terminal_value(
         z = rng.standard_normal((2, half))
         zy = rho * z[0] + rho_c * z[1]
         _walk(ln_px, drift_x, sx * z[0])
-        if not stablecoin_flat:
-            _walk(ln_py, drift_y, sy * zy)
+        _walk(ln_py, drift_y, sy * zy)
 
     px = np.exp(ln_px)
     py = np.exp(ln_py)

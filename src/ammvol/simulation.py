@@ -47,8 +47,12 @@ from .errors import (
     InsufficientData,
     InvalidParams,
     UnsortedInput,
+    check_count,
+    check_nonnegative,
+    check_positive,
+    check_seed,
 )
-from .fees import YEAR_SECONDS, GbmParams, _check_seed, effective_variance
+from .fees import YEAR_SECONDS, GbmParams, effective_variance
 
 _LVR_MODES = ("trade_side", "pool_spot")
 
@@ -265,8 +269,8 @@ class SimConfig:
     def __post_init__(self):
         if self.lvr_mode not in _LVR_MODES:
             raise InvalidParams(f"lvr_mode must be one of {_LVR_MODES}, got {self.lvr_mode!r}")
-        if self.initial_investment is not None and not self.initial_investment > 0.0:
-            raise InvalidParams("initial_investment must be positive or None")
+        if self.initial_investment is not None:
+            check_positive(self.initial_investment, "initial_investment")
 
 
 @dataclass(frozen=True)
@@ -286,8 +290,7 @@ class WindowStat:
             raise InvalidParams(
                 f"window must start before it ends, got [{self.window_start!r}, {self.window_end!r})"
             )
-        if not (math.isfinite(self.fees) and self.fees >= 0.0):
-            raise InvalidParams(f"window fees must be finite and >= 0, got {self.fees!r}")
+        check_nonnegative(self.fees, "window fees")
         if not math.isfinite(self.lvr):
             raise InvalidParams(f"window lvr must be finite, got {self.lvr!r}")
         for name in ("hist_vol", "fee_vol"):
@@ -732,10 +735,8 @@ def rolling_windows(
     Historical volatility uses the external mid series at tick resolution.
     fee_vol is left as nan; the implied-vol layer attaches it.
     """
-    window_seconds = int(window_seconds)
-    stride_seconds = int(stride_seconds)
-    if window_seconds <= 0 or stride_seconds <= 0:
-        raise InvalidParams("window and stride must be positive durations")
+    window_seconds = check_count(window_seconds, "window_seconds", 1)
+    stride_seconds = check_count(stride_seconds, "stride_seconds", 1)
     ts = ledger.timestamps
     span = int(ts[-1] - ts[0])
     if span < window_seconds:
@@ -792,8 +793,7 @@ def historical_volatility(mids, sampling_interval_seconds: float, demean: bool =
     mids = np.asarray(mids, dtype=float)
     if mids.size < 2:
         raise InsufficientData("need at least 2 samples for a volatility estimate")
-    if not (math.isfinite(sampling_interval_seconds) and sampling_interval_seconds > 0):
-        raise InvalidParams("sampling interval must be positive and finite")
+    sampling_interval_seconds = check_positive(sampling_interval_seconds, "sampling_interval_seconds")
     if not np.all((mids > 0.0) & np.isfinite(mids)):
         raise InvalidParams("prices must be positive and finite")
     r = np.diff(np.log(mids))
@@ -879,15 +879,12 @@ def synthetic_gbm_ticks(
     Deterministic per seed (counter-based generator).  A path that
     overflows a double raises InvalidParams, as any invalid series does.
     """
-    if not (math.isfinite(p0) and p0 > 0.0):
-        raise InvalidParams(f"p0 must be a positive finite number, got {p0!r}")
+    p0 = check_positive(p0, "p0")
     if not 0.0 <= spread < 1.0:
         raise InvalidParams("spread must lie in [0, 1)")
-    duration_seconds = int(duration_seconds)
-    interval_seconds = int(interval_seconds)
-    if duration_seconds <= 0 or interval_seconds <= 0:
-        raise InvalidParams("duration and interval must be positive whole seconds")
-    _check_seed(seed)
+    duration_seconds = check_count(duration_seconds, "duration_seconds", 1)
+    interval_seconds = check_count(interval_seconds, "interval_seconds", 1)
+    check_seed(seed)
 
     n = duration_seconds // interval_seconds + 1
     timestamps = start_timestamp + interval_seconds * np.arange(n, dtype=np.int64)

@@ -32,8 +32,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import AmmCurve
-from .errors import ArbitrageViolation, InvalidParams, NoConvergence, OutOfBounds
-from .fees import YEAR_SECONDS, _check_nonnegative, _check_seed, mc_mean_stderr
+from .errors import (
+    ArbitrageViolation,
+    InvalidParams,
+    NoConvergence,
+    OutOfBounds,
+    check_count,
+    check_nonnegative,
+    check_positive,
+    check_seed,
+)
+from .fees import YEAR_SECONDS, mc_mean_stderr
 from .simulation import SimLedger, WindowStat
 
 # implied vols are sought on (0, _SIGMA_CAP]
@@ -60,14 +69,11 @@ class SwapSpec:
     def __post_init__(self):
         if not isinstance(self.curve, AmmCurve):
             raise InvalidParams(f"curve must be an AmmCurve, got {type(self.curve).__name__}")
-        if not (math.isfinite(self.maturity) and self.maturity > 0.0):
-            raise InvalidParams(f"maturity must be a positive number of years, got {self.maturity!r}")
-        if not (math.isfinite(self.p0x) and self.p0x > 0.0 and math.isfinite(self.p0y) and self.p0y > 0.0):
-            raise InvalidParams("start prices must be positive")
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise InvalidParams(f"rate must be nonnegative, got {self.r!r}")
-        if not (math.isfinite(self.liquidity_tokens) and self.liquidity_tokens >= 0.0):
-            raise InvalidParams(f"liquidity_tokens must be nonnegative, got {self.liquidity_tokens!r}")
+        for name in ("maturity", "p0x", "p0y"):
+            object.__setattr__(self, name, check_positive(getattr(self, name), name))
+        for name in ("r", "liquidity_tokens"):
+            object.__setattr__(self, name, check_nonnegative(getattr(self, name), name))
+        check_positive(self.q0, "p0x / p0y")
 
     @property
     def q0(self) -> float:
@@ -81,10 +87,12 @@ class SwapSpec:
         """Dollar pool value of the swap notional at the start prices.
 
         Beyond the curve's price domain the pool holds the boundary portfolio.
+        A value beyond the float range raises InvalidParams.
         """
         lo, hi = self.curve.q_bounds
         x, y = self.curve.holdings(min(max(self.q0, lo), hi))
-        return self.notional_scale * (self.q0 * x + y)
+        value = self.notional_scale * (self.q0 * x + y)
+        return check_nonnegative(value, "the pool value at the start prices")
 
 
 @dataclass(frozen=True)
@@ -96,14 +104,8 @@ class McConfig:
     antithetic: bool = True
 
     def __post_init__(self):
-        try:  # NaN and inf have no int(), a string no isfinite()
-            n_paths = int(self.n_paths) if math.isfinite(self.n_paths) else None
-        except TypeError:
-            n_paths = None
-        if n_paths is None or n_paths != self.n_paths or n_paths < 2:
-            raise InvalidParams(f"n_paths must be an integer >= 2, got {self.n_paths!r}")
-        object.__setattr__(self, "n_paths", n_paths)  # so 1000.0 draws 1000 paths
-        _check_seed(self.seed)
+        object.__setattr__(self, "n_paths", check_count(self.n_paths, "n_paths", 2))
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,13 @@ def _draw_normals(mc: McConfig) -> np.ndarray:
     return rng.standard_normal(mc.n_paths)
 
 
-def _check_kernel(p0: float, sigma: float, maturity: float) -> None:
-    if not (math.isfinite(p0) and p0 > 0.0):
-        raise InvalidParams(f"p0 must be a positive finite number, got {p0!r}")
-    _check_nonnegative(sigma, "sigma")
-    if not (math.isfinite(maturity) and maturity > 0.0):
-        raise InvalidParams(f"maturity must be a positive finite number, got {maturity!r}")
+def _check_kernel(p0: float, sigma: float, maturity: float) -> tuple[float, float, float]:
+    p0 = check_positive(p0, "p0")
+    sigma = check_nonnegative(sigma, "sigma")
+    maturity = check_positive(maturity, "maturity")
+    if sigma * sigma * maturity == math.inf:
+        raise InvalidParams(f"sigma**2 * maturity must be finite, got sigma={sigma!r}, maturity={maturity!r}")
+    return p0, sigma, maturity
 
 
 def mc_expected_pool_value(
@@ -146,7 +149,7 @@ def mc_expected_pool_value(
     validated against.
     """
     mc = mc or McConfig()
-    _check_kernel(p0, sigma, maturity)
+    p0, sigma, maturity = _check_kernel(p0, sigma, maturity)
     z = _draw_normals(mc)
     q = p0 * np.exp(-0.5 * sigma * sigma * maturity + sigma * math.sqrt(maturity) * z)
     vals = curve.pool_value_grid(q)
@@ -158,7 +161,7 @@ def lognormal_kernel_expectation(curve: AmmCurve, p0: float, sigma: float, matur
 
     Exact for sigma=0 and for Cpmm.
     """
-    _check_kernel(p0, sigma, maturity)
+    p0, sigma, maturity = _check_kernel(p0, sigma, maturity)
     c0 = float(curve.pool_value_grid(np.array([p0]))[0])
     if sigma == 0.0:
         return c0
@@ -166,13 +169,20 @@ def lognormal_kernel_expectation(curve: AmmCurve, p0: float, sigma: float, matur
 
 
 def _leg(spec: SwapSpec, sigma: float) -> tuple[float, float]:
-    """(floating leg, d leg/d sigma) in dollars for the swap notional."""
+    """(floating leg, d leg/d sigma) in dollars for the swap notional.
+
+    A leg or vega beyond the float range raises InvalidParams.
+    """
     scale = spec.notional_scale
     if sigma == 0.0 or scale == 0.0:
         return 0.0, 0.0
     root_t = math.sqrt(spec.maturity)
-    value, vega = spec.curve.floating_leg(spec.q0, sigma * root_t)
-    return scale * value, scale * vega * root_t
+    with np.errstate(all="ignore"):  # what overflows is caught below
+        value, vega = spec.curve.floating_leg(spec.q0, sigma * root_t)
+        value, vega = scale * value, scale * vega * root_t
+    if not (math.isfinite(value) and math.isfinite(vega)):
+        raise InvalidParams(f"the floating leg at sigma={sigma!r} is beyond the float range")
+    return value, vega
 
 
 def mc_floating_leg(spec: SwapSpec, sigma: float, mc: McConfig | None = None) -> tuple[float, float]:
@@ -181,7 +191,7 @@ def mc_floating_leg(spec: SwapSpec, sigma: float, mc: McConfig | None = None) ->
     Curves whose leg has a closed form, a zero vol and a zero notional
     return the kernel's leg with zero stderr.
     """
-    sigma = _check_nonnegative(sigma, "sigma")
+    sigma = check_nonnegative(sigma, "sigma")
     scale = spec.notional_scale
     if spec.curve.exact_floating_leg or sigma == 0.0 or scale == 0.0:
         return _leg(spec, sigma)[0], 0.0
@@ -192,7 +202,7 @@ def mc_floating_leg(spec: SwapSpec, sigma: float, mc: McConfig | None = None) ->
 
 def floating_leg_value(spec: SwapSpec, sigma: float, mc: McConfig | None = None) -> float:
     """Present value of the accrued fee/LVR stream over the swap horizon."""
-    return _leg(spec, _check_nonnegative(sigma, "sigma"))[0]
+    return _leg(spec, check_nonnegative(sigma, "sigma"))[0]
 
 
 def _solve_leg(spec: SwapSpec, pi_bar: float, cap: float, tol: float) -> tuple[float, float, int]:
@@ -201,9 +211,14 @@ def _solve_leg(spec: SwapSpec, pi_bar: float, cap: float, tol: float) -> tuple[f
     Newton on log(leg) against log(sigma), exact in one step where the leg
     grows like sigma**2, starting from the vol a constant-product pool of
     value cap would need; steps leaving the bracket [lo, hi] that every
-    evaluation tightens bisect it.  Stops once a step is within
-    tol * max(1, sigma).
+    evaluation tightens bisect it, and so does an evaluation whose
+    pi_bar / leg is not a positive double.  Stops once a step is within
+    tol * max(1, sigma); tol must lie in (0, 1).
     """
+    if not 0.0 < tol < 1.0:
+        raise InvalidParams(f"tol must lie in (0, 1), got {tol!r}")
+    if pi_bar == 0.0:
+        return 0.0, 0.0, 0
     lo, hi = 0.0, _SIGMA_CAP
     sigma = min(math.sqrt(-8.0 / spec.maturity * math.log1p(-pi_bar / cap)), _SIGMA_CAP)
     for iterations in range(1, _MAX_NEWTON_STEPS + 1):
@@ -214,7 +229,11 @@ def _solve_leg(spec: SwapSpec, pi_bar: float, cap: float, tol: float) -> tuple[f
             hi = sigma
         # the slope of log(leg) against log(sigma) is the elasticity
         elasticity = sigma * vega / value if value > 0.0 else 0.0
-        step = math.log(pi_bar / value) / elasticity if elasticity > 0.0 else math.inf
+        ratio = pi_bar / value if value > 0.0 else 0.0
+        if 0.0 < elasticity < math.inf and 0.0 < ratio < math.inf:
+            step = math.log(ratio) / elasticity
+        else:
+            step = math.inf
         nxt = sigma * math.exp(step) if abs(step) < 700.0 else -1.0  # else exp overflows
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
@@ -252,15 +271,8 @@ def implied_vol(
     forms): how far sampling noise in a quote would move the implied vol.
     """
     mc = mc or McConfig()
-    pi_bar = float(pi_bar)
-    if not math.isfinite(pi_bar) or pi_bar < 0.0:
-        raise InvalidParams(f"fixed leg must be a nonnegative number, got {pi_bar!r}")
-    if not tol > 0.0:
-        raise InvalidParams(f"tol must be positive, got {tol!r}")
-    cap = _require_below_cap(spec, pi_bar)
-    if pi_bar == 0.0:
-        return IvSolution(0.0, 0.0, 0)
-    sigma, vega, iterations = _solve_leg(spec, pi_bar, cap, tol)
+    pi_bar = check_nonnegative(pi_bar, "pi_bar")
+    sigma, vega, iterations = _solve_leg(spec, pi_bar, _require_below_cap(spec, pi_bar), tol)
     _, price_se = mc_floating_leg(spec, sigma, mc)
     if price_se == 0.0:
         stderr = 0.0
@@ -276,15 +288,11 @@ def implied_vol_cpmm_closed_form(
 
     Inverts pi_bar = 2L*sqrt(p0x)*(1 - exp(-sigma**2*T/8)).
     """
-    p0x = float(p0x)
-    pi_bar = float(pi_bar)
-    maturity = float(maturity)
-    liquidity_tokens = float(liquidity_tokens)
-    if not (p0x > 0.0 and maturity > 0.0 and liquidity_tokens > 0.0):
-        raise InvalidParams("p0x, maturity and liquidity_tokens must be positive")
-    if not math.isfinite(pi_bar) or pi_bar < 0.0:
-        raise InvalidParams(f"fixed leg must be a nonnegative number, got {pi_bar!r}")
-    cap = 2.0 * liquidity_tokens * math.sqrt(p0x)
+    p0x = check_positive(p0x, "p0x")
+    pi_bar = check_nonnegative(pi_bar, "pi_bar")
+    maturity = check_positive(maturity, "maturity")
+    liquidity_tokens = check_positive(liquidity_tokens, "liquidity_tokens")
+    cap = check_positive(2.0 * liquidity_tokens * math.sqrt(p0x), "the pool value 2*L*sqrt(p0x)")
     if pi_bar >= cap:
         raise ArbitrageViolation(
             f"fixed leg {pi_bar:.6g} >= pool value {cap:.6g}: paying it admits a risk-free profit"
@@ -300,8 +308,8 @@ def implied_corr_bounds(spec: SwapSpec, sigma_x: float, sigma_y: float) -> tuple
     The effective pair volatility ranges over [|sx-sy|, sx+sy], so the
     endpoints are the floating-leg values at those volatilities.
     """
-    if not (sigma_x > 0.0 and sigma_y > 0.0):
-        raise InvalidParams("component volatilities must be positive")
+    sigma_x = check_positive(sigma_x, "sigma_x")
+    sigma_y = check_positive(sigma_y, "sigma_y")
     lo = floating_leg_value(spec, abs(sigma_x - sigma_y))
     hi = floating_leg_value(spec, sigma_x + sigma_y)
     return lo, hi
@@ -319,17 +327,14 @@ def implied_corr(
 
     Solves for the effective pair volatility in numeraire-changed units
     (the y asset is the unit), then maps it through
-    rho = (sx**2 + sy**2 - sigma_bar**2) / (2*sx*sy).  Quotes at (or within
-    a small slack of) the interval endpoints pin rho to exactly +1 or -1;
-    anything further outside is rejected.
+    rho = (sx**2 + sy**2 - sigma_bar**2) / (2*sx*sy), taken in units of a
+    power of two near max(sx, sy): exact, and no square over- or underflows.
+    Quotes at (or within a small slack of) the interval endpoints pin rho
+    to exactly +1 or -1; anything further outside is rejected.
     """
-    sigma_x = float(sigma_x)
-    sigma_y = float(sigma_y)
-    if not (sigma_x > 0.0 and sigma_y > 0.0):
-        raise InvalidParams("component volatilities must be positive")
-    pi_bar = float(pi_bar)
-    if not math.isfinite(pi_bar):
-        raise InvalidParams(f"fixed leg must be a finite number, got {pi_bar!r}")
+    sigma_x = check_positive(sigma_x, "sigma_x")
+    sigma_y = check_positive(sigma_y, "sigma_y")
+    pi_bar = check_nonnegative(pi_bar, "pi_bar")
     pi_lo, pi_hi = implied_corr_bounds(spec, sigma_x, sigma_y)
     slack = 1e-3 * spec.pool_value_now()
     if pi_bar < pi_lo - slack or pi_bar > pi_hi + slack:
@@ -338,16 +343,15 @@ def implied_corr(
             f"[{pi_lo:.6g}, {pi_hi:.6g}]"
         )
     if pi_bar <= pi_lo:
-        sigma_bar, sig_stderr, iterations = abs(sigma_x - sigma_y), 0.0, 0
-    elif pi_bar >= pi_hi:
-        sigma_bar, sig_stderr, iterations = sigma_x + sigma_y, 0.0, 0
-    else:
-        sol = implied_vol(spec, pi_bar, mc, tol)
-        sigma_bar, sig_stderr, iterations = sol.sigma, sol.stderr, sol.iterations
-    rho = (sigma_x * sigma_x + sigma_y * sigma_y - sigma_bar * sigma_bar) / (2.0 * sigma_x * sigma_y)
-    rho = min(max(rho, -1.0), 1.0)
-    stderr = sig_stderr * sigma_bar / (sigma_x * sigma_y)
-    return CorrSolution(rho=rho, sigma_bar=sigma_bar, stderr=stderr, iterations=iterations)
+        return CorrSolution(rho=1.0, sigma_bar=abs(sigma_x - sigma_y), stderr=0.0, iterations=0)
+    if pi_bar >= pi_hi:
+        return CorrSolution(rho=-1.0, sigma_bar=sigma_x + sigma_y, stderr=0.0, iterations=0)
+    sol = implied_vol(spec, pi_bar, mc, tol)
+    unit = math.ldexp(1.0, math.frexp(max(sigma_x, sigma_y))[1] - 1)
+    a, b, c = sigma_x / unit, sigma_y / unit, sol.sigma / unit
+    rho = min(max((a * a + b * b - c * c) / (2.0 * a * b), -1.0), 1.0)
+    stderr = sol.stderr * c / (a * b) / unit
+    return CorrSolution(rho=rho, sigma_bar=sol.sigma, stderr=stderr, iterations=sol.iterations)
 
 
 def fee_vol_from_realized(window_fees: float, spec: SwapSpec, tol: float = 1e-6) -> float:
@@ -357,13 +361,7 @@ def fee_vol_from_realized(window_fees: float, spec: SwapSpec, tol: float = 1e-6)
     the window length in years, so windows of equal length are comparable.
     No Monte Carlo runs: every curve inverts its floating-leg kernel.
     """
-    fees = float(window_fees)
-    if not math.isfinite(fees) or fees < 0.0:
-        raise InvalidParams(f"window fees must be nonnegative, got {fees!r}")
-    if fees == 0.0:
-        return 0.0
-    if not tol > 0.0:
-        raise InvalidParams(f"tol must be positive, got {tol!r}")
+    fees = check_nonnegative(window_fees, "window_fees")
     return _solve_leg(spec, fees, _require_below_cap(spec, fees), tol)[0]
 
 

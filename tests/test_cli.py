@@ -4,12 +4,16 @@ Commands run in-process through main(argv) so exit codes and the stderr
 error objects can be asserted directly.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ammvol.cli import main
 
@@ -388,6 +392,49 @@ def test_price_swap_component_vols(capsys):
     code, err = error_of(capsys, "price-swap", '{"curve": {"kind": "cpmm", "L": 1.0}, "T": 1.0, "p0x": 1.0}')
     assert code == 2
     assert "sigma" in err["detail"]
+
+
+# ----- solver requests at any scale ----------------------------------------------------
+
+# every number in a request lies in [1e-150, 1e150], with its exponent uniform
+scale = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
+QUOTE_KEYS = {"solve-vol": ["piBar"], "solve-corr": ["piBar", "sigmaX", "sigmaY"], "price-swap": ["sigma"]}
+
+
+@st.composite
+def solver_requests(draw):
+    command = draw(st.sampled_from(sorted(QUOTE_KEYS)))
+    if draw(st.booleans()):
+        curve = {"kind": "cpmm", "L": draw(scale)}
+    else:
+        p_lo, p_hi = sorted((draw(scale), draw(scale)))
+        curve = {"kind": "concentrated", "L": draw(scale), "pL": p_lo, "pU": p_hi}
+    request = {"curve": curve, "T": draw(scale), "p0x": draw(scale), "paths": 256}
+    optional = [key for key in ("p0y", "liquidityTokens", "tol") if draw(st.booleans())]
+    for key in QUOTE_KEYS[command] + optional:
+        request[key] = draw(scale)
+    return command, request
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+def check_solver_request(command, request):
+    """An answer is strict JSON and a failure a typed error: never exit 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, json.dumps(request)])
+    assert code != 1, err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(solver_requests())
+def test_solver_requests_at_any_scale_never_exit_1(case):
+    check_solver_request(*case)
 
 
 # ----- seeds ------------------------------------------------------------------------

@@ -229,15 +229,9 @@ def test_mc_validation_and_stablecoin_warning():
         mc_fee_plus_terminal_value(CPMM, params, 1.0, 1.0, 0.0, 100, 10)
     with pytest.raises(InvalidParams):
         mc_fee_plus_terminal_value(CPMM, params, 1.0, 1.0, 1.0, 1, 10)
-    with pytest.warns(RuntimeWarning):
-        mc_fee_plus_terminal_value(
-            CPMM, GbmParams(0.4, r=0.05), 1.0, 1.0, 0.1, 64, 4, stablecoin_flat=True
-        )
 
 
-def reference_fee_plus_terminal_value(
-    curve, params, p0x, p0y, maturity, n_paths, n_steps, seed, antithetic, stablecoin_flat
-):
+def reference_fee_plus_terminal_value(curve, params, p0x, p0y, maturity, n_paths, n_steps, seed, antithetic):
     """The martingale Monte Carlo step loop in its plainest form."""
     rng = np.random.Generator(np.random.Philox(seed))
     half = n_paths // 2 if antithetic else n_paths
@@ -269,8 +263,7 @@ def reference_fee_plus_terminal_value(
         zx = z[0]
         zy = rho * z[0] + rho_c * z[1]
         ln_px += drift_x + sx * zx
-        if not stablecoin_flat:
-            ln_py += drift_y + sy * zy
+        ln_py += drift_y + sy * zy
 
     px = np.exp(ln_px)
     py = np.exp(ln_py)
@@ -278,16 +271,15 @@ def reference_fee_plus_terminal_value(
     return mc_mean_stderr(totals, antithetic)
 
 
-@pytest.mark.filterwarnings("ignore:stablecoin_flat:RuntimeWarning")
-@pytest.mark.parametrize("stablecoin_flat", [False, True])
-@pytest.mark.parametrize("n_paths", [255, 256])
+# the "-False" suffix keeps the names these cases had beside a variant with a frozen py
+@pytest.mark.parametrize("n_paths", [255, 256], ids=lambda n: f"{n}-False")
 @pytest.mark.parametrize("antithetic", [True, False])
 @pytest.mark.parametrize(
     "curve", [CPMM, ConcentratedCpmm(1.0, 0.5, 2.0), StableSwap(100.0, 2.0, 1.0)], ids=lambda c: c.kind
 )
-def test_mc_fee_plus_terminal_value_equals_the_plain_loop(curve, antithetic, n_paths, stablecoin_flat):
+def test_mc_fee_plus_terminal_value_equals_the_plain_loop(curve, antithetic, n_paths):
     params = GbmParams(0.8, 0.3, 0.5, 0.03)
-    args = (curve, params, 1.2, 0.9, 0.25, n_paths, 50, 2024, antithetic, stablecoin_flat)
+    args = (curve, params, 1.2, 0.9, 0.25, n_paths, 50, 2024, antithetic)
     got = mc_fee_plus_terminal_value(*args)
     want = reference_fee_plus_terminal_value(*args)
     assert got == want
