@@ -38,6 +38,11 @@ is nondecreasing and concave.  Three curve families are provided:
     price suffices.
     Derivatives come from implicit differentiation of the invariant, since
     finite differences lose all precision in the flat region near the center.
+    ``xprime_grid`` needs no solve: the table also holds log(-q x') and its
+    slope, differentiated implicitly at each node from the build's own
+    solve, and x' at a price is one interpolation between two nodes.  The
+    scalar ``first_derivs`` differentiates at the solved holdings instead,
+    the oracle for that table.
 
 Each curve prices the fee-swap floating leg ``C(q0) - E[C(Q)]`` for a
 driftless lognormal ``Q`` as a strip of out-of-the-money Black-Scholes
@@ -91,7 +96,7 @@ _SOLVE_MAX_ITER = 64
 # map per final node in all.  _SEED_NODES nodes put the seed within
 # _SOLVE_XTOL for A up to 1e4; at A = 1e5, 2-5% of prices beyond a
 # hundredfold move from the center take a second evaluation.  Each set-up
-# of a fresh process pays the build, about 4-5 ms.
+# of a fresh process pays the build, about 5-7 ms with the x' columns.
 _SEED_NODES = 16384
 _SEED_LEVELS = (64, 4096, _SEED_NODES)
 _SEED_CHUNK = 8192
@@ -614,24 +619,21 @@ class StableSwap(AmmCurve):
         to the table's reach, seeded from the dense table ``_seed_table``
         that every pool with this amplification and domain floor shares.
         """
-        seed = _seed_table(self.amplification, min(self.price_center, 1.0))
+        seed = self._seed()
         np.minimum(t, seed.t_max, out=t)
         return self._newton(t, *self._dense_seed(seed, t))
+
+    def _seed(self) -> "_SeedTable":
+        return _seed_table(self.amplification, min(self.price_center, 1.0))
 
     def _dense_seed(self, seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(seed, lower, upper bracket) of w = log min(u, v) at targets t.
 
-        The cell index is read off the node spacing directly; the cell's end
-        nodes bracket the root, padded by _SOLVE_PAD, and cubic Hermite
-        interpolation between them lands within _SOLVE_XTOL of it, so
-        nearly every element freezes after one evaluation.
+        The cell's end nodes bracket the root, padded by _SOLVE_PAD, and
+        cubic Hermite interpolation between them lands within _SOLVE_XTOL
+        of it, so nearly every element freezes after one evaluation.
         """
-        r = t / seed.tau
-        np.log1p(r, out=r)
-        r /= seed.h
-        j = r.astype(np.intp)
-        np.minimum(j, seed.w.size - 2, out=j)
-        r -= j
+        r, j = _cell(seed, t)
         a = seed.w.take(j)
         ma = seed.m.take(j)
         j += 1
@@ -656,16 +658,20 @@ class StableSwap(AmmCurve):
         ``_solve_targets`` finds w with about one evaluation of the price
         map per price.
         """
-        c = self.price_center
         qs = qs.ravel()
+        return (qs < self.price_center, *self._solve_targets(self._center_distance(qs)))
+
+    def _center_distance(self, qs: np.ndarray) -> np.ndarray:
+        """|log(qs/c)| to full relative precision on both sides of the center,
+        at a flat array of prices."""
         if np.isnan(qs).any():
             raise DomainError("stableswap price grid contains NaN")
-        # |log(qs/c)| to full relative precision on both sides of the center
+        c = self.price_center
         t = qs - c
         np.abs(t, out=t)
         t /= np.minimum(qs, c)
         np.log1p(t, out=t)
-        return (qs < c, *self._solve_targets(t))
+        return t
 
     # ----- public surface -------------------------------------------------
 
@@ -698,21 +704,28 @@ class StableSwap(AmmCurve):
         return u.reshape(qs.shape), np.where(mirror, small, big).reshape(qs.shape)
 
     def _strip_axis(self) -> tuple[float, float]:
-        seed = _seed_table(self.amplification, min(self.price_center, 1.0))
-        return seed.tau, math.log(self.price_center)
+        return self._seed().tau, math.log(self.price_center)
 
     def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)
         q_lo, q_hi = self.q_bounds
         qc = np.clip(qs, q_lo, q_hi).ravel()
-        mirror, small, big, slope, elast, _ = self._grid_solve(qc)
-        # x = u/c, so dx/dq = (u/c) * (d log u / d log q) / q
-        dlogu = np.where(mirror, np.negative(elast, out=elast), 1.0)
-        dlogu /= slope
-        xp = np.where(mirror, big, small)
-        xp /= self.price_center
-        xp *= dlogu
-        xp /= qc
+        t = self._center_distance(qc)
+        seed = self._seed()
+        np.minimum(t, seed.t_max, out=t)
+        # G = log(-q x'(q) c / D) at max(q, c**2/q), read off the seed table
+        r, j = _cell(seed, t)
+        a = seed.g.take(j)
+        ma = seed.gm.take(j)
+        j += 1
+        xp = _hermite(r, a, seed.g.take(j), ma, seed.gm.take(j))
+        np.exp(xp, out=xp)
+        # x'(q) = -(D/c) exp(G) / q at q >= c, and below the center x'(q) =
+        # (c/q)**3 x'(c**2/q) = -D exp(G) / q**2: both are -D exp(G) / (q min(q, c))
+        np.minimum(qc, self.price_center, out=t)
+        t *= qc
+        xp /= t
+        xp *= -self.invariant_scale
         # the clip lands on an end point exactly where qs is outside
         xp[(qc == q_lo) | (qc == q_hi)] = 0.0
         return xp.reshape(qs.shape)
@@ -753,11 +766,38 @@ def _hermite(r, a, b, ma, mb):
     return ab
 
 
+def _cell(seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position r in [0, 1], index j) of the table cell [j, j + 1] holding
+    each target t, read off the node spacing directly."""
+    r = t / seed.tau
+    np.log1p(r, out=r)
+    r /= seed.h
+    j = np.floor(r)  # whole floats: cheaper to clamp and subtract than ints
+    np.minimum(j, seed.w.size - 2, out=j)
+    r -= j
+    return r, j.astype(np.intp)
+
+
 class _SeedTable(NamedTuple):
-    """Dense seed of the StableSwap solve in D-normalized units.
+    """Dense seed of the StableSwap solve and x' in D-normalized units.
 
     Node k sits at the target t_k = tau * expm1(k * h), uniform in
     z = log1p(t / tau), and holds w_k - log D and its slope h * dw/dz.
+    Each solved table also holds G_k = log(-q x'(q) c / D) at q = c *
+    exp(t_k) and its slope h * dG/dz; the two closed-form end nodes that
+    start the build do not.  By the u <-> v symmetry x'(q) = (c/q)**3 *
+    x'(c**2/q), the same G gives x' = -D exp(G) / (q min(q, c)) on both
+    sides of the center.  On the unit pool x = u/c, so with sigma =
+    d log q / dw < 0
+
+        G = w - log(-sigma),   h * dG/dz = h * ((tau + t) / sigma) * (1 - sigma_w / sigma).
+
+    With alpha = 16*A*u**2*v and beta = 16*A*u*v**2, sigma = -2*N / Dn for
+    N = alpha**2 - alpha*beta + beta**2 + alpha + beta + 1 and Dn =
+    (alpha + 1)*(beta + 1)**2, and with e = d log v / dw, alpha_w =
+    alpha*(2 + e) and beta_w = beta*(1 + 2e), so
+
+        sigma_w / sigma = N_w / N - alpha_w / (alpha + 1) - 2*beta_w / (beta + 1).
     """
 
     tau: float
@@ -765,6 +805,21 @@ class _SeedTable(NamedTuple):
     t_max: float
     w: np.ndarray
     m: np.ndarray
+    g: np.ndarray | None = None
+    gm: np.ndarray | None = None
+
+
+def _xprime_columns(amplification, u, v, slope, elast, w, m):
+    """(G, h * dG/dz) of ``_SeedTable`` on the unit pool, from ``_newton``'s
+    outputs at the nodes and the nodes' w and m = h * dw/dz."""
+    alpha = 16.0 * amplification * u * u * v
+    beta = 16.0 * amplification * u * v * v
+    alpha_w = alpha * (2.0 + elast)
+    beta_w = beta * (1.0 + 2.0 * elast)
+    big_n = alpha * alpha - alpha * beta + beta * beta + alpha + beta + 1.0
+    n_w = (2.0 * alpha - beta + 1.0) * alpha_w + (2.0 * beta - alpha + 1.0) * beta_w
+    sigma_w_over_sigma = n_w / big_n - alpha_w / (alpha + 1.0) - 2.0 * beta_w / (beta + 1.0)
+    return w - np.log(-slope), m * (1.0 - sigma_w_over_sigma)
 
 
 @lru_cache(maxsize=_SEED_CACHE)
@@ -781,7 +836,9 @@ def _seed_table(amplification: float, floor_center: float) -> _SeedTable:
     log 1/2, t = 0, slope -tau) and the floor (w = log s_min, t = t_max).
     Each of the _SEED_LEVELS finer tables is solved on the unit pool by
     ``_newton``, seeded by ``_dense_seed`` from the table before it, in
-    chunks no larger than a Monte Carlo step.
+    chunks no larger than a Monte Carlo step.  Each level's x' columns come
+    from its own solve, with no further evaluation of the price map; those
+    of the final table serve ``xprime_grid``.
     """
     unit = StableSwap(amplification, 1.0, floor_center)
     tau = 2.0 / (2.0 * amplification + 1.0)
@@ -797,15 +854,15 @@ def _seed_table(amplification: float, floor_center: float) -> _SeedTable:
     for n in _SEED_LEVELS:
         h = z_max / (n - 1)
         t = np.minimum(tau * np.expm1(np.arange(n) * h), t_max)
-        w = np.empty(n)
-        m = np.empty(n)
+        w, m, g, gm = (np.empty(n) for _ in range(4))
         for lo in range(0, n, _SEED_CHUNK):
             part = slice(lo, lo + _SEED_CHUNK)
-            _, _, slope, _, w[part] = unit._newton(t[part], *unit._dense_seed(seed, t[part]))
+            u, v, slope, elast, w[part] = unit._newton(t[part], *unit._dense_seed(seed, t[part]))
             m[part] = (tau + t[part]) * h / slope
-        seed = _SeedTable(tau, h, t_max, w, m)
-    w.flags.writeable = False  # shared by every pool with this key
-    m.flags.writeable = False
+            g[part], gm[part] = _xprime_columns(amplification, u, v, slope, elast, w[part], m[part])
+        seed = _SeedTable(tau, h, t_max, w, m, g, gm)
+    for column in seed[3:]:
+        column.flags.writeable = False  # shared by every pool with this key
     return seed
 
 

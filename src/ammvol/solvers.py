@@ -299,7 +299,12 @@ def implied_vol_cpmm_closed_form(
         )
     if pi_bar == 0.0:
         return 0.0
-    return math.sqrt(8.0 / maturity * math.log(cap / (cap - pi_bar)))
+    log_ratio = math.log(cap / (cap - pi_bar))
+    variance = 8.0 / maturity * log_ratio
+    if math.isfinite(variance):
+        return math.sqrt(variance)
+    # a maturity so short that sigma**2 overflows, though sigma does not
+    return math.sqrt(8.0 * log_ratio) / math.sqrt(maturity)
 
 
 def implied_corr_bounds(spec: SwapSpec, sigma_x: float, sigma_y: float) -> tuple[float, float]:

@@ -294,6 +294,41 @@ def test_stableswap_xprime_grid_fed_back_matches_scalar(amp):
         np.testing.assert_allclose(xp, scalar, rtol=1e-10)
 
 
+# StableSwap's xprime_grid interpolates the seed table of its A and min(c, 1),
+# so the sweep covers centers on both sides of 1
+XPRIME_TABLE_POOLS = [StableSwap(a, 2.0, c) for a in (1e-2, 1.0, 100.0, 1e3, 2e4, 1e5) for c in (0.6, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize(
+    "curve", XPRIME_TABLE_POOLS, ids=lambda c: f"A{c.amplification:g}-c{c.price_center:g}"
+)
+def test_stableswap_xprime_table_matches_implicit_differentiation(curve):
+    c = curve.price_center
+    lo, hi = curve.q_bounds
+    rng = np.random.default_rng(17)
+    qs = np.concatenate(
+        [
+            np.exp(rng.uniform(math.log(lo), math.log(hi), 150)),
+            c * np.exp(rng.normal(0.0, 0.01, 50)),
+            c * np.exp(rng.normal(0.0, 0.5, 50)),
+        ]
+    )
+    qs = qs[(qs > lo) & (qs < hi)]
+    xp = curve.xprime_grid(qs)
+    implicit = np.array([curve.first_derivs(float(q))[0] for q in qs])
+    np.testing.assert_allclose(xp, implicit, rtol=1e-11, atol=0.0)
+    # the clip ends and everything beyond them hold x' at exactly zero
+    ends = np.array([0.0, 0.5 * lo, lo, hi, 2.0 * hi, math.inf])
+    assert np.all(curve.xprime_grid(ends) == 0.0)
+    # u <-> v symmetry of the invariant: x'(q) = (c/q)**3 x'(c**2/q)
+    mirror = c * c / qs
+    both = (mirror > lo) & (mirror < hi)
+    assert np.count_nonzero(both) >= 0.5 * qs.size
+    np.testing.assert_allclose(
+        xp[both], (c / qs[both]) ** 3 * curve.xprime_grid(mirror[both]), rtol=1e-12, atol=0.0
+    )
+
+
 # ----- shared invariants, 100-point grids ---------------------------------------
 
 

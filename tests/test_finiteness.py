@@ -170,6 +170,16 @@ def test_solves_at_extreme_scales_return_finite_answers(call):
     assert all(math.isfinite(value) for value in vars(solution).values())
 
 
+def test_closed_form_vol_survives_an_overflowing_variance():
+    # sigma**2 = 8 log(cap / (cap - pi_bar)) / T overflows; sigma does not
+    assert implied_vol_cpmm_closed_form(1.0, 1.0, 1e-310) == pytest.approx(2.354820045030953e155, rel=1e-15)
+    near_cap = math.nextafter(2.0, 0.0)
+    sigma = implied_vol_cpmm_closed_form(1.0, near_cap, 1e-306)
+    assert sigma == pytest.approx(math.sqrt(8.0 * math.log(2.0 / (2.0 - near_cap))) * 1e153, rel=1e-14)
+    # an ordinary maturity keeps the one-expression result bit for bit
+    assert implied_vol_cpmm_closed_form(1.0, 0.1, 0.25) == math.sqrt(8.0 / 0.25 * math.log(2.0 / 1.9))
+
+
 @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
 def test_monte_carlo_path_counts_must_be_finite(bad):
     with pytest.raises(InvalidParams, match="n_paths"):

@@ -11,8 +11,9 @@ dense seed table to its purpose: the solve returns its nodes, takes one
 evaluation of the price map per price, and is shared across pool scales;
 and where a far-tail price still takes a second evaluation, its result is
 the one it gets alone.  The table builds itself from its two end nodes
-within two evaluations per node, and a fresh pool's first floating-leg
-strip solves only its three placement prices beyond the strip's nodes.
+within two evaluations per node, x' reads the table without evaluating the
+price map at all, and a fresh pool's first floating-leg strip solves only
+its three placement prices beyond the strip's nodes.
 """
 
 import json
@@ -117,6 +118,9 @@ def exhaust_solve_budget(monkeypatch):
     monkeypatch.setattr(ammvol.curves, "_SOLVE_MAX_ITER", 1)
     monkeypatch.setattr(ammvol.curves, "_SOLVE_XTOL", 0.0)
     monkeypatch.setattr(ammvol.curves, "_SOLVE_RTOL", 0.0)
+    # a cached table answers xprime_grid without a solve, so drop it: the
+    # first kernel call then builds its table under the exhausted budget
+    ammvol.curves._seed_table.cache_clear()
 
 
 def test_exhausted_iteration_budget_raises(monkeypatch):
@@ -271,6 +275,17 @@ def test_cold_seed_table_build_takes_at_most_two_evaluations_per_node():
             ammvol.curves._seed_table.__wrapped__(amplification, 1.0)  # bypasses the cache
         builds[amplification] = points[0]
     assert max(builds.values()) <= 2 * ammvol.curves._SEED_NODES, builds
+
+
+@pytest.mark.parametrize("center", [0.6, 1.0, 3.0])
+def test_xprime_grid_reads_the_table_without_evaluating_the_price_map(center):
+    curve = StableSwap(1e4, 2.0, center)
+    lo, hi = curve.q_bounds
+    qs = np.exp(np.random.default_rng(5).uniform(math.log(lo), math.log(hi), 10_000))
+    curve.holdings_grid(np.array([center]))  # the table build is not per price
+    with counted_evaluations() as points:
+        curve.xprime_grid(qs)
+    assert points[0] == 0
 
 
 def test_first_strip_on_a_fresh_copy_evaluates_little_beyond_its_nodes():
