@@ -447,6 +447,15 @@ class StableSwap(AmmCurve):
             self, "invariant_scale", check_positive(self.invariant_scale, "invariant_scale")
         )
         object.__setattr__(self, "price_center", check_positive(self.price_center, "price_center"))
+        # the ends are where a holding reaches its floor; far from c = 1 they
+        # can cross, overflow or miss c (the domain fix is a ROADMAP leftover)
+        with np.errstate(all="ignore"):
+            q_lo, q_hi = self.q_bounds
+        if not 0.0 < q_lo < self.price_center < q_hi < math.inf:
+            raise InvalidParams(
+                f"stableswap center {self.price_center!r} lies outside its price domain "
+                f"[{q_lo:.6g}, {q_hi:.6g}]"
+            )
 
     # ----- invariant machinery in centered units u = c*x, v = y ---------
 
@@ -681,8 +690,10 @@ class StableSwap(AmmCurve):
         return float(big[0] if mirror[0] else small[0])
 
     def first_derivs(self, q: float) -> tuple[float, float]:
-        # implicit differentiation, independent of the solve's slope that
-        # xprime_grid uses: the tests check one against the other
+        # implicit differentiation, independent of the seed table that
+        # xprime_grid reads: the tests check one against the other
+        if self._require_in_domain(q) in self.q_bounds:
+            return (0.0, 0.0)  # a holding sits at its floor: frozen, as in xprime_grid
         _, vp, _, _, qp, _ = self._state(self._u_at(q))
         c = self.price_center
         # x = u/c, so dx/dq = (1/c) / (dq/du); dy/dq = v' / q'

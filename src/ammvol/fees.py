@@ -22,6 +22,7 @@ property by accruing F dt along discretized GBM paths.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ from .errors import DomainError, InvalidParams, check_count, check_nonnegative, 
 
 # Annualization convention: 365.25 days of 86400 seconds.
 YEAR_SECONDS = 365.25 * 86400.0
+
+# Bytes of normals per draw buffer of the martingale Monte Carlo: a block of
+# 8 steps at 10,000 antithetic paths.
+_DRAW_BLOCK_BYTES = 640_000
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,62 @@ def _walk(ln_p: np.ndarray, drift: float, shock: np.ndarray) -> None:
         ln_p[shock.size :] += drift - shock
 
 
+class _NormalsAhead:
+    """The (2, half) standard normals of n_steps steps, drawn by one worker
+    thread a block of steps ahead of the caller.
+
+    Blocks of up to ``block`` steps alternate between two buffers allocated
+    once.  The worker fills them in order, each with one
+    ``standard_normal(out=...)``, which equals k sequential (2, half) draws
+    bit for bit, so the stream does not depend on scheduling.  Iterating
+    yields the steps in order; at the first step of a block the caller takes
+    that block and hands back the buffer of the one before.  Use as a
+    context manager: leaving it stops and joins the worker, also when the
+    caller raises.
+    """
+
+    def __init__(self, rng: np.random.Generator, n_steps: int, block: int, half: int):
+        bufs = np.empty((2, block, 2, half))
+        # the views are made here, so the worker only draws; the last may be short
+        self._blocks = [bufs[i % 2, : n_steps - start] for i, start in enumerate(range(0, n_steps, block))]
+        self._free = threading.Semaphore(2)
+        self._filled = threading.Semaphore(0)
+        self._stop = False
+        self._failure: list[Exception] = []
+        self._worker = threading.Thread(target=self._fill, args=(rng,), name="ammvol-normals", daemon=True)
+
+    def _fill(self, rng: np.random.Generator) -> None:
+        try:
+            for out in self._blocks:
+                self._free.acquire()
+                if self._stop:
+                    return
+                rng.standard_normal(out=out)
+                self._filled.release()
+        except Exception as exc:  # raised again on the caller's thread
+            self._failure.append(exc)
+            self._filled.release()
+
+    def __enter__(self) -> "_NormalsAhead":
+        self._worker.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # one release wakes a worker waiting for a buffer, to see _stop
+        self._stop = True
+        self._free.release()
+        self._worker.join()
+
+    def __iter__(self):
+        for i, zs in enumerate(self._blocks):
+            self._filled.acquire()
+            if self._failure:
+                raise self._failure[0]
+            if i:
+                self._free.release()
+            yield from zs
+
+
 def mc_fee_plus_terminal_value(
     curve: AmmCurve,
     params: GbmParams,
@@ -187,6 +248,12 @@ def mc_fee_plus_terminal_value(
     ``antithetic`` the second half of the paths are the mates of the first:
     each step draws normals z for the first half and moves the mates by
     drift - s*z, which equals drift + s*(-z) exactly.
+
+    The normals come from one worker thread that draws a block of steps
+    ahead of the price walk (``_NormalsAhead``), so the draws overlap the
+    curve work.  Only that thread touches the generator and it fills the
+    blocks in order, so the result does not depend on thread scheduling:
+    it equals one (2, half) draw per step, bit for bit.
     """
     p0x = check_positive(p0x, "price", DomainError)
     p0y = check_positive(p0y, "price", DomainError)
@@ -213,24 +280,25 @@ def mc_fee_plus_terminal_value(
     ln_py = np.full(n_eff, math.log(p0y))
     fees = np.zeros(n_eff)
     rate = -0.5 * var
-    for k in range(n_steps):
-        py = np.exp(ln_py)
-        q = np.exp(ln_px)
-        q /= py
-        xp = curve.xprime_grid(q)
-        # the fee rate py * (-var/2 * q**2 * x'(q)), discounted, over dt
-        fee = q * rate
-        fee *= q
-        fee *= xp
-        fee *= py
-        fee *= math.exp(-r * k * dt)
-        fee *= dt
-        fees += fee
+    block = max(1, min(n_steps, _DRAW_BLOCK_BYTES // (16 * half)))
+    with _NormalsAhead(rng, n_steps, block, half) as draws:
+        for k, z in enumerate(draws):
+            py = np.exp(ln_py)
+            q = np.exp(ln_px)
+            q /= py
+            xp = curve.xprime_grid(q)
+            # the fee rate py * (-var/2 * q**2 * x'(q)), discounted, over dt
+            fee = q * rate
+            fee *= q
+            fee *= xp
+            fee *= py
+            fee *= math.exp(-r * k * dt)
+            fee *= dt
+            fees += fee
 
-        z = rng.standard_normal((2, half))
-        zy = rho * z[0] + rho_c * z[1]
-        _walk(ln_px, drift_x, sx * z[0])
-        _walk(ln_py, drift_y, sy * zy)
+            zy = rho * z[0] + rho_c * z[1]
+            _walk(ln_px, drift_x, sx * z[0])
+            _walk(ln_py, drift_y, sy * zy)
 
     px = np.exp(ln_px)
     py = np.exp(ln_py)

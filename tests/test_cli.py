@@ -347,6 +347,14 @@ def test_solve_vol_accepts_integral_numbers_and_booleans(capsys):
     assert out["sigma"] > 0.0
 
 
+def test_solve_vol_stableswap_center_outside_its_domain_is_invalid_input(capsys):
+    curve = {"kind": "stableswap", "A": 100.0, "D": 2.0, "center": 1e-200}
+    code, err = error_of(capsys, "solve-vol", json.dumps({**SOLVE_VOL_BASE, "curve": curve, "p0x": 1e-200}))
+    assert code == 2
+    assert err["error"] == "invalid_input"
+    assert "center" in err["detail"]
+
+
 # ----- solve-corr -------------------------------------------------------------------
 
 

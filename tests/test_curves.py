@@ -259,6 +259,34 @@ def test_stableswap_domain_errors():
         STABLE.first_derivs(lo / 2.0)
 
 
+@pytest.mark.parametrize(
+    "curve", [STABLE, StableSwap(1e-2, 1e-3, 0.6), StableSwap(2e4, 1e6, 3.0)], ids=lambda c: f"A{c.amplification:g}"
+)
+def test_stableswap_first_derivs_vanish_at_the_domain_ends(curve):
+    # a holding sits at its floor there, so x' is 0 as in xprime_grid; just
+    # inside, the implicit derivative is still the oracle
+    lo, hi = curve.q_bounds
+    ends = np.array([lo, hi])
+    assert np.all(curve.xprime_grid(ends) == 0.0)
+    for q in ends:
+        assert curve.first_derivs(float(q)) == (0.0, 0.0)
+        assert equivalent_cpmm_liquidity(curve, float(q)) == 0.0
+    inside = np.array([lo * 1.01, hi / 1.01])
+    implicit = [curve.first_derivs(float(q))[0] for q in inside]
+    assert all(xp < 0.0 for xp in implicit)
+    np.testing.assert_allclose(curve.xprime_grid(inside), implicit, rtol=1e-10)
+
+
+@pytest.mark.parametrize("center", [1e12, 1e17, 1e-200])
+def test_stableswap_center_outside_its_domain_is_invalid(center):
+    # the holdings floor leaves c = 1e12 above q_hi, crosses the ends at
+    # 1e17 and overflows q_hi at 1e-200
+    with pytest.raises(InvalidParams, match="center"):
+        StableSwap(100.0, 2.0, center)
+    with pytest.raises(InvalidParams):
+        curve_from_dict({"kind": "stableswap", "A": 100.0, "D": 2.0, "center": center})
+
+
 def test_stableswap_holdings_near_matches_cold_solve():
     rng = np.random.default_rng(11)
     q = 1.0

@@ -4,10 +4,13 @@ Analytic goldens from the unit-liquidity constant-product algebra:
 lvr(q) = sigma**2/4 * sqrt(q), and the one-step realized increment with
 py = 1 collapses to (sqrt(q1) - sqrt(q0))**2 / sqrt(q0).  The martingale
 Monte Carlo must equal, bit for bit, a plain copy of its step loop that
-draws the antithetic mates by concatenating -z.
+draws the antithetic mates by concatenating -z, whatever the blocks in
+which its worker thread draws the normals; no thread outlives a call.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from ammvol import (
     ConcentratedCpmm,
     Cpmm,
+    DomainError,
     GbmParams,
     InvalidParams,
     RangeError,
@@ -28,7 +32,7 @@ from ammvol import (
     mc_fee_plus_terminal_value,
     realized_lvr_increment,
 )
-from ammvol.fees import mc_mean_stderr
+from ammvol.fees import _DRAW_BLOCK_BYTES, _NormalsAhead, mc_mean_stderr
 
 CPMM = Cpmm(1.0)
 
@@ -283,3 +287,96 @@ def test_mc_fee_plus_terminal_value_equals_the_plain_loop(curve, antithetic, n_p
     got = mc_fee_plus_terminal_value(*args)
     want = reference_fee_plus_terminal_value(*args)
     assert got == want
+
+
+# (n_paths, n_steps, antithetic, the steps of each block the worker draws at
+# once): 8 at 10,000 antithetic paths, fewer as the paths grow
+BLOCK_CASES = [
+    (10_000, 13, True, [8, 5]),  # n_steps not a multiple of the block
+    (10_000, 5, True, [5]),  # n_steps below it
+    (10_000, 1, True, [1]),
+    (32_000, 5, True, [2, 2, 1]),  # the byte budget caps the block below 8
+    (10_001, 7, False, [3, 3, 1]),  # odd n_paths, every path drawn
+]
+
+
+@pytest.mark.parametrize(
+    "n_paths, n_steps, antithetic, blocks",
+    BLOCK_CASES,
+    ids=[f"{n_paths}x{n_steps}-{antithetic}" for n_paths, n_steps, antithetic, _ in BLOCK_CASES],
+)
+def test_mc_blocks_of_draws_equal_the_plain_loop(n_paths, n_steps, antithetic, blocks):
+    half = n_paths // 2 if antithetic else n_paths
+    block = max(1, min(n_steps, _DRAW_BLOCK_BYTES // (16 * half)))
+    assert [min(block, n_steps - start) for start in range(0, n_steps, block)] == blocks
+    params = GbmParams(0.8, 0.3, 0.5, 0.03)
+    args = (StableSwap(100.0, 2.0, 1.0), params, 1.2, 0.9, 0.25, n_paths, n_steps, 7, antithetic)
+    before = threading.active_count()
+    got = mc_fee_plus_terminal_value(*args)
+    assert threading.active_count() == before
+    assert got == reference_fee_plus_terminal_value(*args)
+
+
+def test_mc_under_thread_stress_equals_the_plain_loop():
+    # four runs at once, more threads than cores, switching as often as the
+    # interpreter can: a buffer handed back early or filled out of order
+    # would change a result
+    params = GbmParams(0.8, 0.3, 0.5, 0.03)
+    args = (CPMM, params, 1.2, 0.9, 0.25, 10_000, 40, 11, True)
+    want = reference_fee_plus_terminal_value(*args)
+    results = []
+    runs = [threading.Thread(target=lambda: results.append(mc_fee_plus_terminal_value(*args))) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for run in runs:
+            run.start()
+        for run in runs:
+            run.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(run.is_alive() for run in runs)
+    assert results == [want] * 4
+
+
+class _FailsMidRun:
+    """Cpmm for the martingale Monte Carlo until its x' call ``fail_at``,
+    which raises: a curve leaving its domain partway through a run."""
+
+    def __init__(self, fail_at):
+        self.calls = 0
+        self.fail_at = fail_at
+
+    def xprime_grid(self, qs):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise DomainError("price left the domain")
+        return CPMM.xprime_grid(qs)
+
+    def pool_value_grid(self, qs):
+        return CPMM.pool_value_grid(qs)
+
+
+def test_mc_error_mid_run_reaches_the_caller_and_joins_the_worker():
+    # call 12 is inside the second block of 8 steps, with the third block
+    # drawn or being drawn
+    curve = _FailsMidRun(fail_at=12)
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="left the domain"):
+        mc_fee_plus_terminal_value(curve, GbmParams(0.4), 1.0, 1.0, 0.1, 10_000, 40, seed=5)
+    assert curve.calls == 12
+    assert threading.active_count() == before
+
+
+class _BrokenGenerator:
+    def standard_normal(self, out):
+        raise MemoryError("no room for normals")
+
+
+def test_a_failed_draw_is_raised_on_the_caller_thread():
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no room"):
+        with _NormalsAhead(_BrokenGenerator(), n_steps=5, block=2, half=3) as draws:
+            for _ in draws:
+                pass
+    assert threading.active_count() == before

@@ -4,12 +4,14 @@ Each curve prices C(q0) - E[C(Q)] as a strip of out-of-the-money options
 weighted by its liquidity.  The raw Monte Carlo estimator
 ``mc_expected_pool_value`` checks the strip within 3 standard errors, a
 dense quadrature of the tangent gap over the solved holdings checks it
-deterministically on the same cases and in tails the sampler misses, the
-constant-product closed form checks a range position wide enough to cover
-the whole kernel, central differences check the analytic vega, and
-scipy's ndtr checks the kernel's own normal CDF.  A StableSwap strip off
-the center matches the same strip at 455 times the nodes, which holds
-only when the spot is a cut and the nodes do not crowd the flat center.
+deterministically on the same cases and in tails the sampler misses, so
+does the LVR accrued over the horizon (the paper's martingale identity, on
+x' alone), the constant-product closed form checks a range position wide
+enough to cover the whole kernel, central differences check the analytic
+vega, and scipy's ndtr checks the kernel's own normal CDF.  A StableSwap
+strip off the center matches the same strip at 455 times the nodes, which
+holds only when the spot is a cut and the nodes do not crowd the flat
+center.
 """
 
 import math
@@ -119,6 +121,67 @@ def test_strip_matches_tangent_gap_quadrature(case):
     for s in TOTAL_VOLS:
         leg, _ = curve.floating_leg(q0, s)
         assert leg == pytest.approx(tangent_gap_leg(curve, q0, s), rel=GAP_RTOL, abs=1e-30 * c0), s
+
+
+# The paper's identity: fees accruing at the LVR rate l(q) = -sigma**2 q**2 x'(q)/2
+# make the LP position a martingale, so E[int_0^T l(Q_t) dt] = C(q0) - E[C(Q_T)],
+# the floating leg.  It is an oracle on x' alone.  Only sigma**2 T = s**2 matters,
+# so take T = 1 and sigma = s and substitute t = v**2: the left side is
+# s**2 int_0^1 v E[-Q**2 x'(Q)] dv, Q lognormal at total vol s*v.  Both integrals
+# are Gauss-Legendre on panels of their own, not the strip's:
+# - in v, on [0, 2**-LVR_OCTAVES] and the octaves above it, because the
+#   expectation turns where s*v reaches the distance from the spot to a cut;
+# - in Z, on unit panels over [-LVR_WIDTH, LVR_WIDTH], cut where log q crosses
+#   an end of trade_bounds and, for StableSwap, log c and log c +- tau * 2**j:
+#   the liquidity sits within tau = 2/(2A + 1) of log c and decays over
+#   decades, and x' is smooth only piecewise about c.
+# It reads within 5.8e-13 of the strip on CASES x TOTAL_VOLS, except on the
+# range spots far outside the range at s <= 0.05: their legs of 1e-11 and
+# 1.3e-10 it reads within 2.4e-10 relative, 6e-21 absolute.  The bounds leave
+# two orders of margin.
+LVR_OCTAVES = 16
+LVR_V_NODES = 12
+LVR_WIDTH = 13
+LVR_Z_NODES = 16
+LVR_RTOL = 1e-10
+LVR_ATOL = 1e-17  # times C(q0)
+
+
+def accrued_lvr_leg(curve, q0, s):
+    cuts = [math.log(b) for b in curve.trade_bounds if 0.0 < b < math.inf]
+    if isinstance(curve, StableSwap):
+        tau = 2.0 / (2.0 * curve.amplification + 1.0)
+        steps = tau * 2.0 ** np.arange(64)
+        steps = steps[steps < 2.0 * LVR_WIDTH * s]
+        log_c = math.log(curve.price_center)
+        cuts += [log_c, *(log_c + steps), *(log_c - steps)]
+    cuts = np.array(cuts)
+
+    def panels(edges, rule):
+        x, w = rule
+        half = 0.5 * np.diff(edges)[:, None]
+        return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+
+    v_rule, z_rule = (np.polynomial.legendre.leggauss(n) for n in (LVR_V_NODES, LVR_Z_NODES))
+    v, v_weight = panels(np.append(0.0, 2.0 ** np.arange(-LVR_OCTAVES, 1.0)), v_rule)
+    unit = np.arange(-LVR_WIDTH, LVR_WIDTH + 1.0)
+    total = 0.0
+    for vol, weight in zip(s * v, s * s * v * v_weight):
+        z_cuts = (cuts - math.log(q0) + 0.5 * vol * vol) / vol
+        z, z_weight = panels(np.union1d(unit, z_cuts[np.abs(z_cuts) < LVR_WIDTH]), z_rule)
+        q = q0 * np.exp(vol * z - 0.5 * vol * vol)
+        density = z_weight * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        total += weight * float((-q * q * curve.xprime_grid(q)) @ density)
+    return total
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_id(c) for c in CASES])
+def test_strip_matches_the_accrued_lvr(case):
+    curve, q0 = case
+    c0 = float(curve.pool_value_grid(np.array([q0]))[0])
+    for s in TOTAL_VOLS:
+        leg, _ = curve.floating_leg(q0, s)
+        assert accrued_lvr_leg(curve, q0, s) == pytest.approx(leg, rel=LVR_RTOL, abs=LVR_ATOL * c0), s
 
 
 def test_wide_range_matches_cpmm_closed_form():
