@@ -22,7 +22,6 @@ property by accruing F dt along discretized GBM paths.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,24 +73,42 @@ class GbmParams:
 
 
 def effective_variance(params: GbmParams) -> float:
-    """Per-year variance of the price ratio: sx**2 - 2*rho*sx*sy + sy**2."""
-    var = params.sigma_x**2 - 2.0 * params.rho * params.sigma_x * params.sigma_y + params.sigma_y**2
+    """Per-year variance of the price ratio: sx**2 - 2*rho*sx*sy + sy**2.
+
+    Taken in units of a power of two near max(sx, sy), as ``implied_corr``
+    takes rho: exact, and no square overflows, so equal vols at rho = 1
+    give 0 at any size.  A variance beyond a double raises InvalidParams.
+    """
+    unit = math.ldexp(1.0, math.frexp(max(params.sigma_x, params.sigma_y))[1] - 1)
+    a, b = params.sigma_x / unit, params.sigma_y / unit
     # rho = +/-1 with equal vols can round a hair below zero
-    return max(var, 0.0)
+    var = max(a * a - 2.0 * params.rho * a * b + b * b, 0.0) * unit * unit
+    if var == math.inf:
+        raise InvalidParams(
+            f"the price-ratio variance of sigma_x {params.sigma_x!r} and sigma_y {params.sigma_y!r} "
+            "is beyond the float range"
+        )
+    return var
 
 
 def instantaneous_lvr(curve: AmmCurve, q: float, params: GbmParams) -> float:
     """Implied fee rate -0.5 * sigma_bar**2 * q**2 * x'(q), in y per year."""
     q = check_positive(q, "price", DomainError)
     xp, _ = curve.first_derivs(q)
-    return -0.5 * effective_variance(params) * q * q * xp
+    rate = -0.5 * effective_variance(params) * q * q * xp
+    if not math.isfinite(rate):
+        raise DomainError(f"the fee rate at price {q!r} is not a finite number")
+    return rate
 
 
 def implied_fee_rate_dollars(curve: AmmCurve, px: float, py: float, params: GbmParams) -> float:
     """Dollar fee rate F(px, py) = py * lvr(px/py), dollars per year."""
     px = check_positive(px, "price", DomainError)
     py = check_positive(py, "price", DomainError)
-    return py * instantaneous_lvr(curve, px / py, params)
+    rate = py * instantaneous_lvr(curve, px / py, params)
+    if not math.isfinite(rate):
+        raise DomainError(f"the dollar fee rate at prices {px!r}, {py!r} is not a finite number")
+    return rate
 
 
 def cpmm_unit_lvr_with_rate(q: float, r: float, sigma: float) -> float:
@@ -170,62 +187,6 @@ def _walk(ln_p: np.ndarray, drift: float, shock: np.ndarray) -> None:
         ln_p[shock.size :] += drift - shock
 
 
-class _NormalsAhead:
-    """The (2, half) standard normals of n_steps steps, drawn by one worker
-    thread a block of steps ahead of the caller.
-
-    Blocks of up to ``block`` steps alternate between two buffers allocated
-    once.  The worker fills them in order, each with one
-    ``standard_normal(out=...)``, which equals k sequential (2, half) draws
-    bit for bit, so the stream does not depend on scheduling.  Iterating
-    yields the steps in order; at the first step of a block the caller takes
-    that block and hands back the buffer of the one before.  Use as a
-    context manager: leaving it stops and joins the worker, also when the
-    caller raises.
-    """
-
-    def __init__(self, rng: np.random.Generator, n_steps: int, block: int, half: int):
-        bufs = np.empty((2, block, 2, half))
-        # the views are made here, so the worker only draws; the last may be short
-        self._blocks = [bufs[i % 2, : n_steps - start] for i, start in enumerate(range(0, n_steps, block))]
-        self._free = threading.Semaphore(2)
-        self._filled = threading.Semaphore(0)
-        self._stop = False
-        self._failure: list[Exception] = []
-        self._worker = threading.Thread(target=self._fill, args=(rng,), name="ammvol-normals", daemon=True)
-
-    def _fill(self, rng: np.random.Generator) -> None:
-        try:
-            for out in self._blocks:
-                self._free.acquire()
-                if self._stop:
-                    return
-                rng.standard_normal(out=out)
-                self._filled.release()
-        except Exception as exc:  # raised again on the caller's thread
-            self._failure.append(exc)
-            self._filled.release()
-
-    def __enter__(self) -> "_NormalsAhead":
-        self._worker.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        # one release wakes a worker waiting for a buffer, to see _stop
-        self._stop = True
-        self._free.release()
-        self._worker.join()
-
-    def __iter__(self):
-        for i, zs in enumerate(self._blocks):
-            self._filled.acquire()
-            if self._failure:
-                raise self._failure[0]
-            if i:
-                self._free.release()
-            yield from zs
-
-
 def mc_fee_plus_terminal_value(
     curve: AmmCurve,
     params: GbmParams,
@@ -249,11 +210,13 @@ def mc_fee_plus_terminal_value(
     each step draws normals z for the first half and moves the mates by
     drift - s*z, which equals drift + s*(-z) exactly.
 
-    The normals come from one worker thread that draws a block of steps
-    ahead of the price walk (``_NormalsAhead``), so the draws overlap the
-    curve work.  Only that thread touches the generator and it fills the
-    blocks in order, so the result does not depend on thread scheduling:
-    it equals one (2, half) draw per step, bit for bit.
+    The normals come from one executor thread that draws the next block of
+    steps into one of two buffers while the price walk runs on the other,
+    so the draws overlap the curve work.  Only that thread touches the
+    generator and it fills the blocks in order, so the result does not
+    depend on thread scheduling: it equals one (2, half) draw per step, bit
+    for bit.  A path total that is not finite, from paths that left the
+    curve's float range, raises DomainError.
     """
     p0x = check_positive(p0x, "price", DomainError)
     p0y = check_positive(p0y, "price", DomainError)
@@ -270,38 +233,53 @@ def mc_fee_plus_terminal_value(
     r = params.r
     sx = params.sigma_x * math.sqrt(dt)
     sy = params.sigma_y * math.sqrt(dt)
-    drift_x = (r - 0.5 * params.sigma_x**2) * dt
-    drift_y = (r - 0.5 * params.sigma_y**2) * dt
+    var = effective_variance(params)
+    try:  # equal vols at rho = 1 pass effective_variance at any size
+        drift_x = (r - 0.5 * params.sigma_x**2) * dt
+        drift_y = (r - 0.5 * params.sigma_y**2) * dt
+    except OverflowError:
+        raise InvalidParams("the drift of a vol this large is beyond the float range") from None
     rho = params.rho
     rho_c = math.sqrt(max(1.0 - rho * rho, 0.0))
-    var = effective_variance(params)
 
     ln_px = np.full(n_eff, math.log(p0x))
     ln_py = np.full(n_eff, math.log(p0y))
     fees = np.zeros(n_eff)
     rate = -0.5 * var
     block = max(1, min(n_steps, _DRAW_BLOCK_BYTES // (16 * half)))
-    with _NormalsAhead(rng, n_steps, block, half) as draws:
-        for k, z in enumerate(draws):
-            py = np.exp(ln_py)
-            q = np.exp(ln_px)
-            q /= py
-            xp = curve.xprime_grid(q)
-            # the fee rate py * (-var/2 * q**2 * x'(q)), discounted, over dt
-            fee = q * rate
-            fee *= q
-            fee *= xp
-            fee *= py
-            fee *= math.exp(-r * k * dt)
-            fee *= dt
-            fees += fee
+    bufs = np.empty((2, block, 2, half))
+    # imported here: at module level it would load into every CLI command
+    from concurrent.futures import ThreadPoolExecutor
 
-            zy = rho * z[0] + rho_c * z[1]
-            _walk(ln_px, drift_x, sx * z[0])
-            _walk(ln_py, drift_y, sy * zy)
+    # a path leaving the curve's float range shows in its total, checked once below
+    with np.errstate(all="ignore"), ThreadPoolExecutor(max_workers=1, thread_name_prefix="ammvol-normals") as worker:
+        # the worker fills block i + 1 while the steps of block i run; the last may be short
+        pending = worker.submit(rng.standard_normal, out=bufs[0])
+        for i, start in enumerate(range(0, n_steps, block)):
+            zs = pending.result()
+            if start + block < n_steps:
+                pending = worker.submit(rng.standard_normal, out=bufs[(i + 1) % 2, : n_steps - start - block])
+            for k, z in enumerate(zs, start):
+                py = np.exp(ln_py)
+                q = np.exp(ln_px)
+                q /= py
+                xp = curve.xprime_grid(q)
+                # the fee rate py * (-var/2 * q**2 * x'(q)), discounted, over dt
+                fee = q * rate
+                fee *= q
+                fee *= xp
+                fee *= py
+                fee *= math.exp(-r * k * dt)
+                fee *= dt
+                fees += fee
 
-    px = np.exp(ln_px)
-    py = np.exp(ln_py)
-    totals = fees + math.exp(-r * maturity) * py * curve.pool_value_grid(px / py)
+                zy = rho * z[0] + rho_c * z[1]
+                _walk(ln_px, drift_x, sx * z[0])
+                _walk(ln_py, drift_y, sy * zy)
 
+        px = np.exp(ln_px)
+        py = np.exp(ln_py)
+        totals = fees + math.exp(-r * maturity) * py * curve.pool_value_grid(px / py)
+    if not np.isfinite(totals).all():
+        raise DomainError("a path total is not a finite number: the paths left the curve's float range")
     return mc_mean_stderr(totals, antithetic)

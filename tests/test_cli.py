@@ -402,6 +402,28 @@ def test_price_swap_component_vols(capsys):
     assert "sigma" in err["detail"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen-ticks", "--out", "unused.csv", "--days", "0.01", "--sigma", "1e200"],
+        ["price-swap", json.dumps({**SOLVE_VOL_BASE, "sigmaX": 1e200, "sigmaY": 0.0, "rho": 0.0})],
+    ],
+    ids=lambda args: args[0],
+)
+def test_a_price_ratio_variance_beyond_a_double_is_invalid_input(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    code, err = error_of(capsys, *args)
+    assert code == 2
+    assert err["error"] == "invalid_input"
+    assert "beyond the float range" in err["detail"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_price_swap_equal_vols_beyond_a_double_at_rho_1(capsys):
+    out = run_json(capsys, "price-swap", json.dumps({**SOLVE_VOL_BASE, "sigmaX": 1e200, "sigmaY": 1e200, "rho": 1.0}))
+    assert out["sigma"] == 0.0
+
+
 # ----- solver requests at any scale ----------------------------------------------------
 
 # every number in a request lies in [1e-150, 1e150], with its exponent uniform

@@ -32,7 +32,7 @@ from ammvol import (
     mc_fee_plus_terminal_value,
     realized_lvr_increment,
 )
-from ammvol.fees import _DRAW_BLOCK_BYTES, _NormalsAhead, mc_mean_stderr
+from ammvol.fees import _DRAW_BLOCK_BYTES, mc_mean_stderr
 
 CPMM = Cpmm(1.0)
 
@@ -42,6 +42,17 @@ def test_effective_variance_goldens():
     assert effective_variance(GbmParams(2.0, 1.0, 0.5)) == pytest.approx(3.0, rel=1e-15)
     assert effective_variance(GbmParams(1.0, 1.0, 1.0)) == 0.0
     assert effective_variance(GbmParams(1.0, 1.0, -1.0)) == pytest.approx(4.0, rel=1e-15)
+
+
+def test_effective_variance_of_vols_beyond_a_square_root_of_a_double():
+    # no square overflows on the way: equal vols at rho = 1 give 0 at any size
+    assert effective_variance(GbmParams(1e200, 1e200, 1.0)) == 0.0
+    assert effective_variance(GbmParams(1e154, 1e154, 0.9)) == pytest.approx(2e307, rel=1e-14)
+    for params in (GbmParams(1e200), GbmParams(1e200, 1e199, 0.5), GbmParams(1e154, 1e154, -1.0)):
+        with pytest.raises(InvalidParams, match="beyond the float range"):
+            effective_variance(params)
+    with pytest.raises(InvalidParams, match="beyond the float range"):
+        mc_fee_plus_terminal_value(CPMM, GbmParams(1e200, 1e200, 1.0), 1.0, 1.0, 0.1, 64, 10)
 
 
 def test_gbm_params_validation():
@@ -78,6 +89,28 @@ def test_instantaneous_lvr_two_forms_agree():
             _, yp = curve.first_derivs(q)
             alt = 0.5 * var * q * yp
             assert instantaneous_lvr(curve, q, params) == pytest.approx(alt, rel=1e-9)
+
+
+# x' is beyond a double near the center of this pool, so q**2 * x' is inf * 0
+# at q = 1e-190 and inf at q = 1e-150
+TINY_CENTER = StableSwap(100.0, 2.0, 1e-190)
+
+
+@pytest.mark.parametrize("q", [1e-190, 1e-150])
+def test_a_fee_rate_beyond_a_double_is_a_domain_error(q):
+    with pytest.raises(DomainError, match="not a finite number"):
+        instantaneous_lvr(TINY_CENTER, q, GbmParams(0.5))
+
+
+def test_a_dollar_fee_rate_beyond_a_double_is_a_domain_error():
+    # the rate in y, 2.5e199, is finite; times py = 1e300 it is not
+    with pytest.raises(DomainError, match="not a finite number"):
+        implied_fee_rate_dollars(CPMM, 1e300, 1e300, GbmParams(1e100))
+
+
+def test_mc_paths_beyond_a_double_are_a_domain_error():
+    with pytest.raises(DomainError, match="not a finite number"):
+        mc_fee_plus_terminal_value(TINY_CENTER, GbmParams(0.5), 1e-190, 1.0, 0.1, 64, 10, seed=1)
 
 
 def test_lvr_only_depends_on_effective_variance():
@@ -369,14 +402,39 @@ def test_mc_error_mid_run_reaches_the_caller_and_joins_the_worker():
 
 
 class _BrokenGenerator:
+    """A generator whose draws succeed ``good_draws`` times, then fail."""
+
+    def __init__(self, good_draws=0):
+        self.rng = np.random.Generator(np.random.Philox(0))
+        self.draws = 0
+        self.good_draws = good_draws
+
     def standard_normal(self, out):
-        raise MemoryError("no room for normals")
+        self.draws += 1
+        if self.draws > self.good_draws:
+            raise MemoryError("no room for normals")
+        return self.rng.standard_normal(out=out)
 
 
-def test_a_failed_draw_is_raised_on_the_caller_thread():
+def _run_with_generator(monkeypatch, generator, curve=CPMM):
+    monkeypatch.setattr(np.random, "Generator", lambda bit_generator: generator)
+    return mc_fee_plus_terminal_value(curve, GbmParams(0.4), 1.0, 1.0, 0.1, 10_000, 20, seed=5)
+
+
+def test_a_failed_draw_is_raised_on_the_caller_thread(monkeypatch):
     before = threading.active_count()
     with pytest.raises(MemoryError, match="no room"):
-        with _NormalsAhead(_BrokenGenerator(), n_steps=5, block=2, half=3) as draws:
-            for _ in draws:
-                pass
+        _run_with_generator(monkeypatch, _BrokenGenerator())
+    assert threading.active_count() == before
+
+
+def test_a_draw_failing_on_the_second_block_is_raised_at_its_first_step(monkeypatch):
+    # the second block's draw fails while the first block's 8 steps run; the
+    # caller meets the failure when it takes that block, after those steps
+    generator = _BrokenGenerator(good_draws=1)
+    curve = _FailsMidRun(fail_at=None)  # counts its x' calls, never fails
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no room"):
+        _run_with_generator(monkeypatch, generator, curve)
+    assert (generator.draws, curve.calls) == (2, 8)
     assert threading.active_count() == before
