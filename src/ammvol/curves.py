@@ -38,19 +38,18 @@ is nondecreasing and concave.  Three curve families are provided:
     price suffices.
     Derivatives come from implicit differentiation of the invariant, since
     finite differences lose all precision in the flat region near the center.
-    ``xprime_grid`` needs no solve: the table also holds log(-q x') and its
-    slope, differentiated implicitly at each node from the build's own
-    solve, and x' at a price is one interpolation between two nodes.  The
-    scalar ``first_derivs`` differentiates at the solved holdings instead,
-    the oracle for that table.
+    ``liquidity_grid`` needs no solve: the table also holds the log of the
+    density and its slope, differentiated implicitly at each node from the
+    build's own solve.  The scalar ``first_derivs`` differentiates at the
+    solved holdings instead, the oracle for that table.
 
-Each curve prices the fee-swap floating leg ``C(q0) - E[C(Q)]`` for a
-driftless lognormal ``Q`` as a strip of out-of-the-money Black-Scholes
-options weighted by ``-dx``, since ``C'' = x'`` (Carr & Madan 1998).
-``Cpmm`` has it in closed form.  The other curves share one quadrature:
-Gauss-Legendre panels in ``z = sign(t) * log1p(|t| / tau)``, ``t = log(k/c)``,
-linear across a flat center and logarithmic beyond it, weighted by the
-curve's ``xprime_grid``; StableSwap's ``tau`` and ``c`` are its seed table's.
+Each curve states its liquidity density ``-q**2 * x'(q)`` once, in
+``liquidity_grid``; the LVR rate is sigma**2/2 times it.  The fee-swap
+floating leg ``C(q0) - E[C(Q)]`` for a driftless lognormal ``Q`` is a strip
+of out-of-the-money Black-Scholes options per unit strike weighted by the
+density, since ``C'' = x'`` (Carr & Madan 1998): in closed form for ``Cpmm``,
+otherwise by Gauss-Legendre panels in ``z = sign(t) * log1p(|t| / tau)``,
+``t = log(k/c)``, linear across a flat center and logarithmic beyond it.
 """
 
 from __future__ import annotations
@@ -88,15 +87,15 @@ _SOLVE_PAD = 1e-9
 _SOLVE_RTOL = 4.0 * np.finfo(float).eps
 _SOLVE_MAX_ITER = 64
 
-# The solve is seeded from a table of _SEED_NODES nodes per amplification
-# and domain floor; the last _SEED_CACHE tables stay cached.  The table is
+# The solve is seeded from a table of _SEED_NODES nodes per amplification;
+# the last _SEED_CACHE tables stay cached.  The table is
 # refined from its two end nodes through the _SEED_LEVELS node counts, each
 # level solved from the one before it, _SEED_CHUNK nodes at a time, no more
 # than a Monte Carlo step solves at once: under two evaluations of the price
 # map per final node in all.  _SEED_NODES nodes put the seed within
 # _SOLVE_XTOL for A up to 1e4; at A = 1e5, 2-5% of prices beyond a
 # hundredfold move from the center take a second evaluation.  Each set-up
-# of a fresh process pays the build, about 5-7 ms with the x' columns.
+# of a fresh process pays the build, about 5-7 ms with the density columns.
 _SEED_NODES = 16384
 _SEED_LEVELS = (64, 4096, _SEED_NODES)
 _SEED_CHUNK = 8192
@@ -169,14 +168,20 @@ def _strip_reach(s: float) -> float:
     return _STRIP_WIDTH * s + 0.5 * s * s
 
 
+def _finite_slopes(q: float, xp: float, yp: float) -> tuple[float, float]:
+    if not (math.isfinite(xp) and math.isfinite(yp)):
+        raise DomainError(f"the slopes x', y' at price {q!r} are beyond the float range")
+    return xp, yp
+
+
 class AmmCurve(ABC):
     """A two-asset AMM described by portfolio-update functions x(q), y(q).
 
     Each curve states its geometry once, in the vectorized kernels
-    ``holdings_grid``, ``xprime_grid`` and ``pool_value_grid``.  They take
+    ``holdings_grid``, ``liquidity_grid`` and ``pool_value_grid``.  They take
     numpy arrays without per-element validation and extend beyond the
     tradeable range by valuing the boundary portfolio the pool actually
-    holds there.  The scalar methods ``holdings``, ``pool_value`` and
+    holds there.  The scalar ``holdings``, ``liquidity``, ``pool_value`` and
     ``first_derivs`` are those kernels at one validated point: they raise
     :class:`~ammvol.errors.DomainError` outside ``q_bounds``.
     """
@@ -218,11 +223,15 @@ class AmmCurve(ABC):
         """(x'(q), y'(q)); zero once either holding is exhausted.
 
         y' follows from the tangency identity q*x' + y' = 0, written so that
-        a vanishing x' gives +0.0.
+        a vanishing x' gives +0.0.  An x' beyond a double raises DomainError.
         """
         q = self._require_in_domain(q)
         xp = float(self.xprime_grid(np.array([q]))[0])
-        return xp, 0.0 - q * xp
+        return _finite_slopes(q, xp, 0.0 - q * xp)
+
+    def liquidity(self, q: float) -> float:
+        """The liquidity density -q**2 * x'(q) at one price."""
+        return float(self.liquidity_grid(np.array([self._require_in_domain(q)]))[0])
 
     @abstractmethod
     def second_derivs(self, q: float) -> tuple[float, float]:
@@ -253,9 +262,9 @@ class AmmCurve(ABC):
         volatility s = sigma*sqrt(T) > 0.  ``exact_floating_leg`` marks
         curves that evaluate it in closed form rather than by quadrature.
 
-        Otherwise a strip of Black-Scholes puts below q0 and calls above,
-        weighted by -dx = -x'(k) k (d log k/dz) dz in ``_strip_axis``'s z, cut
-        at the spot and z = 0 (kinks) and clipped to ``trade_bounds``.
+        Otherwise a strip of Black-Scholes puts below q0 and calls above per
+        unit strike, weighted by density(k) (d log k/dz) dz in ``_strip_axis``'s
+        z, cut at the spot and z = 0 (kinks) and clipped to ``trade_bounds``.
         """
         tau, log_c = self._strip_axis()
         lq0 = math.log(q0)
@@ -273,13 +282,13 @@ class AmmCurve(ABC):
         z = (edges[:-1, None] + half * (1.0 + x)).ravel()
         t = tau * np.expm1(np.abs(z))
         log_k = np.copysign(t, z) + log_c
-        k = np.exp(log_k)
-        mass = -self.xprime_grid(k) * k * (t + tau) * (half * w).ravel()
+        mass = self.liquidity_grid(np.exp(log_k)) * (t + tau) * (half * w).ravel()
         lm = log_k - lq0
         d1 = 0.5 * s - lm / s
         side = np.where(lm >= 0.0, 1.0, -1.0)
-        otm = side * q0 * (_ndtr(side * d1) - np.exp(lm) * _ndtr(side * (d1 - s)))
-        vega = q0 * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+        spot_per_k = np.exp(-lm)
+        otm = side * (spot_per_k * _ndtr(side * d1) - _ndtr(side * (d1 - s)))
+        vega = spot_per_k * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
         return float(otm @ mass), float(vega @ mass)
 
     def _strip_axis(self) -> tuple[float, float]:
@@ -287,8 +296,20 @@ class AmmCurve(ABC):
         return 1.0, 0.0
 
     @abstractmethod
+    def liquidity_grid(self, qs: np.ndarray) -> np.ndarray:
+        """Vectorized liquidity density -q**2 x'(q), zero outside the tradeable range."""
+
     def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
-        """Vectorized x'(q), zero outside the tradeable range."""
+        """Vectorized x'(q) = -liquidity_grid(q) / q**2, zero where the density is."""
+        qs = np.asarray(qs, dtype=float)
+        xp = np.asarray(self.liquidity_grid(qs))  # a fresh array; 0-d for a 0-d qs
+        dead = xp == 0.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # beyond a double: -inf
+            xp /= qs
+            xp /= qs
+        np.negative(xp, out=xp)
+        xp[dead] = 0.0  # +0.0, also at q = 0
+        return xp
 
     @abstractmethod
     def scaled_to_value(self, target_value: float, q: float) -> "AmmCurve":
@@ -338,10 +359,8 @@ class Cpmm(AmmCurve):
         qs = np.asarray(qs, dtype=float)
         return 2.0 * self.liquidity_tokens * np.sqrt(np.maximum(qs, 0.0))
 
-    def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
-        qs = np.asarray(qs, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(qs > 0.0, -0.5 * self.liquidity_tokens / (qs * np.sqrt(qs)), 0.0)
+    def liquidity_grid(self, qs: np.ndarray) -> np.ndarray:
+        return 0.5 * self.liquidity_tokens * np.sqrt(np.maximum(qs, 0.0))
 
     def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
         # E[sqrt(Q)] = sqrt(q0) * exp(-s**2/8), the lognormal half-moment
@@ -407,11 +426,10 @@ class ConcentratedCpmm(AmmCurve):
         y = np.maximum(L * (np.sqrt(qc) - math.sqrt(self.p_lo)), 0.0)
         return x, y
 
-    def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
+    def liquidity_grid(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)
         inside = (qs > self.p_lo) & (qs < self.p_hi)
-        qsafe = np.where(inside, qs, 1.0)
-        return np.where(inside, -0.5 * self.liquidity_tokens / (qsafe * np.sqrt(qsafe)), 0.0)
+        return 0.5 * self.liquidity_tokens * np.sqrt(np.where(inside, qs, 0.0))
 
     def scaled_to_value(self, target_value: float, q: float) -> "ConcentratedCpmm":
         q = check_positive(q, "price", DomainError)
@@ -431,8 +449,8 @@ class StableSwap(AmmCurve):
 
     At the symmetric point u = v = D/2 the marginal price equals c and the
     pool value equals D.  The price domain is the interval on which both
-    holdings stay above HOLDINGS_FLOOR * D; it widens rapidly with D and
-    narrows as A grows.
+    u = c*x and v = y stay above HOLDINGS_FLOOR * D: c times a domain set by
+    A alone, which narrows as A grows.
     """
 
     amplification: float
@@ -447,15 +465,18 @@ class StableSwap(AmmCurve):
             self, "invariant_scale", check_positive(self.invariant_scale, "invariant_scale")
         )
         object.__setattr__(self, "price_center", check_positive(self.price_center, "price_center"))
-        # the ends are where a holding reaches its floor; far from c = 1 they
-        # can cross, overflow or miss c (the domain fix is a ROADMAP leftover)
-        with np.errstate(all="ignore"):
+        # c = 1 is the seed table's own pool, and its domain is well inside
+        # the float range; a center far from 1 can push an end of it, or the
+        # x = u/c held at the lower end, out of that range
+        if self.price_center != 1.0:
             q_lo, q_hi = self.q_bounds
-        if not 0.0 < q_lo < self.price_center < q_hi < math.inf:
-            raise InvalidParams(
-                f"stableswap center {self.price_center!r} lies outside its price domain "
-                f"[{q_lo:.6g}, {q_hi:.6g}]"
-            )
+            with np.errstate(over="ignore"):
+                fits = 0.0 < q_lo and q_hi < math.inf and self.holdings(q_lo).x_qty < math.inf
+            if not fits:
+                raise InvalidParams(
+                    f"stableswap center {self.price_center!r} puts its price domain "
+                    f"[{q_lo:.6g}, {q_hi:.6g}] or its x holding beyond the float range"
+                )
 
     # ----- invariant machinery in centered units u = c*x, v = y ---------
 
@@ -497,10 +518,9 @@ class StableSwap(AmmCurve):
 
     @cached_property
     def q_bounds(self) -> tuple[float, float]:
-        # u at the x floor, and by u <-> v symmetry the mirror of v at the y floor
-        floor = HOLDINGS_FLOOR * self.invariant_scale
-        log_qc = self._grid_eval(np.log([floor * self.price_center, floor]))[2]
-        return self.price_center * math.exp(-log_qc[1]), self.price_center * math.exp(log_qc[0])
+        # u or, by the u <-> v symmetry, v at its floor: |log(q/c)| = t_max
+        t_max = self._seed().t_max
+        return self.price_center * math.exp(-t_max), self.price_center * math.exp(t_max)
 
     # ----- vectorized invariant machinery --------------------------------
 
@@ -626,14 +646,14 @@ class StableSwap(AmmCurve):
     def _solve_targets(self, t: np.ndarray):
         """``_newton``'s outputs at targets t = |log(q/c)|, clamped in place
         to the table's reach, seeded from the dense table ``_seed_table``
-        that every pool with this amplification and domain floor shares.
+        that every pool with this amplification shares.
         """
         seed = self._seed()
         np.minimum(t, seed.t_max, out=t)
         return self._newton(t, *self._dense_seed(seed, t))
 
     def _seed(self) -> "_SeedTable":
-        return _seed_table(self.amplification, min(self.price_center, 1.0))
+        return _seed_table(self.amplification)
 
     def _dense_seed(self, seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(seed, lower, upper bracket) of w = log min(u, v) at targets t.
@@ -691,13 +711,13 @@ class StableSwap(AmmCurve):
 
     def first_derivs(self, q: float) -> tuple[float, float]:
         # implicit differentiation, independent of the seed table that
-        # xprime_grid reads: the tests check one against the other
+        # liquidity_grid reads: the tests check one against the other
         if self._require_in_domain(q) in self.q_bounds:
-            return (0.0, 0.0)  # a holding sits at its floor: frozen, as in xprime_grid
+            return (0.0, 0.0)  # a holding sits at its floor: frozen, as in liquidity_grid
         _, vp, _, _, qp, _ = self._state(self._u_at(q))
         c = self.price_center
         # x = u/c, so dx/dq = (1/c) / (dq/du); dy/dq = v' / q'
-        return ((1.0 / c) / qp, vp / qp)
+        return _finite_slopes(q, (1.0 / c) / qp, vp / qp)
 
     def second_derivs(self, q: float) -> tuple[float, float]:
         _, vp, vpp, _, qp, qpp = self._state(self._u_at(q))
@@ -717,29 +737,28 @@ class StableSwap(AmmCurve):
     def _strip_axis(self) -> tuple[float, float]:
         return self._seed().tau, math.log(self.price_center)
 
-    def xprime_grid(self, qs: np.ndarray) -> np.ndarray:
+    def liquidity_grid(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)
         q_lo, q_hi = self.q_bounds
         qc = np.clip(qs, q_lo, q_hi).ravel()
         t = self._center_distance(qc)
         seed = self._seed()
         np.minimum(t, seed.t_max, out=t)
-        # G = log(-q x'(q) c / D) at max(q, c**2/q), read off the seed table
+        # G at |log(q/c)|, read off the seed table
         r, j = _cell(seed, t)
         a = seed.g.take(j)
         ma = seed.gm.take(j)
         j += 1
-        xp = _hermite(r, a, seed.g.take(j), ma, seed.gm.take(j))
-        np.exp(xp, out=xp)
-        # x'(q) = -(D/c) exp(G) / q at q >= c, and below the center x'(q) =
-        # (c/q)**3 x'(c**2/q) = -D exp(G) / q**2: both are -D exp(G) / (q min(q, c))
-        np.minimum(qc, self.price_center, out=t)
-        t *= qc
-        xp /= t
-        xp *= -self.invariant_scale
+        density = _hermite(r, a, seed.g.take(j), ma, seed.gm.take(j))
+        np.exp(density, out=density)
+        # times D max(q/c, 1); q/c lies in the center-1 domain at any c
+        np.divide(qc, self.price_center, out=t)
+        np.maximum(t, 1.0, out=t)
+        t *= self.invariant_scale
+        density *= t
         # the clip lands on an end point exactly where qs is outside
-        xp[(qc == q_lo) | (qc == q_hi)] = 0.0
-        return xp.reshape(qs.shape)
+        density[(qc == q_lo) | (qc == q_hi)] = 0.0
+        return density.reshape(qs.shape)
 
     def scaled_to_value(self, target_value: float, q: float) -> "StableSwap":
         # The invariant is 1-homogeneous in (u, v, D): scaling D scales the
@@ -790,16 +809,16 @@ def _cell(seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _SeedTable(NamedTuple):
-    """Dense seed of the StableSwap solve and x' in D-normalized units.
+    """Dense seed of the StableSwap solve and density in D-normalized units.
 
     Node k sits at the target t_k = tau * expm1(k * h), uniform in
     z = log1p(t / tau), and holds w_k - log D and its slope h * dw/dz.
-    Each solved table also holds G_k = log(-q x'(q) c / D) at q = c *
-    exp(t_k) and its slope h * dG/dz; the two closed-form end nodes that
-    start the build do not.  By the u <-> v symmetry x'(q) = (c/q)**3 *
-    x'(c**2/q), the same G gives x' = -D exp(G) / (q min(q, c)) on both
-    sides of the center.  On the unit pool x = u/c, so with sigma =
-    d log q / dw < 0
+    Each solved table also holds G_k = log(-q x'(q) / D) of the center-1
+    pool at q = exp(t_k) and its slope h * dG/dz; the closed-form end nodes
+    that start the build do not.  The density -q**2 x'(q) at center c is
+    the center-1 density at q/c, and x'(q) = q**-3 x'(1/q) at center 1, so
+    it is D exp(G) max(q/c, 1) on both sides of the center.  On the unit
+    pool x = u, so with sigma = d log q / dw < 0
 
         G = w - log(-sigma),   h * dG/dz = h * ((tau + t) / sigma) * (1 - sigma_w / sigma).
 
@@ -820,7 +839,7 @@ class _SeedTable(NamedTuple):
     gm: np.ndarray | None = None
 
 
-def _xprime_columns(amplification, u, v, slope, elast, w, m):
+def _liquidity_columns(amplification, u, v, slope, elast, w, m):
     """(G, h * dG/dz) of ``_SeedTable`` on the unit pool, from ``_newton``'s
     outputs at the nodes and the nodes' w and m = h * dw/dz."""
     alpha = 16.0 * amplification * u * u * v
@@ -834,26 +853,26 @@ def _xprime_columns(amplification, u, v, slope, elast, w, m):
 
 
 @lru_cache(maxsize=_SEED_CACHE)
-def _seed_table(amplification: float, floor_center: float) -> _SeedTable:
-    """The dense seed of every StableSwap(amplification, D, c) with
-    min(c, 1) == floor_center.
+def _seed_table(amplification: float) -> _SeedTable:
+    """The dense seed of every StableSwap(amplification, D, c).
 
     The invariant is 1-homogeneous in (u, v, D) and the map from log u to
-    log(q/c) does not involve c, so w - log D depends on A alone, and the
-    domain floor HOLDINGS_FLOOR * D * min(c, 1) fixes the table's reach
-    t_max.  tau is -d log q / d log u at the center, 2 / (2A + 1): linear
-    spacing in t across the flat center, logarithmic beyond it.  The table
-    starts from its two end nodes, known in closed form: the center (w =
-    log 1/2, t = 0, slope -tau) and the floor (w = log s_min, t = t_max).
-    Each of the _SEED_LEVELS finer tables is solved on the unit pool by
-    ``_newton``, seeded by ``_dense_seed`` from the table before it, in
-    chunks no larger than a Monte Carlo step.  Each level's x' columns come
-    from its own solve, with no further evaluation of the price map; those
-    of the final table serve ``xprime_grid``.
+    log(q/c) does not involve c, so w - log D depends on A alone, and so
+    does the table's reach t_max, where u reaches the domain floor
+    HOLDINGS_FLOOR * D.  tau is -d log q / d log u at the center,
+    2 / (2A + 1): linear spacing in t across the flat center, logarithmic
+    beyond it.  The table starts from its two end nodes, known in closed
+    form: the center (w = log 1/2, t = 0, slope -tau) and the floor (w =
+    log HOLDINGS_FLOOR, t = t_max).  Each of the _SEED_LEVELS finer tables
+    is solved on the unit pool by ``_newton``, seeded by ``_dense_seed``
+    from the table before it, in chunks no larger than a Monte Carlo step.
+    Each level's density columns come from its own solve, with no further
+    evaluation of the price map; those of the final table serve
+    ``liquidity_grid``.
     """
-    unit = StableSwap(amplification, 1.0, floor_center)
+    unit = StableSwap(amplification, 1.0)
     tau = 2.0 / (2.0 * amplification + 1.0)
-    w_floor = math.log(HOLDINGS_FLOOR * floor_center)
+    w_floor = math.log(HOLDINGS_FLOOR)
     _, _, t_floor, slope_floor, _ = unit._grid_eval(np.array([w_floor]))
     t_max = float(t_floor[0])
     z_max = math.log1p(t_max / tau)
@@ -870,7 +889,7 @@ def _seed_table(amplification: float, floor_center: float) -> _SeedTable:
             part = slice(lo, lo + _SEED_CHUNK)
             u, v, slope, elast, w[part] = unit._newton(t[part], *unit._dense_seed(seed, t[part]))
             m[part] = (tau + t[part]) * h / slope
-            g[part], gm[part] = _xprime_columns(amplification, u, v, slope, elast, w[part], m[part])
+            g[part], gm[part] = _liquidity_columns(amplification, u, v, slope, elast, w[part], m[part])
         seed = _SeedTable(tau, h, t_max, w, m, g, gm)
     for column in seed[3:]:
         column.flags.writeable = False  # shared by every pool with this key
@@ -905,14 +924,13 @@ def curvature(curve: AmmCurve, q: float) -> float:
 
 
 def equivalent_cpmm_liquidity(curve: AmmCurve, q: float) -> float:
-    """Local constant-product liquidity -2 * q**1.5 * x'(q).
+    """Local constant-product liquidity -2 * q**1.5 * x'(q), read as twice
+    the liquidity density over sqrt(q).
 
     Equals L identically for a Cpmm(L); zero wherever the position is out
     of range and the holdings are frozen.
     """
-    q = check_positive(q, "price", DomainError)
-    xp, _ = curve.first_derivs(q)
-    return -2.0 * q**1.5 * xp
+    return 2.0 * curve.liquidity(q) / math.sqrt(q)
 
 
 _CURVE_KINDS = {"cpmm": Cpmm, "concentrated": ConcentratedCpmm, "stableswap": StableSwap}

@@ -92,10 +92,11 @@ def effective_variance(params: GbmParams) -> float:
 
 
 def instantaneous_lvr(curve: AmmCurve, q: float, params: GbmParams) -> float:
-    """Implied fee rate -0.5 * sigma_bar**2 * q**2 * x'(q), in y per year."""
-    q = check_positive(q, "price", DomainError)
-    xp, _ = curve.first_derivs(q)
-    rate = -0.5 * effective_variance(params) * q * q * xp
+    """Implied fee rate sigma_bar**2/2 * liquidity(q), liquidity = -q**2 x'(q), in y per year."""
+    return _finite_rate(q, 0.5 * effective_variance(params) * curve.liquidity(q))
+
+
+def _finite_rate(q: float, rate: float) -> float:
     if not math.isfinite(rate):
         raise DomainError(f"the fee rate at price {q!r} is not a finite number")
     return rate
@@ -120,7 +121,7 @@ def cpmm_unit_lvr_with_rate(q: float, r: float, sigma: float) -> float:
     q = check_positive(q, "price", DomainError)
     r = check_nonnegative(r, "r")
     sigma = check_nonnegative(sigma, "sigma")
-    return (r + sigma * sigma / 4.0) * math.sqrt(q)
+    return _finite_rate(q, (r + sigma * sigma / 4.0) * math.sqrt(q))
 
 
 def concentrated_lvr_with_rate(
@@ -139,7 +140,7 @@ def concentrated_lvr_with_rate(
     liquidity_tokens = check_nonnegative(liquidity_tokens, "liquidity_tokens")
     if not (p_lo <= q <= p_hi):
         return 0.0
-    return liquidity_tokens * ((r + sigma * sigma / 4.0) * math.sqrt(q) - r * math.sqrt(p_lo))
+    return _finite_rate(q, liquidity_tokens * ((r + sigma * sigma / 4.0) * math.sqrt(q) - r * math.sqrt(p_lo)))
 
 
 def realized_lvr_increment(
@@ -253,7 +254,8 @@ def mc_fee_plus_terminal_value(
 
     # a path leaving the curve's float range shows in its total, checked once below
     with np.errstate(all="ignore"), ThreadPoolExecutor(max_workers=1, thread_name_prefix="ammvol-normals") as worker:
-        # the worker fills block i + 1 while the steps of block i run; the last may be short
+        # the worker fills block i + 1 while the steps of block i run; the last may be short.
+        # The walk stays on this thread: on the worker too it ran slower, from GIL hand-offs.
         pending = worker.submit(rng.standard_normal, out=bufs[0])
         for i, start in enumerate(range(0, n_steps, block)):
             zs = pending.result()

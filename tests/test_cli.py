@@ -348,11 +348,22 @@ def test_solve_vol_accepts_integral_numbers_and_booleans(capsys):
 
 
 def test_solve_vol_stableswap_center_outside_its_domain_is_invalid_input(capsys):
-    curve = {"kind": "stableswap", "A": 100.0, "D": 2.0, "center": 1e-200}
-    code, err = error_of(capsys, "solve-vol", json.dumps({**SOLVE_VOL_BASE, "curve": curve, "p0x": 1e-200}))
+    # the domain c * (8e-17, 1.25e16) of A = 100 overflows at c = 1e300
+    curve = {"kind": "stableswap", "A": 100.0, "D": 2.0, "center": 1e300}
+    code, err = error_of(capsys, "solve-vol", json.dumps({**SOLVE_VOL_BASE, "curve": curve, "p0x": 1e300}))
     assert code == 2
     assert err["error"] == "invalid_input"
     assert "center" in err["detail"]
+
+
+@pytest.mark.parametrize("center", [1e-200, 1e200])
+def test_solve_vol_stableswap_far_from_center_1_solves_as_at_center_1(capsys, center):
+    # the pool value at q is the center-1 pool value at q/c, so the strip is too
+    def solve(c):
+        curve = {"kind": "stableswap", "A": 100.0, "D": 2.0, "center": c}
+        return run_json(capsys, "solve-vol", json.dumps({**SOLVE_VOL_BASE, "curve": curve, "p0x": c}))["sigma"]
+
+    assert solve(center) == pytest.approx(solve(1.0), rel=1e-12)
 
 
 # ----- solve-corr -------------------------------------------------------------------

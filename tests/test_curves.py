@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ammvol import (
@@ -127,6 +129,10 @@ def test_concentrated_equivalent_liquidity_indicator():
     assert equivalent_cpmm_liquidity(CONC, 1.0) == pytest.approx(1.0, rel=1e-12)
     assert equivalent_cpmm_liquidity(CONC, 0.2) == 0.0
     assert equivalent_cpmm_liquidity(CONC, 5.0) == 0.0
+    # +0.0, not -0.0, also on the range's own ends
+    for q in (0.2, 0.25, 4.0, 5.0):
+        assert math.copysign(1.0, equivalent_cpmm_liquidity(CONC, q)) == 1.0
+    assert math.copysign(1.0, equivalent_cpmm_liquidity(ConcentratedCpmm(1.0, 0.5, 2.0), 2.0)) == 1.0
 
 
 def test_concentrated_value_plateaus():
@@ -278,13 +284,65 @@ def test_stableswap_first_derivs_vanish_at_the_domain_ends(curve):
 
 
 @pytest.mark.parametrize("center", [1e12, 1e17, 1e-200])
-def test_stableswap_center_outside_its_domain_is_invalid(center):
-    # the holdings floor leaves c = 1e12 above q_hi, crosses the ends at
-    # 1e17 and overflows q_hi at 1e-200
+def test_stableswap_centers_far_from_1_are_valid(center):
+    # the holdings floor sits on u = c*x and v, so the domain is c times the
+    # center-1 domain and the pool is the center-1 pool in q/c
+    curve = curve_from_dict({"kind": "stableswap", "A": 100.0, "D": 2.0, "center": center})
+    lo, hi = STABLE.q_bounds
+    assert curve.q_bounds == (center * lo, center * hi)
+    assert curve.pool_value(center) == pytest.approx(STABLE.pool_value(1.0), rel=1e-12)
+    assert curve.liquidity(center) == pytest.approx(STABLE.liquidity(1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("center", [1e300, 1e-310, 1e-305])
+def test_stableswap_center_whose_domain_leaves_the_float_range_is_invalid(center):
+    # c * 1.25e16 overflows at c = 1e300, and c * 8e-17 underflows to 0 at
+    # 1e-310; at 1e-305 the x = u/c held at the lower end, about 5e4 / c, overflows
     with pytest.raises(InvalidParams, match="center"):
         StableSwap(100.0, 2.0, center)
     with pytest.raises(InvalidParams):
         curve_from_dict({"kind": "stableswap", "A": 100.0, "D": 2.0, "center": center})
+
+
+@pytest.mark.parametrize("amplification", [1e-2, 100.0, 1e5])
+def test_stableswap_domain_is_the_center_1_domain_times_the_center(amplification):
+    # and it does not depend on the scale D
+    lo, hi = StableSwap(amplification, 1.0).q_bounds
+    for scale in (0.5, 2.0, 20.0, 2000.0):
+        for center in (2.0**-700, 1e-190, 0.6, 1.0, 3.0, 1e200):
+            assert StableSwap(amplification, scale, center).q_bounds == (center * lo, center * hi)
+
+
+@pytest.mark.parametrize("k", [-600, -40, -1, 1, 3, 600])
+def test_stableswap_density_at_a_power_of_two_center_is_the_center_1_density_bit_for_bit(k):
+    # scaling q and c by 2**k is exact, and the density reads only q/c
+    center = 2.0**k
+    rng = np.random.default_rng(k + 600)
+    q1 = np.exp(rng.uniform(-45.0, 45.0, 2000))  # beyond both ends as well
+    q1[:3] = (1.0, *STABLE.q_bounds)
+    shifted = StableSwap(100.0, 2.0, center)
+    assert np.array_equal(shifted.liquidity_grid(center * q1), STABLE.liquidity_grid(q1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(-250.0, 250.0).map(lambda e: 10.0**e), st.floats(-30.0, 30.0))
+def test_stableswap_density_depends_on_the_price_over_the_center_alone(center, log_q1):
+    # rounding c * q1 moves log(q/c) by an ulp, which the density's slope
+    # in log q amplifies by at most about A near the knee
+    q1 = math.exp(log_q1)
+    got = StableSwap(100.0, 2.0, center).liquidity(center * q1)
+    assert got == pytest.approx(STABLE.liquidity(q1), rel=1e-13)
+
+
+def test_slopes_beyond_a_double_are_a_domain_error():
+    # x' is about -1e382 at the center of this pool, and -inf for Cpmm(1) at 1e-300
+    tiny = StableSwap(100.0, 2.0, 1e-190)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        tiny.first_derivs(1e-190)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        curvature(tiny, 1e-190)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        CPMM.first_derivs(1e-300)
 
 
 def test_stableswap_holdings_near_matches_cold_solve():
@@ -322,8 +380,8 @@ def test_stableswap_xprime_grid_fed_back_matches_scalar(amp):
         np.testing.assert_allclose(xp, scalar, rtol=1e-10)
 
 
-# StableSwap's xprime_grid interpolates the seed table of its A and min(c, 1),
-# so the sweep covers centers on both sides of 1
+# StableSwap's xprime_grid interpolates the seed table of its A, read at
+# q/c, so the sweep covers centers on both sides of 1
 XPRIME_TABLE_POOLS = [StableSwap(a, 2.0, c) for a in (1e-2, 1.0, 100.0, 1e3, 2e4, 1e5) for c in (0.6, 1.0, 3.0)]
 
 

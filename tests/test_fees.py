@@ -27,6 +27,7 @@ from ammvol import (
     concentrated_lvr_with_rate,
     dollar_pool_value,
     effective_variance,
+    equivalent_cpmm_liquidity,
     implied_fee_rate_dollars,
     instantaneous_lvr,
     mc_fee_plus_terminal_value,
@@ -35,6 +36,7 @@ from ammvol import (
 from ammvol.fees import _DRAW_BLOCK_BYTES, mc_mean_stderr
 
 CPMM = Cpmm(1.0)
+STABLE = StableSwap(100.0, 2.0)
 
 
 def test_effective_variance_goldens():
@@ -91,15 +93,30 @@ def test_instantaneous_lvr_two_forms_agree():
             assert instantaneous_lvr(curve, q, params) == pytest.approx(alt, rel=1e-9)
 
 
-# x' is beyond a double near the center of this pool, so q**2 * x' is inf * 0
-# at q = 1e-190 and inf at q = 1e-150
+# x' is beyond a double near the center of this pool; its liquidity density
+# -q**2 x' is the center-1 pool's at q/c
 TINY_CENTER = StableSwap(100.0, 2.0, 1e-190)
 
 
 @pytest.mark.parametrize("q", [1e-190, 1e-150])
 def test_a_fee_rate_beyond_a_double_is_a_domain_error(q):
+    # the density sqrt(q) * L/2 is finite (5e204 at 1e-190), times
+    # sigma**2/2 = 5e199 it is not
     with pytest.raises(DomainError, match="not a finite number"):
-        instantaneous_lvr(TINY_CENTER, q, GbmParams(0.5))
+        instantaneous_lvr(Cpmm(1e300), q, GbmParams(1e100))
+
+
+@pytest.mark.parametrize("center", [1e-190, 1e200])
+def test_rate_strip_and_liquidity_far_from_center_1_are_the_center_1_values(center):
+    # 0.125 * 100.5 at c = 1; the equivalent liquidity is 201 / sqrt(c),
+    # since a Cpmm holding the pool's value at c has L = D / (2 sqrt(c))
+    curve = StableSwap(100.0, 2.0, center)
+    assert instantaneous_lvr(curve, center, GbmParams(0.5)) == pytest.approx(12.5625, rel=1e-12)
+    assert equivalent_cpmm_liquidity(curve, center) == pytest.approx(201.0 / math.sqrt(center), rel=1e-12)
+    for s in (0.05, 0.5, 3.0):
+        leg = curve.floating_leg(1.3 * center, s)
+        assert leg == pytest.approx(STABLE.floating_leg(1.3, s), rel=1e-12)
+        assert all(math.isfinite(v) and v > 0.0 for v in leg)
 
 
 def test_a_dollar_fee_rate_beyond_a_double_is_a_domain_error():
@@ -109,6 +126,7 @@ def test_a_dollar_fee_rate_beyond_a_double_is_a_domain_error():
 
 
 def test_mc_paths_beyond_a_double_are_a_domain_error():
+    # the Monte Carlo reads x', which is beyond a double on this pool
     with pytest.raises(DomainError, match="not a finite number"):
         mc_fee_plus_terminal_value(TINY_CENTER, GbmParams(0.5), 1e-190, 1.0, 0.1, 64, 10, seed=1)
 
@@ -149,6 +167,21 @@ def test_concentrated_lvr_with_rate_golden():
     assert edge == pytest.approx(2.0 * (0.1225 * 0.5 - 0.05), rel=1e-14)
     assert concentrated_lvr_with_rate(0.2, 0.1, 0.3, 2.0, 0.25, 4.0) == 0.0
     assert concentrated_lvr_with_rate(5.0, 0.1, 0.3, 2.0, 0.25, 4.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [
+        lambda: cpmm_unit_lvr_with_rate(1.0, 0.0, 1e200),  # sigma**2 is beyond a double
+        lambda: cpmm_unit_lvr_with_rate(1e300, 1e300, 0.0),  # 1e300 * 1e150
+        lambda: concentrated_lvr_with_rate(1.0, 0.0, 1e200, 1.0, 0.5, 2.0),
+        lambda: concentrated_lvr_with_rate(1e300, 1e200, 0.0, 1.0, 1.0, 1e300),
+    ],
+    ids=["cpmm-sigma", "cpmm-r", "concentrated-sigma", "concentrated-r"],
+)
+def test_a_closed_form_rate_beyond_a_double_is_a_domain_error(rate):
+    with pytest.raises(DomainError, match="not a finite number"):
+        rate()
 
 
 def test_concentrated_lvr_below_full_range_when_r_positive():

@@ -178,7 +178,7 @@ def counted_evaluations():
 
 
 def seed_of(curve):
-    return ammvol.curves._seed_table(curve.amplification, min(curve.price_center, 1.0))
+    return ammvol.curves._seed_table(curve.amplification)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -240,6 +240,20 @@ def test_pools_differing_only_in_scale_share_one_seed_table(amplification, d1, d
     assert seed_of(second) is seed_of(first)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(log_decade(-2.0, 5.0), log_decade(-200.0, 200.0), log_decade(-200.0, 200.0))
+def test_pools_differing_only_in_center_share_one_seed_table(amplification, c1, c2):
+    first = StableSwap(amplification, 2.0, c1)
+    first.holdings_grid(np.array([c1]))
+    before = ammvol.curves._seed_table.cache_info()
+    second = StableSwap(amplification, 2.0, c2)
+    second.holdings_grid(np.array([c2 * 1.01]))
+    second.liquidity_grid(np.array([c2 / 1.01]))
+    after = ammvol.curves._seed_table.cache_info()
+    assert after.misses == before.misses
+    assert seed_of(second) is seed_of(first)
+
+
 def test_stragglers_written_back_equal_their_solve_alone():
     # at A = 1e5 a few far-tail prices miss rounding from the seed and
     # iterate again; each element must not depend on its neighbours
@@ -272,7 +286,7 @@ def test_cold_seed_table_build_takes_at_most_two_evaluations_per_node():
     builds = {}
     for amplification in (1e-2, 1.0, 100.0, 1e4, 1e5):
         with counted_evaluations() as points:
-            ammvol.curves._seed_table.__wrapped__(amplification, 1.0)  # bypasses the cache
+            ammvol.curves._seed_table.__wrapped__(amplification)  # bypasses the cache
         builds[amplification] = points[0]
     assert max(builds.values()) <= 2 * ammvol.curves._SEED_NODES, builds
 
