@@ -55,6 +55,7 @@ otherwise by Gauss-Legendre panels in ``z = sign(t) * log1p(|t| / tau)``,
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
@@ -303,13 +304,14 @@ class AmmCurve(ABC):
         """Vectorized x'(q) = -liquidity_grid(q) / q**2, zero where the density is."""
         qs = np.asarray(qs, dtype=float)
         xp = np.asarray(self.liquidity_grid(qs))  # a fresh array; 0-d for a 0-d qs
-        dead = xp == 0.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # beyond a double: -inf
-            xp /= qs
-            xp /= qs
-        np.negative(xp, out=xp)
-        xp[dead] = 0.0  # +0.0, also at q = 0
-        return xp
+            # one division: times 1/q twice keeps q**2's range problem away
+            inv = np.divide(1.0, qs)
+            xp *= inv
+            xp *= inv
+        np.subtract(0.0, xp, out=xp)  # +0.0 where the density is 0
+        # 0 * inf at q = 0, and inf * 0 at q = inf, are nan: x' is 0 there
+        return np.fmin(xp, 0.0, out=xp)
 
     @abstractmethod
     def scaled_to_value(self, target_value: float, q: float) -> "AmmCurve":
@@ -467,11 +469,12 @@ class StableSwap(AmmCurve):
         object.__setattr__(self, "price_center", check_positive(self.price_center, "price_center"))
         # c = 1 is the seed table's own pool, and its domain is well inside
         # the float range; a center far from 1 can push an end of it, or the
-        # x = u/c held at the lower end, out of that range
+        # x = u/c held at the lower end, out of that range.  A subnormal q_lo
+        # keeps too few digits for q/c, so it is refused too.
         if self.price_center != 1.0:
             q_lo, q_hi = self.q_bounds
             with np.errstate(over="ignore"):
-                fits = 0.0 < q_lo and q_hi < math.inf and self.holdings(q_lo).x_qty < math.inf
+                fits = sys.float_info.min <= q_lo and q_hi < math.inf and self.holdings(q_lo).x_qty < math.inf
             if not fits:
                 raise InvalidParams(
                     f"stableswap center {self.price_center!r} puts its price domain "
@@ -751,8 +754,9 @@ class StableSwap(AmmCurve):
         j += 1
         density = _hermite(r, a, seed.g.take(j), ma, seed.gm.take(j))
         np.exp(density, out=density)
-        # times D max(q/c, 1); q/c lies in the center-1 domain at any c
-        np.divide(qc, self.price_center, out=t)
+        # times D max(q/c, 1); q/c lies in the center-1 domain at any c, and
+        # 1/c is a normal double for every accepted c, exact at c = 2**k
+        np.multiply(qc, 1.0 / self.price_center, out=t)
         np.maximum(t, 1.0, out=t)
         t *= self.invariant_scale
         density *= t

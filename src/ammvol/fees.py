@@ -265,14 +265,12 @@ def mc_fee_plus_terminal_value(
                 py = np.exp(ln_py)
                 q = np.exp(ln_px)
                 q /= py
-                xp = curve.xprime_grid(q)
-                # the fee rate py * (-var/2 * q**2 * x'(q)), discounted, over dt
-                fee = q * rate
+                # the fee rate py * (-var/2 * q**2 * x'(q)), discounted, over dt; x'
+                # and not liquidity_grid, the call the benchmark tracer counts (ROADMAP item 2)
+                fee = curve.xprime_grid(q) * q
                 fee *= q
-                fee *= xp
                 fee *= py
-                fee *= math.exp(-r * k * dt)
-                fee *= dt
+                fee *= rate * math.exp(-r * k * dt) * dt
                 fees += fee
 
                 zy = rho * z[0] + rho_c * z[1]

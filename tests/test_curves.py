@@ -294,10 +294,12 @@ def test_stableswap_centers_far_from_1_are_valid(center):
     assert curve.liquidity(center) == pytest.approx(STABLE.liquidity(1.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("center", [1e300, 1e-310, 1e-305])
+@pytest.mark.parametrize("center", [1e300, 1e-310, 1e-305, 1e-300, 2.7e-292])
 def test_stableswap_center_whose_domain_leaves_the_float_range_is_invalid(center):
     # c * 1.25e16 overflows at c = 1e300, and c * 8e-17 underflows to 0 at
-    # 1e-310; at 1e-305 the x = u/c held at the lower end, about 5e4 / c, overflows
+    # 1e-310; at 1e-305 the x = u/c held at the lower end, about 5e4 / c,
+    # overflows; at 1e-300 and 2.7e-292 c * 8e-17 is subnormal, too few
+    # digits for q/c
     with pytest.raises(InvalidParams, match="center"):
         StableSwap(100.0, 2.0, center)
     with pytest.raises(InvalidParams):
@@ -477,6 +479,9 @@ def test_xprime_grid_is_bit_equal_to_first_derivs(curve):
     xp = curve.xprime_grid(qs)
     scalar = np.array([curve.first_derivs(float(q))[0] for q in qs])
     assert np.array_equal(xp, scalar), int(np.count_nonzero(xp != scalar))
+    # +0.0 where the density is 0, also at q = 0 and q = inf
+    ends = curve.xprime_grid(np.array([0.0, np.inf]))
+    assert np.all(ends == 0.0) and np.all(np.copysign(1.0, ends) == 1.0)
 
 
 @pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.kind)

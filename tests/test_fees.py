@@ -324,8 +324,7 @@ def reference_fee_plus_terminal_value(curve, params, p0x, p0y, maturity, n_paths
         py = np.exp(ln_py)
         q = px / py
         xp = curve.xprime_grid(q)
-        fee_rate = py * (-0.5 * var * q * q * xp)
-        fees += math.exp(-r * k * dt) * fee_rate * dt
+        fees += xp * q * q * py * (-0.5 * var * math.exp(-r * k * dt) * dt)
 
         z = rng.standard_normal((2, half))
         if antithetic:
