@@ -24,24 +24,23 @@ is nondecreasing and concave.  Three curve families are provided:
     both derivatives vanish.
 ``StableSwap``
     Curve-v1 style pool with amplification ``A``, scale ``D`` and price
-    center ``c``.  In centered units ``u = c*x``, ``v = y`` the level set is
+    center ``c``.  The invariant is 1-homogeneous in (x, y, D), so a pool
+    holds D times the unit pool's holdings at every price, and in centered
+    units ``u = c*x/D``, ``v = y/D`` the level set is the unit pool's
 
-        4*A*(u + v) + D = 4*A*D + D**3 / (4*u*v)
+        4*A*(u + v) + 1 = 4*A + 1 / (4*u*v)
 
-    Holdings at a price are found by inverting the strictly decreasing
+    Holdings at a price are found by inverting its strictly decreasing
     marginal price map ``q(u)``: one vectorized solve, a safeguarded Newton
     iteration bracketed and seeded by a dense table of the inverse map that
     every pool with the same amplification shares.  The same solve builds
     that table, refining it level by level from its two end nodes, the
     center and the domain floor, which are known in closed form.  The seed
     lands within rounding of the root, so one evaluation of the map per
-    price suffices.
-    Derivatives come from implicit differentiation of the invariant, since
-    finite differences lose all precision in the flat region near the center.
-    ``liquidity_grid`` needs no solve: the table also holds the log of the
-    density and its slope, differentiated implicitly at each node from the
-    build's own solve.  The scalar ``first_derivs`` differentiates at the
-    solved holdings instead, the oracle for that table.
+    price suffices.  ``liquidity_grid`` needs no solve: the table also holds
+    the log of the density and its slope, differentiated implicitly at each
+    node from the build's own solve.  The scalar ``first_derivs``
+    differentiates at the solved holdings instead, the oracle for that table.
 
 Each curve states its liquidity density ``-q**2 * x'(q)`` once, in
 ``liquidity_grid``; the LVR rate is sigma**2/2 times it.  The fee-swap
@@ -101,6 +100,11 @@ _SEED_NODES = 16384
 _SEED_LEVELS = (64, 4096, _SEED_NODES)
 _SEED_CHUNK = 8192
 _SEED_CACHE = 16
+
+# Above this amplification the floating-leg strip no longer resolves a
+# StableSwap pool from its constant-sum limit, which it approaches as
+# 1/sqrt(A); tests/test_strip.py checks the strip at the bound.
+_MAX_AMPLIFICATION = 1e9
 
 
 class Holdings(NamedTuple):
@@ -449,10 +453,11 @@ class ConcentratedCpmm(AmmCurve):
 class StableSwap(AmmCurve):
     """Two-asset Curve-v1 pool: amplification A, scale D, price center c.
 
-    At the symmetric point u = v = D/2 the marginal price equals c and the
-    pool value equals D.  The price domain is the interval on which both
-    u = c*x and v = y stay above HOLDINGS_FLOOR * D: c times a domain set by
-    A alone, which narrows as A grows.
+    At the symmetric point c*x = y = D/2 the marginal price equals c and
+    the pool value equals D.  The price domain is the interval on which both
+    c*x and y stay above HOLDINGS_FLOOR * D: c times a domain set by A
+    alone, which narrows as A grows.  Everything is solved on the unit pool
+    D = 1 and scaled by D on the way out.  A is at most _MAX_AMPLIFICATION.
     """
 
     amplification: float
@@ -462,39 +467,43 @@ class StableSwap(AmmCurve):
     kind: ClassVar[str] = "stableswap"
 
     def __post_init__(self):
-        object.__setattr__(self, "amplification", check_positive(self.amplification, "amplification"))
-        object.__setattr__(
-            self, "invariant_scale", check_positive(self.invariant_scale, "invariant_scale")
-        )
-        object.__setattr__(self, "price_center", check_positive(self.price_center, "price_center"))
-        # c = 1 is the seed table's own pool, and its domain is well inside
-        # the float range; a center far from 1 can push an end of it, or the
-        # x = u/c held at the lower end, out of that range.  A subnormal q_lo
-        # keeps too few digits for q/c, so it is refused too.
-        if self.price_center != 1.0:
+        for name in ("amplification", "invariant_scale", "price_center"):
+            object.__setattr__(self, name, check_positive(getattr(self, name), name))
+        if self.amplification > _MAX_AMPLIFICATION:
+            raise InvalidParams(
+                f"stableswap amplification {self.amplification!r} is above "
+                f"{_MAX_AMPLIFICATION:g}, where the floating-leg strip misprices the pool"
+            )
+        # The unit pool at c = 1 is the seed table's own, well inside the
+        # float range.  Otherwise an end of the domain c * (q_lo, q_hi) can
+        # leave that range (a subnormal q_lo keeps too few digits for q/c),
+        # or the holdings and value there, D times the unit pool's, overflow.
+        if (self.invariant_scale, self.price_center) != (1.0, 1.0):
             q_lo, q_hi = self.q_bounds
-            with np.errstate(over="ignore"):
-                fits = sys.float_info.min <= q_lo and q_hi < math.inf and self.holdings(q_lo).x_qty < math.inf
+            fits = sys.float_info.min <= q_lo and q_hi < math.inf
+            if fits:  # the products holdings_grid and pool_value_grid form there
+                ends = np.array([q_lo, q_hi])
+                with np.errstate(over="ignore"):
+                    x, y = self._unit_holdings(ends)
+                    fits = np.isfinite(np.array([x, y, ends * x + y]) * self.invariant_scale).all()
             if not fits:
                 raise InvalidParams(
-                    f"stableswap center {self.price_center!r} puts its price domain "
-                    f"[{q_lo:.6g}, {q_hi:.6g}] or its x holding beyond the float range"
+                    f"stableswap center {self.price_center!r} and scale {self.invariant_scale!r} put its "
+                    f"price domain [{q_lo:.6g}, {q_hi:.6g}] or its holdings or value there beyond the float range"
                 )
 
-    # ----- invariant machinery in centered units u = c*x, v = y ---------
+    # ----- unit-pool machinery in centered units u = c*x/D, v = y/D -------
 
-    def _state(self, u: float):
-        """Invariant point and implicit derivatives at u.
-
-        Returns (v, vp, vpp, q, qp, qpp) where primes are d/du, q(u) is the
-        marginal price and q = -c * vp.  Obtained by differentiating
-        N1(u,v)/N2(u,v) = -v'(u) with N1 = 4A + k/(u**2 v), N2 = 4A + k/(u v**2)
-        and k = D**3/4 three times.
-        """
+    def _state(self, q: float):
+        """(v', v'', q', q'') of the unit pool at one price, primes d/du: the
+        solved holdings, then N1(u,v)/N2(u,v) = -v'(u) = q/c differentiated three
+        times, N1 = 4A + k/(u**2 v), N2 = 4A + k/(u v**2) and k = 1/4."""
+        mirror, small, big, _, _, _ = self._grid_solve(np.array([self._require_in_domain(q)]))
+        u = float(big[0] if mirror[0] else small[0])
+        v = float(self._grid_v(np.array([u]))[0])
         A = self.amplification
         c = self.price_center
-        k = self.invariant_scale**3 / 4.0
-        v = float(self._grid_v(np.array([u]))[0])
+        k = 0.25
         n1 = 4.0 * A + k / (u * u * v)
         n2 = 4.0 * A + k / (u * v * v)
         vp = -n1 / n2
@@ -514,15 +523,12 @@ class StableSwap(AmmCurve):
             - 2.0 * vpp / (u * v**3)
         )
         vppp = ((n1 * n2pp - n1pp * n2) * n2 - 2.0 * n2p * (n1 * n2p - n1p * n2)) / n2**3
-        q = c * n1 / n2
-        qp = -c * vpp
-        qpp = -c * vppp
-        return v, vp, vpp, q, qp, qpp
+        return vp, vpp, -c * vpp, -c * vppp
 
     @cached_property
     def q_bounds(self) -> tuple[float, float]:
         # u or, by the u <-> v symmetry, v at its floor: |log(q/c)| = t_max
-        t_max = self._seed().t_max
+        t_max = _seed_table(self.amplification).t_max
         return self.price_center * math.exp(-t_max), self.price_center * math.exp(t_max)
 
     # ----- vectorized invariant machinery --------------------------------
@@ -532,31 +538,30 @@ class StableSwap(AmmCurve):
     # memory beyond what the allocator retains is paged in afresh per call.
 
     def _grid_v(self, u: np.ndarray) -> np.ndarray:
-        # Positive root of 16*A*u*v**2 + 4*u*(4*A*(u - D) + D)*v - D**3 = 0,
+        # Positive root of 16*A*u*v**2 + 4*u*(4*A*(u - 1) + 1)*v - 1 = 0,
         # written to avoid cancellation for either sign of b: with a = 16*A*u
-        # and p = sqrt(b**2 + 4*a*D**3) + |b| it is 2*D**3/p for b >= 0, else p/(2a).
+        # and p = sqrt(b**2 + 4*a) + |b| it is 2/p for b >= 0, else p/(2a).
         A = self.amplification
-        D = self.invariant_scale
-        b = u - D
+        b = u - 1.0
         b *= 4.0 * A
-        b += D
+        b += 1.0
         b *= 4.0 * u
         a = u * (16.0 * A)
         p = a * 4.0
-        p *= D**3
         p += b * b
         np.sqrt(p, out=p)
         p += np.abs(b)
         a *= 2.0
         with np.errstate(divide="ignore", over="ignore"):
             np.divide(p, a, out=a)
-            np.divide(2.0 * D**3, p, out=a, where=b >= 0.0)
+            np.divide(2.0, p, out=a, where=b >= 0.0)
         return a
 
     def _grid_eval(self, log_u: np.ndarray):
-        """(u, v, log(q/c), d log q / d log u, d log v / d log u) at log u.
+        """(u, v, log(q/c), d log q / d log u, d log v / d log u) at log u on
+        the unit pool.
 
-        With alpha = 16*A*u**2*v/D**3 and beta = 16*A*u*v**2/D**3 the price
+        With alpha = 16*A*u**2*v and beta = 16*A*u*v**2 the price
         is q/c = (beta + v/u)/(beta + 1) = (alpha + 1)/(alpha + u/v), so
         log(q/c) is log1p of a nonnegative term on either side of the center,
         and the slope -2*(alpha**2 - alpha*beta + beta**2 + alpha + beta + 1)
@@ -565,8 +570,7 @@ class StableSwap(AmmCurve):
         """
         u = np.exp(log_u)
         v = self._grid_v(u)
-        # alpha = s*u*u*v and beta = s*u*v*v with s = 16*A/D**3
-        beta = u * (16.0 * self.amplification / self.invariant_scale**3)
+        beta = u * (16.0 * self.amplification)
         alpha = beta * u
         alpha *= v
         beta *= v
@@ -648,15 +652,10 @@ class StableSwap(AmmCurve):
 
     def _solve_targets(self, t: np.ndarray):
         """``_newton``'s outputs at targets t = |log(q/c)|, clamped in place
-        to the table's reach, seeded from the dense table ``_seed_table``
-        that every pool with this amplification shares.
-        """
-        seed = self._seed()
+        to the table's reach, seeded from the table of this amplification."""
+        seed = _seed_table(self.amplification)
         np.minimum(t, seed.t_max, out=t)
         return self._newton(t, *self._dense_seed(seed, t))
-
-    def _seed(self) -> "_SeedTable":
-        return _seed_table(self.amplification)
 
     def _dense_seed(self, seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(seed, lower, upper bracket) of w = log min(u, v) at targets t.
@@ -671,11 +670,9 @@ class StableSwap(AmmCurve):
         j += 1
         b = seed.w.take(j)
         w = _hermite(r, a, b, ma, seed.m.take(j))
-        log_d = math.log(self.invariant_scale)
-        w += log_d
         # log s falls as the price rises: node j + 1 bounds the root from below
-        b += log_d - _SOLVE_PAD
-        a += log_d + _SOLVE_PAD
+        b -= _SOLVE_PAD
+        a += _SOLVE_PAD
         return w, b, a
 
     def _grid_solve(self, qs: np.ndarray):
@@ -687,8 +684,6 @@ class StableSwap(AmmCurve):
         the larger holding follows from it without amplifying the rounding.
         Where ``mirror`` (q < c) u is the larger holding and d log q =
         -d log(c**2/q); each caller maps back only the outputs it uses.
-        ``_solve_targets`` finds w with about one evaluation of the price
-        map per price.
         """
         qs = qs.ravel()
         return (qs < self.price_center, *self._solve_targets(self._center_distance(qs)))
@@ -707,45 +702,52 @@ class StableSwap(AmmCurve):
 
     # ----- public surface -------------------------------------------------
 
-    def _u_at(self, q: float) -> float:
-        """u = c*x at one validated price."""
-        mirror, small, big, _, _, _ = self._grid_solve(np.array([self._require_in_domain(q)]))
-        return float(big[0] if mirror[0] else small[0])
-
     def first_derivs(self, q: float) -> tuple[float, float]:
         # implicit differentiation, independent of the seed table that
         # liquidity_grid reads: the tests check one against the other
         if self._require_in_domain(q) in self.q_bounds:
             return (0.0, 0.0)  # a holding sits at its floor: frozen, as in liquidity_grid
-        _, vp, _, _, qp, _ = self._state(self._u_at(q))
-        c = self.price_center
-        # x = u/c, so dx/dq = (1/c) / (dq/du); dy/dq = v' / q'
-        return _finite_slopes(q, (1.0 / c) / qp, vp / qp)
+        vp, _, qp, _ = self._state(q)
+        D = self.invariant_scale
+        # x = u/c, so dx/dq = (1/c) / (dq/du); dy/dq = v' / q'; D times the unit pool's
+        return _finite_slopes(q, D * ((1.0 / self.price_center) / qp), D * (vp / qp))
 
     def second_derivs(self, q: float) -> tuple[float, float]:
-        _, vp, vpp, _, qp, qpp = self._state(self._u_at(q))
-        c = self.price_center
-        xpp = -qpp / (c * qp**3)
+        vp, vpp, qp, qpp = self._state(q)
+        D = self.invariant_scale
+        xpp = -qpp / (self.price_center * qp**3)
         ypp = vpp / qp**2 - vp * qpp / qp**3
-        return (xpp, ypp)
+        return (D * xpp, D * ypp)
 
-    def holdings_grid(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        qs = np.asarray(qs, dtype=float)
+    def _unit_holdings(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) of the unit pool at prices qs, clipped to q_bounds."""
         q_lo, q_hi = self.q_bounds
         mirror, small, big, _, _, _ = self._grid_solve(np.clip(qs, q_lo, q_hi))
         u = np.where(mirror, big, small)
         u /= self.price_center
         return u.reshape(qs.shape), np.where(mirror, small, big).reshape(qs.shape)
 
+    def holdings_grid(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x, y = self._unit_holdings(np.asarray(qs, dtype=float))
+        return np.multiply(x, self.invariant_scale, out=x), np.multiply(y, self.invariant_scale, out=y)
+
+    def pool_value_grid(self, qs: np.ndarray) -> np.ndarray:
+        qs = np.asarray(qs, dtype=float)
+        value, y = self._unit_holdings(qs)
+        value *= qs
+        value += y
+        value *= self.invariant_scale
+        return value
+
     def _strip_axis(self) -> tuple[float, float]:
-        return self._seed().tau, math.log(self.price_center)
+        return _seed_table(self.amplification).tau, math.log(self.price_center)
 
     def liquidity_grid(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)
         q_lo, q_hi = self.q_bounds
         qc = np.clip(qs, q_lo, q_hi).ravel()
         t = self._center_distance(qc)
-        seed = self._seed()
+        seed = _seed_table(self.amplification)
         np.minimum(t, seed.t_max, out=t)
         # G at |log(q/c)|, read off the seed table
         r, j = _cell(seed, t)
@@ -754,12 +756,12 @@ class StableSwap(AmmCurve):
         j += 1
         density = _hermite(r, a, seed.g.take(j), ma, seed.gm.take(j))
         np.exp(density, out=density)
-        # times D max(q/c, 1); q/c lies in the center-1 domain at any c, and
-        # 1/c is a normal double for every accepted c, exact at c = 2**k
+        # times max(q/c, 1), then D; q/c lies in the center-1 domain at any
+        # c, and 1/c is a normal double for every accepted c, exact at c = 2**k
         np.multiply(qc, 1.0 / self.price_center, out=t)
         np.maximum(t, 1.0, out=t)
-        t *= self.invariant_scale
         density *= t
+        density *= self.invariant_scale
         # the clip lands on an end point exactly where qs is outside
         density[(qc == q_lo) | (qc == q_hi)] = 0.0
         return density.reshape(qs.shape)
@@ -813,16 +815,15 @@ def _cell(seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _SeedTable(NamedTuple):
-    """Dense seed of the StableSwap solve and density in D-normalized units.
+    """Dense seed of the StableSwap solve and density, on the unit pool.
 
     Node k sits at the target t_k = tau * expm1(k * h), uniform in
-    z = log1p(t / tau), and holds w_k - log D and its slope h * dw/dz.
-    Each solved table also holds G_k = log(-q x'(q) / D) of the center-1
-    pool at q = exp(t_k) and its slope h * dG/dz; the closed-form end nodes
-    that start the build do not.  The density -q**2 x'(q) at center c is
-    the center-1 density at q/c, and x'(q) = q**-3 x'(1/q) at center 1, so
-    it is D exp(G) max(q/c, 1) on both sides of the center.  On the unit
-    pool x = u, so with sigma = d log q / dw < 0
+    z = log1p(t / tau), and holds w_k and its slope h * dw/dz.  Each solved
+    table also holds G_k = log(-q x'(q)) at center 1 and q = exp(t_k), and
+    its slope h * dG/dz; the closed-form end nodes that start the build do
+    not.  As x'(q) = q**-3 x'(1/q) at center 1, the density -q**2 x'(q) of
+    a pool is D exp(G) max(q/c, 1) on both sides of its center.  At center
+    1 x = u, so with sigma = d log q / dw < 0
 
         G = w - log(-sigma),   h * dG/dz = h * ((tau + t) / sigma) * (1 - sigma_w / sigma).
 
@@ -860,19 +861,17 @@ def _liquidity_columns(amplification, u, v, slope, elast, w, m):
 def _seed_table(amplification: float) -> _SeedTable:
     """The dense seed of every StableSwap(amplification, D, c).
 
-    The invariant is 1-homogeneous in (u, v, D) and the map from log u to
-    log(q/c) does not involve c, so w - log D depends on A alone, and so
-    does the table's reach t_max, where u reaches the domain floor
-    HOLDINGS_FLOOR * D.  tau is -d log q / d log u at the center,
-    2 / (2A + 1): linear spacing in t across the flat center, logarithmic
-    beyond it.  The table starts from its two end nodes, known in closed
-    form: the center (w = log 1/2, t = 0, slope -tau) and the floor (w =
-    log HOLDINGS_FLOOR, t = t_max).  Each of the _SEED_LEVELS finer tables
-    is solved on the unit pool by ``_newton``, seeded by ``_dense_seed``
-    from the table before it, in chunks no larger than a Monte Carlo step.
-    Each level's density columns come from its own solve, with no further
-    evaluation of the price map; those of the final table serve
-    ``liquidity_grid``.
+    The unit pool's map from log u to log(q/c) involves neither D nor c,
+    so the table and its reach t_max, where u reaches the domain floor
+    HOLDINGS_FLOOR, depend on A alone.  tau is -d log q / d log u at the
+    center, 2 / (2A + 1): linear spacing in t across the flat center,
+    logarithmic beyond it.  The table starts from its two end nodes, known
+    in closed form: the center (w = log 1/2, t = 0, slope -tau) and the
+    floor (w = log HOLDINGS_FLOOR, t = t_max).  Each of the _SEED_LEVELS
+    finer tables is solved by ``_newton``, seeded by ``_dense_seed`` from
+    the one before it, in chunks no larger than a Monte Carlo step.  Each
+    level's density columns come from its own solve, with no further
+    evaluation of the price map; the final table's serve ``liquidity_grid``.
     """
     unit = StableSwap(amplification, 1.0)
     tau = 2.0 / (2.0 * amplification + 1.0)

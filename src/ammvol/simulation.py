@@ -877,7 +877,8 @@ def synthetic_gbm_ticks(
     The mid is a single GBM with drift params.r and the effective pair
     volatility sigma_bar; bid = mid*(1 - spread/2), ask = mid*(1 + spread/2).
     Deterministic per seed (counter-based generator).  A path that
-    overflows a double raises InvalidParams, as any invalid series does.
+    overflows a double, or timestamps beyond int64, raise InvalidParams, as
+    any invalid series does.
     """
     p0 = check_positive(p0, "p0")
     if not 0.0 <= spread < 1.0:
@@ -887,6 +888,9 @@ def synthetic_gbm_ticks(
     check_seed(seed)
 
     n = duration_seconds // interval_seconds + 1
+    int64 = np.iinfo(np.int64)
+    if not int64.min <= start_timestamp <= start_timestamp + interval_seconds * (n - 1) <= int64.max:
+        raise InvalidParams(f"the timestamps of a stream from {start_timestamp!r} do not fit int64")
     timestamps = start_timestamp + interval_seconds * np.arange(n, dtype=np.int64)
     dt = interval_seconds / YEAR_SECONDS
     sigma = math.sqrt(effective_variance(params))

@@ -366,6 +366,18 @@ def test_solve_vol_stableswap_far_from_center_1_solves_as_at_center_1(capsys, ce
     assert solve(center) == pytest.approx(solve(1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+def test_solve_vol_stableswap_at_any_scale_solves_as_at_scale_2(capsys, scale):
+    # the pool of scale D is D/2 times the pool of scale 2, and so is its
+    # quote; D**3, which the solve no longer forms, overflows above 5.6e102
+    def solve(d):
+        curve = {"kind": "stableswap", "A": 100.0, "D": d}
+        request = {**SOLVE_VOL_BASE, "curve": curve, "piBar": SOLVE_VOL_BASE["piBar"] * (d / 2.0)}
+        return run_json(capsys, "solve-vol", json.dumps(request))["sigma"]
+
+    assert abs(solve(scale) - solve(2.0)) <= 1e-6  # the solver's default tol
+
+
 # ----- solve-corr -------------------------------------------------------------------
 
 
@@ -445,11 +457,14 @@ QUOTE_KEYS = {"solve-vol": ["piBar"], "solve-corr": ["piBar", "sigmaX", "sigmaY"
 @st.composite
 def solver_requests(draw):
     command = draw(st.sampled_from(sorted(QUOTE_KEYS)))
-    if draw(st.booleans()):
-        curve = {"kind": "cpmm", "L": draw(scale)}
-    else:
+    kind = draw(st.sampled_from(["cpmm", "concentrated", "stableswap"]))
+    if kind == "cpmm":
+        curve = {"kind": kind, "L": draw(scale)}
+    elif kind == "concentrated":
         p_lo, p_hi = sorted((draw(scale), draw(scale)))
-        curve = {"kind": "concentrated", "L": draw(scale), "pL": p_lo, "pU": p_hi}
+        curve = {"kind": kind, "L": draw(scale), "pL": p_lo, "pU": p_hi}
+    else:
+        curve = {"kind": kind, "A": draw(scale), "D": draw(scale), "center": draw(scale)}
     request = {"curve": curve, "T": draw(scale), "p0x": draw(scale), "paths": 256}
     optional = [key for key in ("p0y", "liquidityTokens", "tol") if draw(st.booleans())]
     for key in QUOTE_KEYS[command] + optional:
@@ -525,6 +540,33 @@ def test_non_finite_numbers_are_invalid_input_and_write_nothing(tmp_path, monkey
     assert code == 2
     assert set(err) == {"error", "detail"}
     assert os.listdir(tmp_path) == ["t.csv"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--start-ts", "92233720368547758070"],
+        ["--start-ts", "-92233720368547758070"],
+        ["--start-ts", str(2**63 - 864), "--days", "0.01"],  # its last tick is 2**63
+        ["--days", "1e300"],
+    ],
+    ids=" ".join,
+)
+def test_gen_ticks_timestamps_beyond_int64_are_invalid_input(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    code, err = error_of(capsys, "gen-ticks", "--out", "out.csv", *args)
+    assert code == 2
+    assert err["error"] == "invalid_input"
+    assert "int64" in err["detail"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_gen_ticks_last_timestamp_at_the_int64_end(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    start = 2**63 - 1 - 864
+    out = run_json(capsys, "gen-ticks", "--out", "out.csv", "--days", "0.01", "--start-ts", str(start))
+    assert out["ticks"] == 865
+    assert (tmp_path / "out.csv").read_text().splitlines()[-1].startswith(f"{2**63 - 1},")
 
 
 # ----- auction ----------------------------------------------------------------------

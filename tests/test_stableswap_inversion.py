@@ -3,7 +3,10 @@
 Property tests draw random pools (A in [1e-2, 1e5], D in [1e-3, 1e6],
 c in [0.1, 10]) and prices uniform in log q over the whole domain, both
 endpoints included, and check the array solve against a bisection in
-60-digit decimal arithmetic on the original implicit price formula.  Other
+60-digit decimal arithmetic on the original implicit price formula.  The
+solve runs on the unit pool, so at every D from 1e-300 to 1e300 the
+holdings, value and density are D times the unit pool's, and a D is
+refused only where they overflow.  Other
 tests pin the solve's failure modes: an exhausted iteration budget raises
 NoConvergence (exit code 6 on the CLI) instead of returning an unconverged
 holding, and the package imports without scipy.  The last ones hold the
@@ -31,7 +34,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ammvol.curves
-from ammvol import DomainError, NoConvergence, StableSwap
+from ammvol import DomainError, InvalidParams, NoConvergence, StableSwap
 from ammvol.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +95,9 @@ def domain_prices(curve, fracs):
 # and the steep side where v << u and v barely constrains the price
 @example(StableSwap(1e5, 1.0, 3.0), [0.5, 0.5 + 1e-7, 0.5 - 1e-6, 0.501])
 @example(StableSwap(2.19e4, 1.36e5, 0.157), [0.456392, 0.3])
+# D = 1e100, whose cube overflows a double, and D = 1e-100
+@example(StableSwap(100.0, 1e100, 3.0), [0.2, 0.5, 0.9])
+@example(StableSwap(3e3, 1e-100, 0.3), [0.1, 0.5, 0.7])
 def test_holdings_grid_matches_decimal_oracle(curve, fracs):
     qs = domain_prices(curve, fracs)
     x, y = curve.holdings_grid(qs)
@@ -110,6 +116,41 @@ def test_scalar_holdings_equal_array_elements_and_x_falls(curve, fracs):
         assert tuple(curve.holdings(float(q))) == (x[i], y[i])
     assert np.all(np.diff(x) <= 0.0)
     assert np.all(np.diff(y) >= 0.0)
+
+
+def assert_within_one_ulp(got, want):
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), np.max(np.abs(got / want - 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_decade(-2.0, 5.0), log_decade(-300.0, 300.0), log_decade(-1.0, 1.0), fractions)
+@example(1e-2, 1e300, 0.1, [0.5])
+@example(1e5, 1e-300, 10.0, [0.5])
+def test_every_scale_is_d_times_the_unit_pool(amplification, scale, center, fracs):
+    unit = StableSwap(amplification, 1.0, center)
+    lo, hi = unit.q_bounds
+    qs = np.concatenate([domain_prices(unit, fracs), [0.5 * lo, 2.0 * hi]])
+    curve = StableSwap(amplification, scale, center)
+    x1, y1 = unit.holdings_grid(qs)
+    x, y = curve.holdings_grid(qs)
+    assert_within_one_ulp(x, scale * x1)
+    assert_within_one_ulp(y, scale * y1)
+    assert_within_one_ulp(curve.pool_value_grid(qs), scale * unit.pool_value_grid(qs))
+    assert_within_one_ulp(curve.liquidity_grid(qs), scale * unit.liquidity_grid(qs))
+
+
+@pytest.mark.parametrize("amplification, center", [(1e-2, 0.1), (100.0, 1.0), (1e5, 10.0)])
+def test_only_a_scale_whose_holdings_or_value_overflow_is_refused(amplification, center):
+    # the largest holding, x at the lower end of the domain or y at the
+    # upper, and the value there are D times the unit pool's
+    unit = StableSwap(amplification, 1.0, center)
+    ends = np.array(unit.q_bounds)
+    x, y = unit.holdings_grid(ends)
+    largest = max(*x, *y, *unit.pool_value_grid(ends))
+    fits = sys.float_info.max / largest
+    StableSwap(amplification, 0.999 * fits, center).holdings_grid(ends)
+    with pytest.raises(InvalidParams, match="holdings or value"):
+        StableSwap(amplification, 1.001 * fits, center)
 
 
 def exhaust_solve_budget(monkeypatch):
@@ -186,9 +227,9 @@ def seed_of(curve):
 def test_solve_at_every_seed_node_returns_the_node(curve):
     seed = seed_of(curve)
     t = np.minimum(seed.tau * np.expm1(np.arange(seed.w.size) * seed.h), seed.t_max)
+    # the solve runs on the unit pool, whatever the pool's own D
     small = curve._solve_targets(t)[0]
-    w = seed.w + math.log(curve.invariant_scale)
-    assert np.max(np.abs(np.log(small) - w)) <= ammvol.curves._SOLVE_XTOL, curve
+    assert np.max(np.abs(np.log(small) - seed.w)) <= ammvol.curves._SOLVE_XTOL, curve
 
 
 def assert_one_evaluation_per_price(curve, qs):

@@ -11,7 +11,8 @@ enough to cover the whole kernel, central differences check the analytic
 vega, and scipy's ndtr checks the kernel's own normal CDF.  A StableSwap
 strip off the center matches the same strip at 455 times the nodes, which
 holds only when the spot is a cut and the nodes do not crowd the flat
-center.
+center.  At the largest amplification a pool may have, the strip stays
+below the constant-sum limit and still resolves its distance from it.
 """
 
 import math
@@ -27,6 +28,7 @@ from scipy.special import ndtr
 from ammvol import (
     ConcentratedCpmm,
     Cpmm,
+    InvalidParams,
     McConfig,
     StableSwap,
     SwapSpec,
@@ -211,6 +213,25 @@ def test_stableswap_strip_converges_off_the_center(pool, monkeypatch):
                 patch.setattr(ammvol.curves, "_STRIP_INTERVALS", 2**18)
                 fine, _ = curve.floating_leg(q0, s)
             assert leg == pytest.approx(fine, rel=1e-9), (q0, s)
+
+
+def test_strip_at_the_amplification_bound_stays_below_the_constant_sum_limit():
+    # StableSwap(A, 2) tends to the constant-sum pool C(q) = 2 min(q, 1) as
+    # 1/sqrt(A), so its leg from q0 = 1 stays below 2 E[(1 - Q)+].  At the
+    # bound the gap to that limit is 1.6e-5 and the strip reads within 1e-8
+    # of the tangent-gap quadrature; a decade above it, 2.7e-7 off, and at
+    # A = 1e13 above the limit.  The raw MC cannot tell any of these apart.
+    bound = ammvol.curves._MAX_AMPLIFICATION
+    curve = StableSwap(bound, 2.0)
+    s = 0.5
+    limit = 2.0 * (2.0 * ndtr(0.5 * s) - 1.0)
+    leg, _ = curve.floating_leg(1.0, s)
+    mean, stderr = mc_expected_pool_value(curve, 1.0, s, 1.0, MC)
+    assert leg <= limit
+    assert abs(leg - (curve.pool_value(1.0) - mean)) <= 3.0 * stderr
+    assert leg == pytest.approx(tangent_gap_leg(curve, 1.0, s), rel=GAP_RTOL)
+    with pytest.raises(InvalidParams, match="amplification"):
+        StableSwap(math.nextafter(bound, math.inf), 2.0)
 
 
 @pytest.mark.parametrize("curve", [Cpmm(1.0), RANGE, STABLE], ids=lambda c: c.kind)
