@@ -478,9 +478,10 @@ class StableSwap(AmmCurve):
         # float range.  Otherwise an end of the domain c * (q_lo, q_hi) can
         # leave that range (a subnormal q_lo keeps too few digits for q/c),
         # or the holdings and value there, D times the unit pool's, overflow.
+        # A subnormal D likewise keeps too few digits for them.
         if (self.invariant_scale, self.price_center) != (1.0, 1.0):
             q_lo, q_hi = self.q_bounds
-            fits = sys.float_info.min <= q_lo and q_hi < math.inf
+            fits = sys.float_info.min <= min(q_lo, self.invariant_scale) and q_hi < math.inf
             if fits:  # the products holdings_grid and pool_value_grid form there
                 ends = np.array([q_lo, q_hi])
                 with np.errstate(over="ignore"):

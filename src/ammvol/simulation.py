@@ -725,15 +725,22 @@ def replay_pool_events(
 # ----- window aggregation and fits ---------------------------------------------
 
 
-def rolling_windows(
-    ledger: SimLedger, window_seconds: int, stride_seconds: int, demean: bool = True
-) -> list[WindowStat]:
+def _log_return_vol(log_mids: np.ndarray, spacing_seconds: float) -> float:
+    """Annualized two-pass sample sd (ddof=1) of the log returns of
+    ``log_mids`` taken ``spacing_seconds`` apart; one return reads 0.  The
+    one-pass S2 - S1**2/n cancels away the variance of a trending series."""
+    r = np.diff(log_mids)
+    return float(r.std(ddof=1)) * math.sqrt(YEAR_SECONDS / spacing_seconds) if r.size > 1 else 0.0
+
+
+def rolling_windows(ledger: SimLedger, window_seconds: int, stride_seconds: int) -> list[WindowStat]:
     """Rolling per-window fees, LVR and historical volatility.
 
     Window sums are differences of the cumulative accumulators at the
     window edges, exactly what an LP present for that interval earns.
-    Historical volatility uses the external mid series at tick resolution.
-    fee_vol is left as nan; the implied-vol layer attaches it.
+    hist_vol is the sample sd of the external mid's log returns over the
+    window's ticks, annualized by their mean tick spacing (nan below two
+    ticks).  fee_vol is left as nan; the implied-vol layer attaches it.
     """
     window_seconds = check_count(window_seconds, "window_seconds", 1)
     stride_seconds = check_count(stride_seconds, "stride_seconds", 1)
@@ -741,11 +748,6 @@ def rolling_windows(
     span = int(ts[-1] - ts[0])
     if span < window_seconds:
         raise InsufficientData(f"ledger spans {span}s, shorter than the {window_seconds}s window")
-
-    log_mids = np.log(ledger.mids)
-    r = np.diff(log_mids)
-    cum_r = np.concatenate([[0.0], np.cumsum(r)])
-    cum_r2 = np.concatenate([[0.0], np.cumsum(r * r)])
 
     t0 = int(ts[0])
     starts = np.arange(t0, int(ts[-1]) - window_seconds + 1, stride_seconds, dtype=np.int64)
@@ -756,53 +758,26 @@ def rolling_windows(
 
     ia = np.searchsorted(ts, starts, side="left")
     ib = np.searchsorted(ts, ends, side="right") - 1
+    spacing = (ts[ib] - ts[ia]) / np.maximum(ib - ia, 1)
 
-    stats = []
-    for k in range(starts.size):
-        a, b = int(ia[k]), int(ib[k])
-        n_r = b - a
-        if n_r < 1:
-            vol = math.nan
-        else:
-            total = cum_r[b] - cum_r[a]
-            total2 = cum_r2[b] - cum_r2[a]
-            if demean:
-                var = (total2 - total * total / n_r) / (n_r - 1) if n_r > 1 else 0.0
-            else:
-                var = total2 / n_r
-            interval = (ts[b] - ts[a]) / n_r
-            vol = math.sqrt(max(var, 0.0) * YEAR_SECONDS / interval)
-        stats.append(
-            WindowStat(
-                window_start=int(starts[k]),
-                window_end=int(ends[k]),
-                fees=float(fees[k]),
-                lvr=float(lvr[k]),
-                hist_vol=vol,
-            )
-        )
-    return stats
+    log_mids = np.log(ledger.mids)
+    rows = (starts, ends, fees, lvr, ia, ib, spacing)
+    return [
+        WindowStat(start, end, fee, loss, _log_return_vol(log_mids[a : b + 1], dt) if b > a else math.nan)
+        for start, end, fee, loss, a, b, dt in zip(*(col.tolist() for col in rows))
+    ]
 
 
-def historical_volatility(mids, sampling_interval_seconds: float, demean: bool = True) -> float:
-    """Annualized standard deviation of log returns at a fixed sampling step.
-
-    demean=True subtracts the sample mean (ddof=1); demean=False is the
-    zero-mean (rms) convention.
-    """
+def historical_volatility(mids, sampling_interval_seconds: float) -> float:
+    """Annualized sample sd (ddof=1) of log returns at a fixed sampling step,
+    the estimator of :func:`rolling_windows`; a single return reads 0."""
     mids = np.asarray(mids, dtype=float)
     if mids.size < 2:
         raise InsufficientData("need at least 2 samples for a volatility estimate")
     sampling_interval_seconds = check_positive(sampling_interval_seconds, "sampling_interval_seconds")
     if not np.all((mids > 0.0) & np.isfinite(mids)):
         raise InvalidParams("prices must be positive and finite")
-    r = np.diff(np.log(mids))
-    if demean:
-        # a single demeaned return is identically zero
-        per_step = float(r.std(ddof=1)) if r.size > 1 else 0.0
-    else:
-        per_step = math.sqrt(float(np.mean(r * r)))
-    return per_step * math.sqrt(YEAR_SECONDS / sampling_interval_seconds)
+    return _log_return_vol(np.log(mids), sampling_interval_seconds)
 
 
 def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:

@@ -356,6 +356,22 @@ def test_solve_vol_stableswap_center_outside_its_domain_is_invalid_input(capsys)
     assert "center" in err["detail"]
 
 
+@pytest.mark.parametrize(
+    "command, scale, request_",
+    [
+        ("price-swap", 5e-324, {"T": 1.0, "p0x": 1.0, "sigma": 0.5}),
+        ("solve-vol", 1e-310, {**SOLVE_VOL_BASE, "piBar": 1e-322}),
+    ],
+)
+def test_stableswap_subnormal_scale_is_invalid_input(capsys, command, scale, request_):
+    # these priced a negative leg and solved a vol before the scale was checked
+    curve = {"kind": "stableswap", "A": 100.0, "D": scale}
+    code, err = error_of(capsys, command, json.dumps({**request_, "curve": curve}))
+    assert code == 2
+    assert err["error"] == "invalid_input"
+    assert "scale" in err["detail"]
+
+
 @pytest.mark.parametrize("center", [1e-200, 1e200])
 def test_solve_vol_stableswap_far_from_center_1_solves_as_at_center_1(capsys, center):
     # the pool value at q is the center-1 pool value at q/c, so the strip is too

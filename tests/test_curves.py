@@ -306,6 +306,14 @@ def test_stableswap_center_whose_domain_leaves_the_float_range_is_invalid(center
         curve_from_dict({"kind": "stableswap", "A": 100.0, "D": 2.0, "center": center})
 
 
+@pytest.mark.parametrize("scale", [5e-324, 1e-310, 2.2e-308])
+def test_stableswap_subnormal_scale_is_invalid(scale):
+    # holdings and value are D times the unit pool's, and a subnormal D keeps
+    # too few digits for them: at 5e-324 the floating leg read -5e-324
+    with pytest.raises(InvalidParams, match="scale"):
+        StableSwap(100.0, scale)
+
+
 @pytest.mark.parametrize("amplification", [1e-2, 100.0, 1e5])
 def test_stableswap_domain_is_the_center_1_domain_times_the_center(amplification):
     # and it does not depend on the scale D

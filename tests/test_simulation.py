@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ammvol import (
     ConcentratedCpmm,
@@ -268,6 +270,32 @@ def test_accumulators_monotone_and_fees_close_to_lvr():
     assert 1.0 < ratio < 1.3
 
 
+# fees/LVR minus 1 - P_trade, the largest over seeds 1-3 of the streams below
+CAPTURE_GAP = {
+    (0.5, 1): 0.0450, (0.5, 5): 0.0181, (0.5, 30): 0.0037,
+    (1.0, 1): 0.0487, (1.0, 5): 0.0295, (1.0, 30): 0.0070,
+}
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_fee_capture_sits_just_above_the_poisson_block_formula(sigma):
+    # Milionis, Moallemi and Roughgarden (arXiv:2305.14604): with blocks at
+    # rate lambda, an arbitrageur trades in a block with probability
+    # P_trade = 1 / (1 + sqrt(2 lambda) gamma / sigma_s), sigma_s the vol per
+    # sqrt(second), and the LPs keep fees/LVR = 1 - P_trade.  Ticks every
+    # second (lambda = 1/s) capture a little more than Poisson blocks do;
+    # the bound is the measured gap plus a margin of 0.005.
+    sigma_s = sigma / math.sqrt(365.25 * 86400.0)
+    for seed in (1, 2, 3):
+        series = synthetic_gbm_ticks(GbmParams(sigma), 1.0, 0.0, 2 * 86400, 1, seed=seed)
+        for bp in (1, 5, 30):
+            gamma = bp * 1e-4
+            ledger = run_simulation(CPMM, series, gamma)
+            p_trade = 1.0 / (1.0 + math.sqrt(2.0) * gamma / sigma_s)
+            gap = ledger.total_fees_usd / ledger.total_lvr_usd - (1.0 - p_trade)
+            assert 0.0 < gap < CAPTURE_GAP[sigma, bp] + 0.005, (seed, bp, gap)
+
+
 def test_run_simulation_rejects_bad_fee_rate():
     series = flat_series([1.0, 1.0])
     with pytest.raises(InvalidParams):
@@ -414,19 +442,47 @@ def test_rolling_window_hist_vol_recovers_sigma():
         assert w.hist_vol == pytest.approx(0.5, rel=0.05)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_ticks=st.integers(3, 300),
+    max_gap=st.integers(1, 5),
+    drift=st.floats(1e-6, 1e-2) | st.floats(-1e-2, -1e-6),
+    log10_ratio=st.floats(0.0, 10.0),
+    window_frac=st.floats(0.0, 1.0),
+    stride_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one-second ticks, drift 1e-3 and noise 1e-11 per tick, 3,600 s windows: the
+# one-pass variance S2 - S1**2/n read 0.0 on both windows, against 5.6e-8
+@example(n_ticks=7201, max_gap=1, drift=1e-3, log10_ratio=8.0, window_frac=0.5, stride_frac=0.5, seed=2)
+def test_window_hist_vol_is_the_two_pass_sample_sd(
+    n_ticks, max_gap, drift, log10_ratio, window_frac, stride_frac, seed
+):
+    rng = np.random.default_rng(seed)
+    ts = np.concatenate(([0], np.cumsum(rng.integers(1, max_gap + 1, n_ticks - 1))))
+    noise = abs(drift) / 10.0**log10_ratio
+    mids = np.exp(np.concatenate(([0.0], np.cumsum(drift + noise * rng.standard_normal(n_ticks - 1)))))
+    ledger = run_simulation(CPMM, TickSeries(ts, mids, mids), 0.003, NO_SCALE)
+    span = int(ts[-1])
+    window = max(1, round(window_frac * span))
+    stats = rolling_windows(ledger, window, max(1, round(stride_frac * span)))
+    assert stats
+    log_mids = np.log(ledger.mids)
+    for w in stats:
+        inside = np.flatnonzero((ts >= w.window_start) & (ts <= w.window_end))
+        if inside.size < 3:  # no return: missing; one return: no dispersion
+            assert w.hist_vol == 0.0 if inside.size == 2 else math.isnan(w.hist_vol)
+            continue
+        a, b = int(inside[0]), int(inside[-1])
+        per_tick = np.std(np.diff(log_mids[a : b + 1]), ddof=1)
+        want = per_tick * math.sqrt(365.25 * 86400.0 / ((ts[b] - ts[a]) / (b - a)))
+        assert math.isclose(w.hist_vol, want, rel_tol=1e-13), (w, want)
+
+
 def test_historical_volatility_conventions():
     assert historical_volatility([1.0, 1.0, 1.0], 60.0) == 0.0
     # a single return carries no dispersion information once demeaned
     assert historical_volatility([1.0, 1.3], 60.0) == 0.0
-    g = math.log(1.3)
-    want = g * math.sqrt(365.25 * 86400.0 / 60.0)
-    assert historical_volatility([1.0, 1.3], 60.0, demean=False) == pytest.approx(want, rel=1e-12)
-    # alternating two-point path, rms convention is exact
-    path = [1.0, 1.2] * 8
-    d = math.log(1.2)
-    assert historical_volatility(path, 1.0, demean=False) == pytest.approx(
-        d * math.sqrt(365.25 * 86400.0), rel=1e-12
-    )
     with pytest.raises(InsufficientData):
         historical_volatility([1.0], 60.0)
     with pytest.raises(InvalidParams):
