@@ -74,6 +74,12 @@ _STRIP_WIDTH = 8.0
 _STRIP_INTERVALS = 576
 _GL_ORDER = 24
 
+# Below total volatility _BAND_SPLIT a strike's cash band Phi(d1) - Phi(d1 - s)
+# is integrated on _BAND_ORDER Gauss-Legendre nodes, exact to rounding there;
+# as a difference of two CDFs near 1/2 it would keep only eps/s of itself.
+_BAND_SPLIT = 0.5
+_BAND_ORDER = 6
+
 # The StableSwap price->holdings solve freezes an element once a step moves
 # log u by at most _SOLVE_XTOL or its log-price residual is within
 # _SOLVE_RTOL of the target's magnitude (the rounding floor); an element
@@ -152,10 +158,9 @@ def _ndtr(v: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nodes and weights of the _GL_ORDER-node Gauss-Legendre rule
-    on [-1, 1]: Newton on the Legendre recurrence (Numerical Recipes 4.6)."""
-    n = _GL_ORDER
+def _gauss_legendre(n: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the n-node Gauss-Legendre rule on
+    [-1, 1]: Newton on the Legendre recurrence (Numerical Recipes 4.6)."""
     x = -np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(8):
         p, p_prev = x, np.ones(n)
@@ -291,9 +296,17 @@ class AmmCurve(ABC):
         lm = log_k - lq0
         d1 = 0.5 * s - lm / s
         side = np.where(lm >= 0.0, 1.0, -1.0)
-        spot_per_k = np.exp(-lm)
-        otm = side * (spot_per_k * _ndtr(side * d1) - _ndtr(side * (d1 - s)))
-        vega = spot_per_k * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+        near = _ndtr(side * d1)
+        # the OTM option per unit strike, side * (q0/k * Phi(side * d1) - Phi(side * (d1 - s))),
+        # is the cash band Phi(d1) - Phi(d1 - s) plus side * (q0/k - 1) * Phi(side * d1)
+        if s < _BAND_SPLIT:  # the band as the integral of phi over [d1 - s, d1]
+            bx, bw = _gauss_legendre(_BAND_ORDER)
+            u = (d1 - 0.5 * s)[:, None] + 0.5 * s * bx
+            band = np.exp(-0.5 * u * u) @ (0.5 * s * bw) / math.sqrt(2.0 * math.pi)
+        else:
+            band = side * (near - _ndtr(side * (d1 - s)))
+        otm = band + side * np.expm1(-lm) * near
+        vega = np.exp(-lm - 0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
         return float(otm @ mass), float(vega @ mass)
 
     def _strip_axis(self) -> tuple[float, float]:

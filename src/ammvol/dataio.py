@@ -7,10 +7,11 @@ The four CSV readers share one row loop, ``_read_rows``: it checks the
 header, skips blank rows, checks the field count and parses each row.  Tick
 and pool-event columns then meet the rules of ``TickSeries.fault`` and
 ``PoolEventSeries.fault``.  Errors name the 1-based line of the first
-offending row; within a row the field count comes first, then the parse,
-then the rules in their listed order.  Bytes that are not UTF-8, a field
-over csv's size limit and a timestamp beyond int64 are malformed rows too,
-so the CLI exits 2 on them.
+offending row, as the row loop counted it while reading; no file is read
+again to find a line.  Within a row the field count comes first, then the
+parse, then the rules in their listed order.  Bytes that are not UTF-8, a
+field over csv's size limit and a timestamp beyond int64 are malformed rows
+too, so the CLI exits 2 on them.
 
 Tick and pool-event files are parsed in one vectorized pass,
 ``_load_columns`` (one ``np.loadtxt`` call), whose columns meet the same
@@ -32,11 +33,11 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import os
 import warnings
+from array import array
 
 import numpy as np
 
@@ -88,14 +89,14 @@ def _dec_str(value) -> str:
 # ----- the row loop --------------------------------------------------------------
 
 
-def _read_rows(path, header, parse) -> tuple[list, ParseError | None]:
-    """(values, error): the tuples ``parse(row)`` of the data rows,
-    concatenated into one list (smaller than a tuple per row), and the
-    ParseError of the first malformed row, where reading stopped, or None.
-    The error is returned, not raised, so that the caller can check its
-    rules on the rows above first."""
-    values = []
-    extend = values.extend
+def _read_rows(path, header, parse) -> tuple[list, array, ParseError | None]:
+    """(values, lines, error): the tuples ``parse(row)`` of the data rows,
+    concatenated into one list (smaller than a tuple per row), the file line
+    of each such row, and the ParseError of the first malformed row, where
+    reading stopped, or None.  The error is returned, not raised, so that
+    the caller can check its rules on the rows above first."""
+    values, lines = [], array("q")  # 8 bytes a row, not an int object
+    extend, append = values.extend, lines.append
     width = len(header)
     # a byte that is not UTF-8 reads as a lone surrogate, which fails the parse
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
@@ -110,28 +111,23 @@ def _read_rows(path, header, parse) -> tuple[list, ParseError | None]:
                 if len(row) != width:
                     if not row:
                         continue
-                    return values, ParseError(f"expected {width} fields, got {len(row)}", reader.line_num)
+                    return values, lines, ParseError(f"expected {width} fields, got {len(row)}", reader.line_num)
                 extend(parse(row))
+                append(reader.line_num)
         except ParseError:
             raise
         except csv.Error as exc:
-            return values, ParseError(f"unreadable CSV row: {exc}", reader.line_num)
+            return values, lines, ParseError(f"unreadable CSV row: {exc}", reader.line_num)
         except (ValueError, ArithmeticError) as exc:
             message = str(exc) if isinstance(exc, InvalidParams) else f"could not parse row {','.join(row)!r}"
-            return values, ParseError(message, reader.line_num)
-    return values, None
+            return values, lines, ParseError(message, reader.line_num)
+    return values, lines, None
 
 
-def _line_of(path, header, index: int) -> int:
-    """File line of data row ``index``, found by reading the file again."""
-    rows = itertools.count()
-
-    def stop_at_index(row):
-        if next(rows) == index:
-            raise ValueError
-        return ()
-
-    return _read_rows(path, header, stop_at_index)[1].line
+def _stamped(values: tuple) -> tuple:  # a timestamp beyond int64 makes its row malformed
+    if not -(2**63) <= values[0] < 2**63:
+        raise InvalidParams(f"timestamp {values[0]} does not fit in int64")
+    return values
 
 
 # Bytes the data rows may hold on the vectorized pass.  It leaves out
@@ -163,32 +159,24 @@ def _load_columns(path, header, series_type):
 
 
 def _read_series(path, header, parse, series_type, **rules):
-    """A tick or pool-event CSV, rows (int timestamp, floats...), as a
+    """A tick or pool-event CSV, rows (int64 timestamp, floats...), as a
     ``series_type`` whose ``fault(**rules)`` finds no broken rule.  A file
     that ``_load_columns`` cannot take, or whose columns break a rule, is
-    read again by ``_read_rows``, which finds the first offending line."""
+    read by ``_read_rows``, whose recorded lines name the offending row."""
     series = _load_columns(path, header, series_type)
     if series is not None and series.fault(**rules) is None:
         return series
-    values, error = _read_rows(path, header, parse)
+    values, lines, error = _read_rows(path, header, parse)
     width = len(header)
-    stamps = values[0::width]
-    n = len(stamps)
-    try:
-        timestamps = np.array(stamps, dtype=np.int64)
-    except OverflowError:  # the first such timestamp makes its row the malformed one
-        n = next(k for k, t in enumerate(stamps) if not -(2**63) <= t < 2**63)
-        error = ParseError(f"timestamp {stamps[n]} does not fit in int64", _line_of(path, header, n))
-        timestamps = np.array(stamps[:n], dtype=np.int64)
-    series = series_type(timestamps, *(np.array(values[j:n * width:width], dtype=float) for j in range(1, width)))
+    series = series_type(np.array(values[0::width], dtype=np.int64),
+                         *(np.array(values[j::width], dtype=float) for j in range(1, width)))
     fault = series.fault(**rules)
     if fault is not None:
         row, cls, message = fault
-        line = _line_of(path, header, row)
-        raise ParseError(message, line) if cls is InvalidParams else cls(f"line {line}: {message}")
+        raise ParseError(message, lines[row]) if cls is InvalidParams else cls(f"line {lines[row]}: {message}")
     if error is not None:
         raise error
-    if n == 0:
+    if not lines:
         raise EmptyInput(f"{os.path.basename(path)} has no data rows")
     return series
 
@@ -199,7 +187,7 @@ def _read_series(path, header, parse, series_type, **rules):
 def read_ticks(path: str, allow_crossed: bool = False) -> TickSeries:
     """Load a tick CSV.  Crossed quotes are rejected with their line number
     unless allow_crossed; the arbitrage engine itself can replay them."""
-    parse = lambda r: (int(r[0]), float(r[1]), float(r[2]))
+    parse = lambda r: _stamped((int(r[0]), float(r[1]), float(r[2])))
     return _read_series(path, _TICK_HEADER, parse, TickSeries, allow_crossed=allow_crossed)
 
 
@@ -211,7 +199,7 @@ def write_ticks(path: str, series: TickSeries) -> None:
 
 
 def read_pool_events(path: str) -> PoolEventSeries:
-    parse = lambda r: (int(r[0]), float(r[1]), float(r[2]), float(r[3]))
+    parse = lambda r: _stamped((int(r[0]), float(r[1]), float(r[2]), float(r[3])))
     return _read_series(path, _EVENT_HEADER, parse, PoolEventSeries)
 
 
@@ -237,17 +225,12 @@ def write_windows(path: str, stats: list[WindowStat]) -> None:
 
 def read_windows(path: str) -> list[WindowStat]:
     """Window rows; each must start after the row above it starts."""
-    previous = None  # the start of the row above
-
-    def parse(row):
-        nonlocal previous
-        stat = WindowStat(int(row[0]), int(row[1]), *map(float, row[2:]))
-        if previous is not None and not stat.window_start > previous:
-            raise InvalidParams(f"window start {stat.window_start} is not after the start {previous} above it")
-        previous = stat.window_start
-        return (stat,)
-
-    stats, error = _read_rows(path, _WINDOW_HEADER, parse)
+    parse = lambda r: (WindowStat(int(r[0]), int(r[1]), *map(float, r[2:])),)
+    stats, lines, error = _read_rows(path, _WINDOW_HEADER, parse)
+    for k in range(1, len(stats)):  # after the loop: a row above a malformed one is reported first
+        above, start = stats[k - 1].window_start, stats[k].window_start
+        if not start > above:
+            raise ParseError(f"window start {start} is not after the start {above} above it", lines[k])
     if error is not None:
         raise error
     return stats
@@ -263,15 +246,18 @@ def read_orders(path: str) -> list[SwapOrder]:
         order_id = row[0].strip()
         if not order_id:
             raise InvalidParams("order_id must be non-empty")
-        if order_id in seen:
-            first = _line_of(path, _ORDER_HEADER, seen[order_id])
-            raise InvalidParams(f"duplicate order_id {order_id!r} (first seen on line {first})")
+        if order_id in seen:  # reported after the loop, ahead of any later malformed row
+            return (order_id,)
         order_id.encode()  # a byte that is not UTF-8 raises here
         order = SwapOrder(order_id, row[1], row[2], row[3], int(row[4]))
         seen[order_id] = len(seen)
         return (order,)
 
-    orders, error = _read_rows(path, _ORDER_HEADER, parse)
+    orders, lines, error = _read_rows(path, _ORDER_HEADER, parse)
+    if len(orders) > len(seen):  # the first repeated id is the first str
+        row = next(k for k, order in enumerate(orders) if isinstance(order, str))
+        first = lines[seen[orders[row]]]
+        raise ParseError(f"duplicate order_id {orders[row]!r} (first seen on line {first})", lines[row])
     if error is not None:
         raise error
     return orders

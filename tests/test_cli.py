@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ammvol import StableSwap
 from ammvol.cli import main
 
 CPMM_CURVE = '{"kind": "cpmm", "L": 1.0}'
@@ -313,6 +314,16 @@ def test_solve_vol_request_from_file(tmp_path, capsys):
     req.write_text('{"curve": {"kind": "cpmm", "L": 1.0}, "T": 1.0, "p0x": 1.0, "piBar": 0.0}')
     out = run_json(capsys, "solve-vol", str(req))
     assert out["sigma"] == 0.0 and out["iterations"] == 0
+
+
+def test_solve_vol_at_a_tiny_total_vol_reprices_the_quote(capsys):
+    # at D = 1e200 a fixed leg of 0.2 needs sigma near 1e-101, where the
+    # leg is l(p0x) * sigma**2 / 2 to rounding and Newton lands in one step
+    curve = {"kind": "stableswap", "A": 100.0, "D": 1e200}
+    out = run_json(capsys, "solve-vol", json.dumps({"curve": curve, "T": 1.0, "p0x": 1.0, "piBar": 0.2}))
+    pool = StableSwap(100.0, 1e200)
+    assert out["sigma"] == pytest.approx(math.sqrt(2.0 * 0.2 / pool.liquidity(1.0)), rel=1e-6, abs=0.0)
+    assert pool.floating_leg(1.0, out["sigma"])[0] == pytest.approx(0.2, rel=1e-6)
 
 
 SOLVE_VOL_BASE = {"curve": {"kind": "cpmm", "L": 1.0}, "T": 1.0, "p0x": 1.0, "piBar": 0.2}

@@ -19,6 +19,7 @@ from ammvol import (
     UnsortedInput,
     WindowStat,
     clear_batch,
+    dataio,
     run_simulation,
     synthetic_gbm_ticks,
 )
@@ -404,6 +405,38 @@ def test_read_orders_duplicate_id(tmp_path):
     with pytest.raises(ParseError, match=r"duplicate order_id 'o1' \(first seen on line 2\)") as err:
         read_orders(path)
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "reader, text, cls, message, most",
+    [
+        (read_ticks, "timestamp,bid,ask\n0,1.0,1.1\n\n1,1.0,1.1\n1,1.0,1.1\n",
+         UnsortedInput, "line 5: timestamp 1 does not increase", 2),
+        (read_pool_events, "timestamp,price,fee_x,fee_y\n0,1.0,0.0,0.0\n\n7,1.0,0.0,0.0\n7,1.0,0.0,0.0\n",
+         UnsortedInput, "line 5: timestamp 7 does not increase", 2),
+        # the duplicate wins over the malformed row below it
+        (read_orders, ORDER_CSV + "\no1,bid,1.5,2,2\no3,hold,1.0,1,3\n",
+         ParseError, "line 5: duplicate order_id 'o1' (first seen on line 2)", 1),
+    ],
+    ids=["ticks", "pool_events", "orders"],
+)
+def test_a_faulty_file_is_opened_only_as_often_as_it_must_be(tmp_path, monkeypatch, reader, text, cls, message, most):
+    # the vectorized tick and pool-event pass may open the file once before
+    # the row loop; naming the offending line opens it no further time
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "open", counting_open, raising=False)
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(cls) as err:
+        reader(path)
+    assert type(err.value) is cls
+    assert str(err.value) == message
+    assert 1 <= len(opened) <= most
 
 
 def test_read_orders_field_errors(tmp_path):

@@ -273,6 +273,25 @@ def test_gauss_legendre_rule_matches_numpy():
     np.testing.assert_allclose(w, want_w, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("curve", [STABLE, RANGE], ids=["stableswap", "range"])
+def test_strip_at_tiny_total_vol_is_half_s_squared_times_the_liquidity(curve):
+    # each strike's cash band is integrated, not a difference of two CDFs
+    # near 1/2 that would keep only eps/s of it; at q0 = 1 the nodes' log
+    # prices carry no rounding of their own
+    density = curve.liquidity(1.0)
+    for s in (1e-9, 1e-12, 1e-15, 1e-20):
+        leg, vega = curve.floating_leg(1.0, s)
+        assert leg == pytest.approx(0.5 * s * s * density, rel=1e-10, abs=0.0), s
+        assert vega == pytest.approx(s * density, rel=1e-10, abs=0.0), s
+
+
+def test_band_rule_matches_numpy():
+    x, w = _gauss_legendre(ammvol.curves._BAND_ORDER)
+    want_x, want_w = np.polynomial.legendre.leggauss(ammvol.curves._BAND_ORDER)
+    np.testing.assert_allclose(x, want_x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, want_w, rtol=0.0, atol=1e-15)
+
+
 def test_strips_import_no_module():
     # a lazily imported numpy submodule would raise the peak RSS of every
     # process that prices a strip
