@@ -512,11 +512,12 @@ class StableSwap(AmmCurve):
         """(v', v'', q', q'') of the unit pool at one price, primes d/du: the
         solved holdings, then N1(u,v)/N2(u,v) = -v'(u) = q/c differentiated three
         times, N1 = 4A + k/(u**2 v), N2 = 4A + k/(u v**2) and k = 1/4."""
-        mirror, small, big, _, _, _ = self._grid_solve(np.array([self._require_in_domain(q)]))
-        u = float(big[0] if mirror[0] else small[0])
-        v = float(self._grid_v(np.array([u]))[0])
         A = self.amplification
         c = self.price_center
+        qc, t = self._distance(np.array([self._require_in_domain(q)]))
+        small, big, _, _, _ = self._newton(t, *_dense_seed(_seed_table(A), t))
+        u = float(big[0] if qc[0] < c else small[0])
+        v = float(self._grid_v(np.array([u]))[0])  # the solve's v differs below c in the last bits
         k = 0.25
         n1 = 4.0 * A + k / (u * u * v)
         n2 = 4.0 * A + k / (u * v * v)
@@ -664,47 +665,14 @@ class StableSwap(AmmCurve):
             f"unconverged after {_SOLVE_MAX_ITER} iterations"
         )
 
-    def _solve_targets(self, t: np.ndarray):
-        """``_newton``'s outputs at targets t = |log(q/c)|, clamped in place
-        to the table's reach, seeded from the table of this amplification."""
-        seed = _seed_table(self.amplification)
-        np.minimum(t, seed.t_max, out=t)
-        return self._newton(t, *self._dense_seed(seed, t))
-
-    def _dense_seed(self, seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(seed, lower, upper bracket) of w = log min(u, v) at targets t.
-
-        The cell's end nodes bracket the root, padded by _SOLVE_PAD, and
-        cubic Hermite interpolation between them lands within _SOLVE_XTOL
-        of it, so nearly every element freezes after one evaluation.
-        """
-        r, j = _cell(seed, t)
-        a = seed.w.take(j)
-        ma = seed.m.take(j)
-        j += 1
-        b = seed.w.take(j)
-        w = _hermite(r, a, b, ma, seed.m.take(j))
-        # log s falls as the price rises: node j + 1 bounds the root from below
-        b -= _SOLVE_PAD
-        a += _SOLVE_PAD
-        return w, b, a
-
-    def _grid_solve(self, qs: np.ndarray):
-        """(mirror, *``_newton``'s five outputs) at prices qs already
-        clipped to q_bounds, each a flat array.
-
-        The invariant is symmetric in (u, v) with q -> c**2/q, so the solve
-        finds w = log min(u, v), the u of the price max(q, c**2/q) >= c, and
-        the larger holding follows from it without amplifying the rounding.
-        Where ``mirror`` (q < c) u is the larger holding and d log q =
-        -d log(c**2/q); each caller maps back only the outputs it uses.
-        """
-        qs = qs.ravel()
-        return (qs < self.price_center, *self._solve_targets(self._center_distance(qs)))
-
-    def _center_distance(self, qs: np.ndarray) -> np.ndarray:
-        """|log(qs/c)| to full relative precision on both sides of the center,
-        at a flat array of prices."""
+    def _distance(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(qs clipped to q_bounds, t = |log(q/c)| there clamped to the seed
+        table's reach), both flat, t to full relative precision on both sides
+        of the center.  As the invariant is symmetric in (u, v) with q ->
+        c**2/q, ``_newton`` at t solves for the u of max(q, c**2/q) >= c, the
+        smaller holding: below the center u is the larger one and d log q =
+        -d log(c**2/q), and each caller maps back the outputs it uses."""
+        qs = np.clip(qs, *self.q_bounds).ravel()
         if np.isnan(qs).any():
             raise DomainError("stableswap price grid contains NaN")
         c = self.price_center
@@ -712,7 +680,8 @@ class StableSwap(AmmCurve):
         np.abs(t, out=t)
         t /= np.minimum(qs, c)
         np.log1p(t, out=t)
-        return t
+        np.minimum(t, _seed_table(self.amplification).t_max, out=t)
+        return qs, t
 
     # ----- public surface -------------------------------------------------
 
@@ -735,8 +704,9 @@ class StableSwap(AmmCurve):
 
     def _unit_holdings(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(x, y) of the unit pool at prices qs, clipped to q_bounds."""
-        q_lo, q_hi = self.q_bounds
-        mirror, small, big, _, _, _ = self._grid_solve(np.clip(qs, q_lo, q_hi))
+        qc, t = self._distance(qs)
+        small, big, _, _, _ = self._newton(t, *_dense_seed(_seed_table(self.amplification), t))
+        mirror = qc < self.price_center
         u = np.where(mirror, big, small)
         u /= self.price_center
         return u.reshape(qs.shape), np.where(mirror, small, big).reshape(qs.shape)
@@ -758,17 +728,9 @@ class StableSwap(AmmCurve):
 
     def liquidity_grid(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)
-        q_lo, q_hi = self.q_bounds
-        qc = np.clip(qs, q_lo, q_hi).ravel()
-        t = self._center_distance(qc)
+        qc, t = self._distance(qs)
         seed = _seed_table(self.amplification)
-        np.minimum(t, seed.t_max, out=t)
-        # G at |log(q/c)|, read off the seed table
-        r, j = _cell(seed, t)
-        a = seed.g.take(j)
-        ma = seed.gm.take(j)
-        j += 1
-        density = _hermite(r, a, seed.g.take(j), ma, seed.gm.take(j))
+        density, _, _ = _interpolate(seed, seed.g, seed.gm, t)  # G at |log(q/c)|
         np.exp(density, out=density)
         # times max(q/c, 1), then D; q/c lies in the center-1 domain at any
         # c, and 1/c is a normal double for every accepted c, exact at c = 2**k
@@ -777,6 +739,7 @@ class StableSwap(AmmCurve):
         density *= t
         density *= self.invariant_scale
         # the clip lands on an end point exactly where qs is outside
+        q_lo, q_hi = self.q_bounds
         density[(qc == q_lo) | (qc == q_hi)] = 0.0
         return density.reshape(qs.shape)
 
@@ -826,6 +789,28 @@ def _cell(seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.minimum(j, seed.w.size - 2, out=j)
     r -= j
     return r, j.astype(np.intp)
+
+
+def _interpolate(seed: "_SeedTable", values: np.ndarray, slopes: np.ndarray, t: np.ndarray):
+    """(cubic Hermite interpolant of a table column at targets t, its values
+    at each cell's lower and upper node), from the column's ``values`` and
+    ``slopes`` per unit cell."""
+    r, j = _cell(seed, t)
+    a, ma = values.take(j), slopes.take(j)
+    j += 1
+    b = values.take(j)
+    return _hermite(r, a, b, ma, slopes.take(j)), a, b
+
+
+def _dense_seed(seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(seed, lower, upper bracket) of w = log min(u, v) at targets t.  The
+    cell's end nodes, padded by _SOLVE_PAD, bracket the root, and the Hermite
+    seed lands within _SOLVE_XTOL of it: nearly every element freezes at once."""
+    w, a, b = _interpolate(seed, seed.w, seed.m, t)
+    # log s falls as the price rises: node j + 1 bounds the root from below
+    b -= _SOLVE_PAD
+    a += _SOLVE_PAD
+    return w, b, a
 
 
 class _SeedTable(NamedTuple):
@@ -904,7 +889,7 @@ def _seed_table(amplification: float) -> _SeedTable:
         w, m, g, gm = (np.empty(n) for _ in range(4))
         for lo in range(0, n, _SEED_CHUNK):
             part = slice(lo, lo + _SEED_CHUNK)
-            u, v, slope, elast, w[part] = unit._newton(t[part], *unit._dense_seed(seed, t[part]))
+            u, v, slope, elast, w[part] = unit._newton(t[part], *_dense_seed(seed, t[part]))
             m[part] = (tau + t[part]) * h / slope
             g[part], gm[part] = _liquidity_columns(amplification, u, v, slope, elast, w[part], m[part])
         seed = _SeedTable(tau, h, t_max, w, m, g, gm)

@@ -7,8 +7,8 @@ The four CSV readers share one row loop, ``_read_rows``: it checks the
 header, skips blank rows, checks the field count and parses each row.  Tick
 and pool-event columns then meet the rules of ``TickSeries.fault`` and
 ``PoolEventSeries.fault``.  Errors name the 1-based line of the first
-offending row, as the row loop counted it while reading; no file is read
-again to find a line.  Within a row the field count comes first, then the
+offending row, as the pass that parsed the file counted it; no file is
+read again to find a line.  Within a row the field count comes first, then the
 parse, then the rules in their listed order.  Bytes that are not UTF-8, a
 field over csv's size limit and a timestamp beyond int64 are malformed rows
 too, so the CLI exits 2 on them.
@@ -20,9 +20,10 @@ would: the first line is exactly the header, the data rows hold only the
 bytes of ``_NUMBER_BYTES``, no line is longer than csv's field-size limit,
 and loadtxt neither raises nor warns (numpy 1.23 to 1.26 read ``1.5`` into
 an int64 column as 1, with a DeprecationWarning; every numpy warns on a
-file without data rows).  Any other file, and any file that breaks a rule,
-is read again by the row loop, which reports the error.  Window rows must
-start after the row above them starts.
+file without data rows).  Each file is parsed once: the row loop reads only
+the files that this pass refuses, and a row of a file that the pass took
+and that breaks a rule is named by its line, counted from the newlines the
+pass found.  Window rows must start after the row above them starts.
 
 The tick and ledger writers format blocks of rows a column at a time, one
 ``repr`` per distinct column: a column bit-equal to an earlier one in the
@@ -138,11 +139,14 @@ _NUMBER_BYTES = b"0123456789+-.eE, \t\r\n"
 
 
 def _load_columns(path, header, series_type):
-    """``series_type`` from one ``np.loadtxt`` pass over the data rows, with
-    C-contiguous columns, or None where the row loop must read the file."""
+    """(``series_type`` from one ``np.loadtxt`` pass over the data rows, with
+    C-contiguous columns, the offsets of the body's newlines), or None where
+    the row loop must read the file."""
     with open(path, "rb") as fh:
         head, body = fh.readline(), fh.read()
-    if head.rstrip(b"\r\n") != ",".join(header).encode() or body.translate(None, _NUMBER_BYTES):
+    # the header ends in \n or \r\n: csv reads one ending \r\r\n as two lines
+    name = ",".join(header).encode()
+    if head not in (name + b"\n", name + b"\r\n") or body.translate(None, _NUMBER_BYTES):
         return None
     # csv refuses a field over its size limit, and no field outgrows its line
     ends = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n"))
@@ -155,28 +159,38 @@ def _load_columns(path, header, series_type):
             rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
-    return series_type(*(np.ascontiguousarray(rows[name]) for name in header))
+    return series_type(*(np.ascontiguousarray(rows[name]) for name in header)), ends
+
+
+def _file_line(ends, row) -> int:
+    """The file line of data row ``row`` of a file ``_load_columns`` read, its
+    body's newlines at offsets ``ends``.  Loadtxt takes no line of at most
+    one byte but "" and "\r", which hold no row; the last row may lack a \n."""
+    rows = np.flatnonzero(np.diff(ends, prepend=-1) > 2)  # a line's length, its \n included
+    return 2 + int(rows[row] if row < rows.size else ends.size)
 
 
 def _read_series(path, header, parse, series_type, **rules):
     """A tick or pool-event CSV, rows (int64 timestamp, floats...), as a
-    ``series_type`` whose ``fault(**rules)`` finds no broken rule.  A file
-    that ``_load_columns`` cannot take, or whose columns break a rule, is
-    read by ``_read_rows``, whose recorded lines name the offending row."""
-    series = _load_columns(path, header, series_type)
-    if series is not None and series.fault(**rules) is None:
-        return series
-    values, lines, error = _read_rows(path, header, parse)
-    width = len(header)
-    series = series_type(np.array(values[0::width], dtype=np.int64),
-                         *(np.array(values[j::width], dtype=float) for j in range(1, width)))
+    ``series_type`` whose ``fault(**rules)`` finds no broken rule.  The file
+    is parsed once, by ``_load_columns`` or, where it refuses the file, by
+    ``_read_rows``.  Either names the line of the first row that breaks a
+    rule, which is raised before a malformed row below it."""
+    loaded = _load_columns(path, header, series_type)
+    if loaded is None:
+        values, lines, error = _read_rows(path, header, parse)
+        width = len(header)
+        series = series_type(*(np.array(values[j::width], float if j else np.int64) for j in range(width)))
+    else:
+        (series, ends), error = loaded, None
     fault = series.fault(**rules)
     if fault is not None:
         row, cls, message = fault
-        raise ParseError(message, lines[row]) if cls is InvalidParams else cls(f"line {lines[row]}: {message}")
+        line = lines[row] if loaded is None else _file_line(ends, row)
+        raise ParseError(message, line) if cls is InvalidParams else cls(f"line {line}: {message}")
     if error is not None:
         raise error
-    if not lines:
+    if not series.timestamps.size:
         raise EmptyInput(f"{os.path.basename(path)} has no data rows")
     return series
 

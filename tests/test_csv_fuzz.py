@@ -8,8 +8,8 @@ fields over csv's size limit.  Each reader must return or raise only
 ParseError (a window start that is not after the row above it is one),
 UnsortedInput or EmptyInput, with the class and line that
 ``reference`` gives, and the CLI must never exit 1 on the file.  Where the
-vectorized tick and pool-event pass takes a file, the row loop takes it too
-and reads the same bits.
+vectorized tick and pool-event pass takes a file, the row loop takes it too,
+reads the same bits and puts each row on the same line.
 
 ``reference`` reads the file one row at a time and checks each row
 completely before the next: header, field count, a parse in which bytes
@@ -261,11 +261,15 @@ def test_vectorized_pass_reads_what_the_row_loop_reads(case):
         path = os.path.join(tmp, f"{kind}.csv")
         with open(path, "wb") as fh:
             fh.write(data)
-        fast = dataio._load_columns(path, HEADERS[kind], SERIES[kind])
-        if fast is None:
+        loaded = dataio._load_columns(path, HEADERS[kind], SERIES[kind])
+        if loaded is None:
             return
+        fast, ends = loaded
         for col in vars(fast).values():
             assert col.flags.c_contiguous, data
+        _, lines, error = dataio._read_rows(path, HEADERS[kind], lambda row: ())
+        assert error is None, data
+        assert [dataio._file_line(ends, row) for row in range(fast.timestamps.size)] == lines.tolist(), data
         for read, allow_crossed in READERS[kind]:
             rules = {"allow_crossed": allow_crossed} if kind == "ticks" else {}
             if fast.fault(**rules) is None:

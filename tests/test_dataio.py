@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ammvol import (
+    AmmVolError,
     Cpmm,
     EmptyInput,
     GbmParams,
@@ -411,9 +412,9 @@ def test_read_orders_duplicate_id(tmp_path):
     "reader, text, cls, message, most",
     [
         (read_ticks, "timestamp,bid,ask\n0,1.0,1.1\n\n1,1.0,1.1\n1,1.0,1.1\n",
-         UnsortedInput, "line 5: timestamp 1 does not increase", 2),
+         UnsortedInput, "line 5: timestamp 1 does not increase", 1),
         (read_pool_events, "timestamp,price,fee_x,fee_y\n0,1.0,0.0,0.0\n\n7,1.0,0.0,0.0\n7,1.0,0.0,0.0\n",
-         UnsortedInput, "line 5: timestamp 7 does not increase", 2),
+         UnsortedInput, "line 5: timestamp 7 does not increase", 1),
         # the duplicate wins over the malformed row below it
         (read_orders, ORDER_CSV + "\no1,bid,1.5,2,2\no3,hold,1.0,1,3\n",
          ParseError, "line 5: duplicate order_id 'o1' (first seen on line 2)", 1),
@@ -421,8 +422,8 @@ def test_read_orders_duplicate_id(tmp_path):
     ids=["ticks", "pool_events", "orders"],
 )
 def test_a_faulty_file_is_opened_only_as_often_as_it_must_be(tmp_path, monkeypatch, reader, text, cls, message, most):
-    # the vectorized tick and pool-event pass may open the file once before
-    # the row loop; naming the offending line opens it no further time
+    # the row loop reads only files that the vectorized tick and pool-event
+    # pass refuses, and naming the offending line opens no file again
     opened = []
 
     def counting_open(file, *args, **kwargs):
@@ -437,6 +438,43 @@ def test_a_faulty_file_is_opened_only_as_often_as_it_must_be(tmp_path, monkeypat
     assert type(err.value) is cls
     assert str(err.value) == message
     assert 1 <= len(opened) <= most
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        # blank lines, a bare \r\n line and \r\n endings above the fault
+        (read_ticks, b"timestamp,bid,ask\r\n0,1.0,1.0\r\n\r\n\n1,1.0,1.0\n\n\r\n2,1.0,1.0\r\n2,1.0,1.0\r\n"),
+        # the faulty row ends the file without a newline
+        (read_ticks, b"timestamp,bid,ask\n\n0,1.0,1.0\r\n\r\n1,1.2,1.0"),
+        (read_pool_events, b"timestamp,price,fee_x,fee_y\r\n\r\n0,1.0,0.0,0.0\n\n\r\n1,1.0,-1.0,0.0\r\n\r"),
+    ],
+    ids=["ticks_unsorted", "ticks_crossed_at_the_end", "pool_events_negative_fee"],
+)
+def test_the_vectorized_pass_names_a_broken_rule_where_the_row_loop_does(tmp_path, monkeypatch, reader, text):
+    path = tmp_path / "f.csv"
+    path.write_bytes(text)
+    with monkeypatch.context() as row_loop_only:
+        row_loop_only.setattr(dataio, "_load_columns", lambda *args: None)
+        with pytest.raises(AmmVolError) as expected:
+            reader(path)
+
+    def no_row_loop(*args):
+        raise AssertionError("the row loop read a file that the vectorized pass took")
+
+    monkeypatch.setattr(dataio, "_read_rows", no_row_loop)
+    with pytest.raises(AmmVolError) as err:
+        reader(path)
+    assert type(err.value) is type(expected.value)
+    assert str(err.value) == str(expected.value)
+    assert getattr(err.value, "line", None) == getattr(expected.value, "line", None)
+
+
+def test_rows_below_a_header_line_that_csv_reads_as_two_keep_their_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"timestamp,bid,ask\r\r\n0,1.0,1.0\n0,1.0,1.0\n")
+    with pytest.raises(UnsortedInput, match="line 4"):
+        read_ticks(path)
 
 
 def test_read_orders_field_errors(tmp_path):

@@ -228,7 +228,7 @@ def test_solve_at_every_seed_node_returns_the_node(curve):
     seed = seed_of(curve)
     t = np.minimum(seed.tau * np.expm1(np.arange(seed.w.size) * seed.h), seed.t_max)
     # the solve runs on the unit pool, whatever the pool's own D
-    small = curve._solve_targets(t)[0]
+    small = curve._newton(t, *ammvol.curves._dense_seed(seed, t))[0]
     assert np.max(np.abs(np.log(small) - seed.w)) <= ammvol.curves._SOLVE_XTOL, curve
 
 
@@ -319,7 +319,8 @@ def test_stragglers_written_back_equal_their_solve_alone():
         assert y[i] == pytest.approx(y_ref, rel=1e-11), q
     # their outputs are the converged iterate's, whose Newton step is
     # rounding, not the first evaluation's, which moved more than _SOLVE_XTOL
-    _, small, _, _, _, step = curve._grid_solve(qs[stragglers])
+    _, t = curve._distance(qs[stragglers])
+    small, _, _, _, step = curve._newton(t, *ammvol.curves._dense_seed(seed_of(curve), t))
     assert np.all(np.abs(step - np.log(small)) <= 0.1 * ammvol.curves._SOLVE_XTOL)
 
 
