@@ -39,8 +39,10 @@ is nondecreasing and concave.  Three curve families are provided:
     lands within rounding of the root, so one evaluation of the map per
     price suffices.  ``liquidity_grid`` needs no solve: the table also holds
     the log of the density and its slope, differentiated implicitly at each
-    node from the build's own solve.  The scalar ``first_derivs``
-    differentiates at the solved holdings instead, the oracle for that table.
+    node from the build's own solve.  The scalar ``first_derivs`` is that
+    density at one price, like the other scalar methods; the implicit
+    derivatives at the solved holdings, the oracle the table is held to,
+    live in ``tests/stableswap_reference.py``.
 
 Each curve states its liquidity density ``-q**2 * x'(q)`` once, in
 ``liquidity_grid``; the LVR rate is sigma**2/2 times it.  The fee-swap
@@ -178,12 +180,6 @@ def _strip_reach(s: float) -> float:
     return _STRIP_WIDTH * s + 0.5 * s * s
 
 
-def _finite_slopes(q: float, xp: float, yp: float) -> tuple[float, float]:
-    if not (math.isfinite(xp) and math.isfinite(yp)):
-        raise DomainError(f"the slopes x', y' at price {q!r} are beyond the float range")
-    return xp, yp
-
-
 class AmmCurve(ABC):
     """A two-asset AMM described by portfolio-update functions x(q), y(q).
 
@@ -237,15 +233,19 @@ class AmmCurve(ABC):
         """
         q = self._require_in_domain(q)
         xp = float(self.xprime_grid(np.array([q]))[0])
-        return _finite_slopes(q, xp, 0.0 - q * xp)
+        yp = 0.0 - q * xp
+        if not (math.isfinite(xp) and math.isfinite(yp)):
+            raise DomainError(f"the slopes x', y' at price {q!r} are beyond the float range")
+        return xp, yp
 
     def liquidity(self, q: float) -> float:
         """The liquidity density -q**2 * x'(q) at one price."""
         return float(self.liquidity_grid(np.array([self._require_in_domain(q)]))[0])
 
-    @abstractmethod
     def second_derivs(self, q: float) -> tuple[float, float]:
-        ...
+        """Not provided.  Stays only because the benchmark tracer looks this
+        name up (ROADMAP item 2)."""
+        raise NotImplementedError("second_derivs is not provided")
 
     def pool_value(self, q: float) -> float:
         """Pool value q*x(q) + y(q) in units of y."""
@@ -361,11 +361,6 @@ class Cpmm(AmmCurve):
     def q_bounds(self) -> tuple[float, float]:
         return (0.0, math.inf)
 
-    def second_derivs(self, q: float) -> tuple[float, float]:
-        q = self._require_in_domain(q)
-        L = self.liquidity_tokens
-        return (0.75 * L * q**-2.5, -0.25 * L * q**-1.5)
-
     def holdings_grid(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         qs = np.asarray(qs, dtype=float)
         rq = np.sqrt(np.maximum(qs, 0.0))
@@ -429,13 +424,6 @@ class ConcentratedCpmm(AmmCurve):
     @property
     def trade_bounds(self) -> tuple[float, float]:
         return (self.p_lo, self.p_hi)
-
-    def second_derivs(self, q: float) -> tuple[float, float]:
-        q = self._require_in_domain(q)
-        if not self.is_interior(q):
-            return (0.0, 0.0)
-        L = self.liquidity_tokens
-        return (0.75 * L * q**-2.5, -0.25 * L * q**-1.5)
 
     def holdings_grid(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         qs = np.asarray(qs, dtype=float)
@@ -506,47 +494,13 @@ class StableSwap(AmmCurve):
                     f"price domain [{q_lo:.6g}, {q_hi:.6g}] or its holdings or value there beyond the float range"
                 )
 
-    # ----- unit-pool machinery in centered units u = c*x/D, v = y/D -------
-
-    def _state(self, q: float):
-        """(v', v'', q', q'') of the unit pool at one price, primes d/du: the
-        solved holdings, then N1(u,v)/N2(u,v) = -v'(u) = q/c differentiated three
-        times, N1 = 4A + k/(u**2 v), N2 = 4A + k/(u v**2) and k = 1/4."""
-        A = self.amplification
-        c = self.price_center
-        qc, t = self._distance(np.array([self._require_in_domain(q)]))
-        small, big, _, _, _ = self._newton(t, *_dense_seed(_seed_table(A), t))
-        u = float(big[0] if qc[0] < c else small[0])
-        v = float(self._grid_v(np.array([u]))[0])  # the solve's v differs below c in the last bits
-        k = 0.25
-        n1 = 4.0 * A + k / (u * u * v)
-        n2 = 4.0 * A + k / (u * v * v)
-        vp = -n1 / n2
-        n1p = k * (-2.0 / (u**3 * v) - vp / (u**2 * v**2))
-        n2p = k * (-1.0 / (u**2 * v**2) - 2.0 * vp / (u * v**3))
-        vpp = (n1 * n2p - n1p * n2) / (n2 * n2)
-        n1pp = k * (
-            6.0 / (u**4 * v)
-            + 4.0 * vp / (u**3 * v**2)
-            + 2.0 * vp * vp / (u**2 * v**3)
-            - vpp / (u**2 * v**2)
-        )
-        n2pp = k * (
-            2.0 / (u**3 * v**2)
-            + 4.0 * vp / (u**2 * v**3)
-            + 6.0 * vp * vp / (u * v**4)
-            - 2.0 * vpp / (u * v**3)
-        )
-        vppp = ((n1 * n2pp - n1pp * n2) * n2 - 2.0 * n2p * (n1 * n2p - n1p * n2)) / n2**3
-        return vp, vpp, -c * vpp, -c * vppp
-
     @cached_property
     def q_bounds(self) -> tuple[float, float]:
         # u or, by the u <-> v symmetry, v at its floor: |log(q/c)| = t_max
         t_max = _seed_table(self.amplification).t_max
         return self.price_center * math.exp(-t_max), self.price_center * math.exp(t_max)
 
-    # ----- vectorized invariant machinery --------------------------------
+    # ----- unit-pool machinery in centered units u = c*x/D, v = y/D -------
 
     # The kernels below work in place, in an order that keeps few
     # temporaries alive at once: at Monte Carlo sizes each is tens of kB, and
@@ -684,23 +638,6 @@ class StableSwap(AmmCurve):
         return qs, t
 
     # ----- public surface -------------------------------------------------
-
-    def first_derivs(self, q: float) -> tuple[float, float]:
-        # implicit differentiation, independent of the seed table that
-        # liquidity_grid reads: the tests check one against the other
-        if self._require_in_domain(q) in self.q_bounds:
-            return (0.0, 0.0)  # a holding sits at its floor: frozen, as in liquidity_grid
-        vp, _, qp, _ = self._state(q)
-        D = self.invariant_scale
-        # x = u/c, so dx/dq = (1/c) / (dq/du); dy/dq = v' / q'; D times the unit pool's
-        return _finite_slopes(q, D * ((1.0 / self.price_center) / qp), D * (vp / qp))
-
-    def second_derivs(self, q: float) -> tuple[float, float]:
-        vp, vpp, qp, qpp = self._state(q)
-        D = self.invariant_scale
-        xpp = -qpp / (self.price_center * qp**3)
-        ypp = vpp / qp**2 - vp * qpp / qp**3
-        return (D * xpp, D * ypp)
 
     def _unit_holdings(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(x, y) of the unit pool at prices qs, clipped to q_bounds."""

@@ -201,7 +201,9 @@ def mc_floating_leg(spec: SwapSpec, sigma: float, mc: McConfig | None = None) ->
 
 
 def floating_leg_value(spec: SwapSpec, sigma: float, mc: McConfig | None = None) -> float:
-    """Present value of the accrued fee/LVR stream over the swap horizon."""
+    """Present value of the accrued fee/LVR stream over the swap horizon.
+    ``mc`` is ignored; it stays only because the benchmark workloads pass it
+    (ROADMAP item 2)."""
     return _leg(spec, check_nonnegative(sigma, "sigma"))[0]
 
 

@@ -2,11 +2,11 @@
 
 Valid tick, pool-event, window and order files get one or two random
 edits: dropped or extra fields, junk and non-UTF-8 bytes, quoted fields,
-blank lines, lone carriage returns, NaN/inf/negative values, crossed
-quotes, swapped rows, duplicate order ids, timestamps beyond int64 and
-fields over csv's size limit.  Each reader must return or raise only
-ParseError (a window start that is not after the row above it is one),
-UnsortedInput or EmptyInput, with the class and line that
+blank lines, lone carriage returns, CRLF line endings, NaN/inf/negative
+values, crossed quotes, swapped rows, duplicate order ids, timestamps
+beyond int64 and fields over csv's size limit.  Each reader must return
+or raise only ParseError (a window start that is not after the row above
+it is one), UnsortedInput or EmptyInput, with the class and line that
 ``reference`` gives, and the CLI must never exit 1 on the file.  Where the
 vectorized tick and pool-event pass takes a file, the row loop takes it too,
 reads the same bits and puts each row on the same line.
@@ -136,7 +136,7 @@ BAD_BYTES = [b"\xff", b"\xc3\x28", b"\x80abc", b"\xe2\x82", b"\x00"]
 # weighted by repetition; a field over the size limit is slow to write, so rarer
 EDITS = (
     ["junk", "bytes", "swap", "copy_row", "crossed"] * 4
-    + ["drop", "extra", "quote", "newline_in_quotes", "blank", "lone_cr"] * 2
+    + ["drop", "extra", "quote", "newline_in_quotes", "blank", "lone_cr", "crlf"] * 2
     + ["big_field", "big_number", "header", "no_rows"]
 )
 
@@ -147,7 +147,8 @@ def edited_file(draw, kind):
     rows = [[field.encode() for field in row] for row in ROWS[kind]]
     header = [field.encode() for field in HEADERS[kind]]
     blank_after = set()
-    ends = {}  # row -> line terminator other than \n
+    newline = b"\n"
+    ends = {}  # row -> line terminator other than newline
     for _ in range(draw(st.integers(1, 2))):
         i = draw(st.integers(0, len(rows) - 1))
         j = draw(st.integers(0, len(header) - 1))
@@ -177,6 +178,8 @@ def edited_file(draw, kind):
             row[1], row[2] = b"1.5", b"0.5"
         elif edit == "lone_cr":
             ends[i] = b"\r"
+        elif edit == "crlf":  # every line, the header's and blank ones too
+            newline = b"\r\n"
         elif edit == "big_field" and j < len(row):
             row[j] = b"1" * 131_073
         elif edit == "big_number" and j < len(row):  # over the limit, yet a float
@@ -186,11 +189,11 @@ def edited_file(draw, kind):
         elif edit == "no_rows":
             rows, blank_after = [], {-1}
             break
-    body = (b"\n" if -1 in blank_after else b"") + b"".join(
-        b",".join(row) + ends.get(i, b"\n") + (b"\n" if i in blank_after else b"")
+    body = (newline if -1 in blank_after else b"") + b"".join(
+        b",".join(row) + ends.get(i, newline) + (newline if i in blank_after else b"")
         for i, row in enumerate(rows)
     )
-    return b",".join(header) + b"\n" + body
+    return b",".join(header) + newline + body
 
 
 def _outcome(read, path):

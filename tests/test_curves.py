@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from stableswap_reference import implicit_derivs
 
 from ammvol import (
     ConcentratedCpmm,
@@ -64,7 +65,6 @@ def test_cpmm_holdings_golden():
 
 def test_cpmm_derivative_goldens():
     assert CPMM.first_derivs(1.0) == pytest.approx((-0.5, 0.5), rel=1e-15)
-    assert CPMM.second_derivs(1.0) == pytest.approx((0.75, -0.25), rel=1e-15)
     xp, yp = CPMM.first_derivs(4.0)
     assert xp == pytest.approx(-1.0 / 16.0, rel=1e-15)
     assert yp == pytest.approx(0.25, rel=1e-15)
@@ -120,7 +120,6 @@ def test_concentrated_holdings_inside_and_clamped():
 def test_concentrated_derivs_vanish_out_of_range():
     assert CONC.first_derivs(0.1) == (0.0, 0.0)
     assert CONC.first_derivs(9.0) == (0.0, 0.0)
-    assert CONC.second_derivs(0.2) == (0.0, 0.0)
     # inside the range it is plain constant-product
     assert CONC.first_derivs(1.0) == pytest.approx(CPMM.first_derivs(1.0), rel=1e-15)
 
@@ -179,7 +178,7 @@ def test_stableswap_center_golden():
 
 def test_stableswap_second_derivs_golden():
     # exact rationals at the symmetric point: 9648/64 and -201/4
-    xpp, ypp = STABLE.second_derivs(1.0)
+    _, _, xpp, ypp = implicit_derivs(STABLE, 1.0)
     assert xpp == pytest.approx(150.75, rel=1e-8)
     assert ypp == pytest.approx(-50.25, rel=1e-8)
 
@@ -214,12 +213,12 @@ def test_stableswap_second_derivs_match_fd():
     # third derivative is O(A^2) here, so Richardson-extrapolate the
     # central difference to kill the h^2 truncation term
     def fd2(component, q, h):
-        hi = STABLE.first_derivs(q + h)[component]
-        lo = STABLE.first_derivs(q - h)[component]
+        hi = implicit_derivs(STABLE, q + h)[component]
+        lo = implicit_derivs(STABLE, q - h)[component]
         return (hi - lo) / (2 * h)
 
     for q in (0.8, 1.0, 1.6):
-        xpp, ypp = STABLE.second_derivs(q)
+        _, _, xpp, ypp = implicit_derivs(STABLE, q)
         h = 1e-4 * q
         fxpp = (4 * fd2(0, q, h / 2) - fd2(0, q, h)) / 3
         fypp = (4 * fd2(1, q, h / 2) - fd2(1, q, h)) / 3
@@ -270,7 +269,7 @@ def test_stableswap_domain_errors():
 )
 def test_stableswap_first_derivs_vanish_at_the_domain_ends(curve):
     # a holding sits at its floor there, so x' is 0 as in xprime_grid; just
-    # inside, the implicit derivative is still the oracle
+    # inside, implicit differentiation is the oracle
     lo, hi = curve.q_bounds
     ends = np.array([lo, hi])
     assert np.all(curve.xprime_grid(ends) == 0.0)
@@ -278,7 +277,7 @@ def test_stableswap_first_derivs_vanish_at_the_domain_ends(curve):
         assert curve.first_derivs(float(q)) == (0.0, 0.0)
         assert equivalent_cpmm_liquidity(curve, float(q)) == 0.0
     inside = np.array([lo * 1.01, hi / 1.01])
-    implicit = [curve.first_derivs(float(q))[0] for q in inside]
+    implicit = [implicit_derivs(curve, float(q))[0] for q in inside]
     assert all(xp < 0.0 for xp in implicit)
     np.testing.assert_allclose(curve.xprime_grid(inside), implicit, rtol=1e-10)
 
@@ -386,8 +385,8 @@ def test_stableswap_xprime_grid_fed_back_matches_scalar(amp):
     for _ in range(30):
         qs = qs * np.exp(rng.normal(0.0, 1e-3, qs.size))  # tick-sized hops
         xp = curve.xprime_grid(qs)
-        scalar = [curve.first_derivs(float(q))[0] for q in qs]
-        np.testing.assert_allclose(xp, scalar, rtol=1e-10)
+        implicit = [implicit_derivs(curve, float(q))[0] for q in qs]
+        np.testing.assert_allclose(xp, implicit, rtol=1e-10)
 
 
 # StableSwap's xprime_grid interpolates the seed table of its A, read at
@@ -411,7 +410,7 @@ def test_stableswap_xprime_table_matches_implicit_differentiation(curve):
     )
     qs = qs[(qs > lo) & (qs < hi)]
     xp = curve.xprime_grid(qs)
-    implicit = np.array([curve.first_derivs(float(q))[0] for q in qs])
+    implicit = np.array([implicit_derivs(curve, float(q))[0] for q in qs])
     np.testing.assert_allclose(xp, implicit, rtol=1e-11, atol=0.0)
     # the clip ends and everything beyond them hold x' at exactly zero
     ends = np.array([0.0, 0.5 * lo, lo, hi, 2.0 * hi, math.inf])
@@ -476,12 +475,20 @@ def test_curvature_matches_parametric_quotient(curve):
         if not (lo < q < hi):
             continue
         xp, yp = curve.first_derivs(q)
-        xpp, ypp = curve.second_derivs(q)
+        if isinstance(curve, StableSwap):
+            _, _, xpp, ypp = implicit_derivs(curve, q)
+        else:
+            L = curve.liquidity_tokens
+            xpp, ypp = 0.75 * L * q**-2.5, -0.25 * L * q**-1.5
         quotient = (xp * ypp - yp * xpp) / (xp * xp + yp * yp) ** 1.5
         assert abs(quotient) == pytest.approx(curvature(curve, q), rel=1e-8)
 
 
-@pytest.mark.parametrize("curve", [CPMM, CONC], ids=lambda c: c.kind)
+@pytest.mark.parametrize(
+    "curve",
+    [CPMM, CONC, STABLE, StableSwap(100.0, 2.0, 3.0)],
+    ids=lambda c: f"{c.kind}-c{c.price_center:g}" if isinstance(c, StableSwap) else c.kind,
+)
 def test_xprime_grid_is_bit_equal_to_first_derivs(curve):
     qs = np.linspace(0.6, 1.6, 20_000)
     xp = curve.xprime_grid(qs)
