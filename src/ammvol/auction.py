@@ -23,8 +23,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 
-from .errors import InvalidParams
-from .solvers import SwapSpec, implied_corr_bounds
+from .errors import ArbitrageViolation, InvalidParams, OutOfBounds
+from .solvers import SwapSpec, _check_quote
 
 QTY_QUANTUM = Decimal("1e-18")
 PRICE_QUANTUM = Decimal("1e-8")
@@ -229,21 +229,21 @@ def validate_quote(
 ) -> QuoteVerdict:
     """Check a fixed-leg quote against arbitrage bounds.
 
-    A quote at or above the current pool value (or negative) hands someone
-    a risk-free profit regardless of volatility.  When both component
-    volatilities are supplied, the quote must additionally lie inside the
-    fixed-leg interval spanned by correlations in [-1, +1], up to a slack
-    of 1e-3 times the pool value.
+    A negative quote hands someone a risk-free profit.  Otherwise the quote
+    goes through ``solvers._check_quote``, the one rule the solvers apply:
+    at or above the current pool value it is a single-asset arbitrage, and
+    when both component volatilities are supplied it must then lie inside
+    the fixed-leg interval spanned by correlations in [-1, +1], up to that
+    rule's slack.
     """
     pi_bar = float(pi_bar)
     if not math.isfinite(pi_bar):
         raise InvalidParams(f"fixed leg must be a finite number, got {pi_bar!r}")
-    cap = spec.pool_value_now()
-    if pi_bar < 0.0 or pi_bar >= cap:
+    pair = sigma_x is not None and sigma_y is not None and pi_bar >= 0.0
+    try:
+        _check_quote(spec, pi_bar, (sigma_x, sigma_y) if pair else None)
+    except ArbitrageViolation:
         return QuoteVerdict.SINGLE_ASSET_ARBITRAGE
-    if sigma_x is not None and sigma_y is not None:
-        pi_lo, pi_hi = implied_corr_bounds(spec, sigma_x, sigma_y)
-        slack = 1e-3 * cap
-        if pi_bar < pi_lo - slack or pi_bar > pi_hi + slack:
-            return QuoteVerdict.CORRELATION_BOUND_VIOLATION
-    return QuoteVerdict.OK
+    except OutOfBounds:
+        return QuoteVerdict.CORRELATION_BOUND_VIOLATION
+    return QuoteVerdict.SINGLE_ASSET_ARBITRAGE if pi_bar < 0.0 else QuoteVerdict.OK

@@ -8,7 +8,7 @@ NaN); every error path writes one line of
 
     2  parse/validation problems (bad flags, malformed files, bad params)
     3  arbitrage violation (fixed leg at or above the pool value)
-    4  quote outside the correlation-implied interval
+    4  quote below the pool value but outside the correlation-implied interval
     5  not enough data for the requested statistic
     6  iterative solver failed to converge
     1  anything else

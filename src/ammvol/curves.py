@@ -96,11 +96,12 @@ _SOLVE_RTOL = 4.0 * np.finfo(float).eps
 _SOLVE_MAX_ITER = 64
 
 # The solve is seeded from a table of _SEED_NODES nodes per amplification;
-# the last _SEED_CACHE tables stay cached.  The table is
-# refined from its two end nodes through the _SEED_LEVELS node counts, each
-# level solved from the one before it, _SEED_CHUNK nodes at a time, no more
-# than a Monte Carlo step solves at once: under two evaluations of the price
-# map per final node in all.  _SEED_NODES nodes put the seed within
+# the last _SEED_CACHE tables stay cached.  The table is refined from its two
+# end nodes through the _SEED_LEVELS node counts, each level solved from the
+# one before it, _SEED_CHUNK nodes at a time: under two evaluations of the
+# price map per final node in all.  A whole level in one solve builds the same
+# table a little faster, but its temporaries raise the peak memory of a
+# process that builds it by about 2 MB.  _SEED_NODES nodes put the seed within
 # _SOLVE_XTOL for A up to 1e4; at A = 1e5, 2-5% of prices beyond a
 # hundredfold move from the center take a second evaluation.  Each set-up
 # of a fresh process pays the build, about 5-7 ms with the density columns.
@@ -484,10 +485,14 @@ class StableSwap(AmmCurve):
             q_lo, q_hi = self.q_bounds
             fits = sys.float_info.min <= min(q_lo, self.invariant_scale) and q_hi < math.inf
             if fits:  # the products holdings_grid and pool_value_grid form there
+                # c*x = v(floor) and y = floor at q_lo, the reverse at q_hi; the
+                # solve lands within 1e-13 of these, hence a 1e-12 margin on D
+                big = self._grid_v(np.array([HOLDINGS_FLOOR]))[0]
+                x, y = np.array([[big, HOLDINGS_FLOOR], [HOLDINGS_FLOOR, big]])
                 ends = np.array([q_lo, q_hi])
                 with np.errstate(over="ignore"):
-                    x, y = self._unit_holdings(ends)
-                    fits = np.isfinite(np.array([x, y, ends * x + y]) * self.invariant_scale).all()
+                    x /= self.price_center
+                    fits = np.isfinite(np.array([x, y, ends * x + y]) * (self.invariant_scale * (1 + 1e-12))).all()
             if not fits:
                 raise InvalidParams(
                     f"stableswap center {self.price_center!r} and scale {self.invariant_scale!r} put its "
@@ -805,9 +810,9 @@ def _seed_table(amplification: float) -> _SeedTable:
     in closed form: the center (w = log 1/2, t = 0, slope -tau) and the
     floor (w = log HOLDINGS_FLOOR, t = t_max).  Each of the _SEED_LEVELS
     finer tables is solved by ``_newton``, seeded by ``_dense_seed`` from
-    the one before it, in chunks no larger than a Monte Carlo step.  Each
-    level's density columns come from its own solve, with no further
-    evaluation of the price map; the final table's serve ``liquidity_grid``.
+    the one before it, in chunks of _SEED_CHUNK nodes.  Each level's density
+    columns come from its own solve, with no further evaluation of the price
+    map; the final table's serve ``liquidity_grid``.
     """
     unit = StableSwap(amplification, 1.0)
     tau = 2.0 / (2.0 * amplification + 1.0)

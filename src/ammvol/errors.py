@@ -94,14 +94,17 @@ def check_nonnegative(value, name: str, error: type[AmmVolError] = InvalidParams
     return number
 
 
-def check_count(value, name: str, least: int) -> int:
-    """value as an int, or InvalidParams unless it is a whole number >= least.
+def check_count(value, name: str, least: int, most: float = math.inf) -> int:
+    """value as an int, or InvalidParams unless it is a whole number in
+    [least, most].
 
     An integral float counts (1000.0 is 1000); a fraction is never truncated.
     """
     number = _as_float(value)
     if not (number.is_integer() and number >= least):
         raise InvalidParams(f"{name} must be an integer >= {least}, got {value!r}")
+    if number > most:
+        raise InvalidParams(f"{name} must be at most {most}, got {value!r}")
     return int(value) if isinstance(value, Integral) else int(number)
 
 

@@ -32,6 +32,10 @@ from .errors import DomainError, InvalidParams, check_count, check_nonnegative, 
 # Annualization convention: 365.25 days of 86400 seconds.
 YEAR_SECONDS = 365.25 * 86400.0
 
+# The most Monte Carlo paths a run may ask for: price-swap on StableSwap peaks
+# near 2 GB at 2**24, and numpy refuses far larger counts with a bare error.
+MAX_PATHS = 2**24
+
 # Bytes of normals per draw buffer of the martingale Monte Carlo: a block of
 # 8 steps at 10,000 antithetic paths.
 _DRAW_BLOCK_BYTES = 640_000
@@ -226,7 +230,7 @@ def mc_fee_plus_terminal_value(
     p0x = check_positive(p0x, "price", DomainError)
     p0y = check_positive(p0y, "price", DomainError)
     maturity = check_positive(maturity, "maturity")
-    n_paths = check_count(n_paths, "n_paths", 2)
+    n_paths = check_count(n_paths, "n_paths", 2, MAX_PATHS)
     n_steps = check_count(n_steps, "n_steps", 1)
     check_seed(seed)
 

@@ -42,7 +42,7 @@ from .errors import (
     check_positive,
     check_seed,
 )
-from .fees import YEAR_SECONDS, mc_mean_stderr
+from .fees import MAX_PATHS, YEAR_SECONDS, mc_mean_stderr
 from .simulation import SimLedger, WindowStat
 
 # implied vols are sought on (0, _SIGMA_CAP]
@@ -104,7 +104,7 @@ class McConfig:
     antithetic: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "n_paths", check_count(self.n_paths, "n_paths", 2))
+        object.__setattr__(self, "n_paths", check_count(self.n_paths, "n_paths", 2, MAX_PATHS))
         check_seed(self.seed)
 
 
@@ -252,14 +252,27 @@ def _solve_leg(spec: SwapSpec, pi_bar: float, cap: float, tol: float) -> tuple[f
     )
 
 
-def _require_below_cap(spec: SwapSpec, pi_bar: float) -> float:
+def _check_quote(spec: SwapSpec, pi_bar: float, sigmas=None) -> tuple[float, tuple[float, float] | None]:
+    """(pool value, correlation band or None): the one no-arbitrage rule for
+    a fixed leg.  pi_bar at or above the pool value raises ArbitrageViolation;
+    only then, given (sigma_x, sigma_y), pi_bar outside ``implied_corr_bounds``
+    widened by a slack of the pool value raises OutOfBounds."""
     cap = spec.pool_value_now()
     if pi_bar >= cap:
         raise ArbitrageViolation(
             f"fixed leg {pi_bar:.6g} >= pool value {cap:.6g}: "
             "paying it admits a risk-free profit"
         )
-    return cap
+    if sigmas is None:
+        return cap, None
+    pi_lo, pi_hi = implied_corr_bounds(spec, *sigmas)
+    slack = 1e-3 * cap
+    if pi_bar < pi_lo - slack or pi_bar > pi_hi + slack:
+        raise OutOfBounds(
+            f"fixed leg {pi_bar:.6g} lies outside the correlation-implied interval "
+            f"[{pi_lo:.6g}, {pi_hi:.6g}]"
+        )
+    return cap, (pi_lo, pi_hi)
 
 
 def implied_vol(
@@ -274,7 +287,7 @@ def implied_vol(
     """
     mc = mc or McConfig()
     pi_bar = check_nonnegative(pi_bar, "pi_bar")
-    sigma, vega, iterations = _solve_leg(spec, pi_bar, _require_below_cap(spec, pi_bar), tol)
+    sigma, vega, iterations = _solve_leg(spec, pi_bar, _check_quote(spec, pi_bar)[0], tol)
     _, price_se = mc_floating_leg(spec, sigma, mc)
     if price_se == 0.0:
         stderr = 0.0
@@ -336,19 +349,14 @@ def implied_corr(
     (the y asset is the unit), then maps it through
     rho = (sx**2 + sy**2 - sigma_bar**2) / (2*sx*sy), taken in units of a
     power of two near max(sx, sy): exact, and no square over- or underflows.
-    Quotes at (or within a small slack of) the interval endpoints pin rho
-    to exactly +1 or -1; anything further outside is rejected.
+    The quote must pass ``_check_quote``, the rule ``validate_quote`` also
+    applies; quotes at or within its slack of the band's ends pin rho to
+    exactly +1 or -1.
     """
     sigma_x = check_positive(sigma_x, "sigma_x")
     sigma_y = check_positive(sigma_y, "sigma_y")
     pi_bar = check_nonnegative(pi_bar, "pi_bar")
-    pi_lo, pi_hi = implied_corr_bounds(spec, sigma_x, sigma_y)
-    slack = 1e-3 * spec.pool_value_now()
-    if pi_bar < pi_lo - slack or pi_bar > pi_hi + slack:
-        raise OutOfBounds(
-            f"fixed leg {pi_bar:.6g} lies outside the correlation-implied interval "
-            f"[{pi_lo:.6g}, {pi_hi:.6g}]"
-        )
+    _, (pi_lo, pi_hi) = _check_quote(spec, pi_bar, (sigma_x, sigma_y))
     if pi_bar <= pi_lo:
         return CorrSolution(rho=1.0, sigma_bar=abs(sigma_x - sigma_y), stderr=0.0, iterations=0)
     if pi_bar >= pi_hi:
@@ -369,7 +377,7 @@ def fee_vol_from_realized(window_fees: float, spec: SwapSpec, tol: float = 1e-6)
     No Monte Carlo runs: every curve inverts its floating-leg kernel.
     """
     fees = check_nonnegative(window_fees, "window_fees")
-    return _solve_leg(spec, fees, _require_below_cap(spec, fees), tol)[0]
+    return _solve_leg(spec, fees, _check_quote(spec, fees)[0], tol)[0]
 
 
 def attach_fee_vols(ledger: SimLedger, stats: list[WindowStat]) -> list[WindowStat]:

@@ -12,7 +12,7 @@ import os
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ammvol import StableSwap
@@ -428,6 +428,10 @@ def test_solve_corr_interior_and_out_of_bounds(capsys):
     code, err = error_of(capsys, "solve-corr", CORR_REQ % "1.4")
     assert code == 4
     assert err["error"] == "out_of_bounds"
+    # a fixed leg at the pool value is an arbitrage before any correlation bound
+    code, err = error_of(capsys, "solve-corr", CORR_REQ % "2.0")
+    assert code == 3
+    assert err["error"] == "arbitrage_violation"
 
 
 # ----- price-swap -------------------------------------------------------------------
@@ -514,8 +518,14 @@ def check_solver_request(command, request):
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
+STABLE_REQUEST = {"curve": {"kind": "stableswap", "A": 100.0, "D": 2.0}, "T": 1.0, "p0x": 1.0}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(solver_requests())
+# path counts beyond MAX_PATHS are refused before anything is allocated
+@example(("solve-vol", {**STABLE_REQUEST, "piBar": 0.1, "paths": 1e20}))
+@example(("price-swap", {**STABLE_REQUEST, "sigma": 0.5, "paths": 2**24 + 2}))
 def test_solver_requests_at_any_scale_never_exit_1(case):
     check_solver_request(*case)
 

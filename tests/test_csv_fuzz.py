@@ -26,7 +26,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ammvol import EmptyInput, ParseError, UnsortedInput, WindowStat, dataio
@@ -258,6 +258,8 @@ def _bits(series):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(sorted(SERIES)).flatmap(lambda kind: st.tuples(st.just(kind), edited_file(kind))))
+# a blank \r\n line in a CRLF file, the one case the length cut of _file_line decides
+@example(("ticks", b"timestamp,bid,ask\r\n0,1.0,1.0\r\n\r\n1,1.0,1.0\r\n2,1.0,1.0\r\n"))
 def test_vectorized_pass_reads_what_the_row_loop_reads(case):
     kind, data = case
     with tempfile.TemporaryDirectory() as tmp:

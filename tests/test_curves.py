@@ -313,6 +313,22 @@ def test_stableswap_subnormal_scale_is_invalid(scale):
         StableSwap(100.0, scale)
 
 
+def _refuse_to_solve(*args):
+    raise AssertionError("StableSwap construction ran the price->holdings solve")
+
+
+def test_stableswap_construction_runs_no_solve(monkeypatch):
+    # the holdings at the domain ends follow from its definition: c*x = v(floor)
+    # and y = floor at the lower end, the reverse at the upper
+    StableSwap(100.0, 1.0).q_bounds  # builds and caches the seed table, which solves
+    monkeypatch.setattr(StableSwap, "_newton", _refuse_to_solve)
+    for scale, center in [(2.0, 1.0), (1.0, 3.0), (2.0, 1e-200), (1e300, 1.0), (1e250, 1e12)]:
+        StableSwap(100.0, scale, center)
+    for scale, center in [(1e305, 1.0), (2.0, 1e-305)]:
+        with pytest.raises(InvalidParams, match="beyond the float range"):
+            StableSwap(100.0, scale, center)
+
+
 @pytest.mark.parametrize("amplification", [1e-2, 100.0, 1e5])
 def test_stableswap_domain_is_the_center_1_domain_times_the_center(amplification):
     # and it does not depend on the scale D

@@ -299,6 +299,9 @@ def test_mc_validation_and_stablecoin_warning():
         mc_fee_plus_terminal_value(CPMM, params, 1.0, 1.0, 0.0, 100, 10)
     with pytest.raises(InvalidParams):
         mc_fee_plus_terminal_value(CPMM, params, 1.0, 1.0, 1.0, 1, 10)
+    # a count numpy cannot allocate is refused before it reaches numpy
+    with pytest.raises(InvalidParams, match="at most"):
+        mc_fee_plus_terminal_value(CPMM, params, 1.0, 1.0, 1.0, 10**20, 10)
 
 
 def reference_fee_plus_terminal_value(curve, params, p0x, p0y, maturity, n_paths, n_steps, seed, antithetic):

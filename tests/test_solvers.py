@@ -39,6 +39,7 @@ from ammvol import (
     run_simulation,
     synthetic_gbm_ticks,
 )
+from ammvol.fees import MAX_PATHS
 
 CPMM_SPEC = SwapSpec(curve=Cpmm(1.0), maturity=1.0, p0x=1.0)
 STABLE = StableSwap(100.0, 2.0, 1.0)
@@ -65,6 +66,9 @@ def test_swap_spec_validation():
 def test_mc_config_validation():
     with pytest.raises(InvalidParams):
         McConfig(n_paths=1)
+    with pytest.raises(InvalidParams, match="at most"):
+        McConfig(n_paths=MAX_PATHS + 2)
+    assert McConfig(n_paths=MAX_PATHS).n_paths == MAX_PATHS
     assert McConfig().n_paths == 100_000
 
 
@@ -225,6 +229,9 @@ def test_corr_out_of_bounds_and_validation():
         implied_corr(CPMM_SPEC, 2.0, 1.0, 1.4)
     with pytest.raises(OutOfBounds):
         implied_corr(CPMM_SPEC, 2.0, 1.0, 0.1)
+    # at the pool value the quote is an arbitrage before any band applies
+    with pytest.raises(ArbitrageViolation):
+        implied_corr(CPMM_SPEC, 2.0, 1.0, 2.0)
     with pytest.raises(InvalidParams):
         implied_corr(CPMM_SPEC, 0.0, 1.0, 0.5)
     with pytest.raises(InvalidParams):
