@@ -11,7 +11,8 @@ timestamp.
 
 Quantities are exact decimals with 18 fractional digits and prices with 8,
 so conservation (total ask fills == total bid fills == matched quantity)
-holds with zero error; the rationing works on integer quanta of 1e-18.
+holds with zero error.  A clear sorts each side once, by price priority, and
+works on integer quanta of 1e-18, read once per order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+import operator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 
@@ -74,11 +75,12 @@ class SwapOrder:
     def __post_init__(self):
         object.__setattr__(self, "order_id", str(self.order_id))
         object.__setattr__(self, "side", OrderSide.parse(self.side))
-        object.__setattr__(
-            self, "limit_price", _as_decimal(self.limit_price, PRICE_QUANTUM, "limit_price")
-        )
+        object.__setattr__(self, "limit_price", _as_decimal(self.limit_price, PRICE_QUANTUM, "limit_price"))
         object.__setattr__(self, "quantity", _as_decimal(self.quantity, QTY_QUANTUM, "quantity"))
-        object.__setattr__(self, "timestamp", int(self.timestamp))
+        try:  # an int of any size stays exact; 1.5, nan or "7" is refused
+            object.__setattr__(self, "timestamp", operator.index(self.timestamp))
+        except TypeError:
+            raise InvalidParams(f"timestamp must be an integer, got {self.timestamp!r}") from None
         if self.limit_price < 0:
             raise InvalidParams(f"limit_price must be nonnegative, got {self.limit_price}")
         if self.quantity <= 0:
@@ -98,36 +100,28 @@ class ClearingResult:
     unmatched: list[SwapOrder]
 
 
-def _quanta(d: Decimal) -> int:
-    return int(d.scaleb(18))
-
-
-def _ration_side(orders: list[SwapOrder], price_priority_desc: bool, m_star_u: int) -> dict[str, int]:
-    """Fill m_star_u quanta by price priority; pro-rata at the marginal level,
-    remainder to the earliest timestamp (ties by order id)."""
+def _ration_side(side: list[SwapOrder], units: dict[str, int], m_star_u: int) -> dict[str, int]:
+    """Fill m_star_u quanta down a side in price priority: the level that
+    reaches it pro-rata, the remainder to the earliest (timestamp, order id)."""
     filled: dict[str, int] = {}
     remaining = m_star_u
-    key = (lambda o: -o.limit_price) if price_priority_desc else (lambda o: o.limit_price)
-    for _, group in itertools.groupby(sorted(orders, key=key), key=key):
-        if remaining == 0:
-            break
+    for _, group in itertools.groupby(side, key=lambda o: o.limit_price):
         level = list(group)
-        level_u = {o.order_id: _quanta(o.quantity) for o in level}
-        total_u = sum(level_u.values())
-        if total_u <= remaining:
-            filled.update(level_u)
+        total_u = sum(units[o.order_id] for o in level)
+        if total_u < remaining:
+            filled.update((o.order_id, units[o.order_id]) for o in level)
             remaining -= total_u
             continue
-        base = {oid: remaining * qu // total_u for oid, qu in level_u.items()}
+        base = {o.order_id: remaining * units[o.order_id] // total_u for o in level}
         leftover = remaining - sum(base.values())
         for order in sorted(level, key=lambda o: (o.timestamp, o.order_id)):
             if leftover == 0:
                 break
-            take = min(level_u[order.order_id] - base[order.order_id], leftover)
+            take = min(units[order.order_id] - base[order.order_id], leftover)
             base[order.order_id] += take
             leftover -= take
         filled.update({oid: qu for oid, qu in base.items() if qu > 0})
-        remaining = 0
+        break
     return filled
 
 
@@ -140,77 +134,49 @@ def clear_batch(orders) -> ClearingResult:
     nothing and returns the book unchanged.
     """
     orders = list(orders)
-    seen = set()
+    units: dict[str, int] = {}  # each order's quantity in quanta of 1e-18
     for order in orders:
-        if order.order_id in seen:
+        if order.order_id in units:
             raise InvalidParams(f"duplicate order id {order.order_id!r}")
-        seen.add(order.order_id)
+        units[order.order_id] = int(order.quantity.scaleb(18))
 
-    asks = [o for o in orders if o.side is OrderSide.OFFER_FLOATING]
-    bids = [o for o in orders if o.side is OrderSide.BID_FIXED]
+    price = operator.attrgetter("limit_price")
+    asks = sorted((o for o in orders if o.side is OrderSide.OFFER_FLOATING), key=price)
+    bids = sorted((o for o in orders if o.side is OrderSide.BID_FIXED), key=price, reverse=True)
     zero = Decimal(0).quantize(QTY_QUANTUM)
     if not asks or not bids:
         return ClearingResult(None, zero, {}, orders)
 
-    # supply S(p): ask quantity with limit <= p; demand D(p): bid quantity
-    # with limit >= p.  Both are step functions over the limit-price grid.
-    ask_prices = sorted(o.limit_price for o in asks)
-    bid_prices = sorted(o.limit_price for o in bids)
-    ask_cum: dict[Decimal, int] = {}
-    acc = 0
-    for o in sorted(asks, key=lambda o: o.limit_price):
-        acc += _quanta(o.quantity)
-        ask_cum[o.limit_price] = acc
-    bid_cum: dict[Decimal, int] = {}
-    acc = 0
-    for o in sorted(bids, key=lambda o: o.limit_price, reverse=True):
-        acc += _quanta(o.quantity)
-        bid_cum[o.limit_price] = acc
-    ask_keys = sorted(ask_cum)
-    bid_keys = sorted(bid_cum)
-
-    def supply_u(p: Decimal) -> int:
-        i = bisect_right(ask_keys, p)
-        return ask_cum[ask_keys[i - 1]] if i else 0
-
-    def demand_u(p: Decimal) -> int:
-        i = bisect_left(bid_keys, p)
-        return bid_cum[bid_keys[i]] if i < len(bid_keys) else 0
-
-    grid = sorted({*ask_prices, *bid_prices})
-    matched = [min(supply_u(p), demand_u(p)) for p in grid]
+    # supply S(p): ask quanta with limit <= p; demand D(p): bid quanta with
+    # limit >= p.  Up the limit-price grid asks join S, and bids leave D.
+    grid = sorted({o.limit_price for o in orders})
+    matched, i, j, supply, demand = [], 0, len(bids), 0, sum(units[o.order_id] for o in bids)
+    for p in grid:
+        while i < len(asks) and asks[i].limit_price <= p:
+            supply += units[asks[i].order_id]
+            i += 1
+        while j and bids[j - 1].limit_price < p:
+            j -= 1
+            demand -= units[bids[j].order_id]
+        matched.append(min(supply, demand))
     m_star_u = max(matched)
     if m_star_u == 0:
         return ClearingResult(None, zero, {}, orders)
     optimal = [p for p, m in zip(grid, matched) if m == m_star_u]
     lo, hi = optimal[0], optimal[-1]
-    price = ((lo + hi) / 2).quantize(PRICE_QUANTUM, rounding=ROUND_HALF_EVEN)
+    clearing = ((lo + hi) / 2).quantize(PRICE_QUANTUM, rounding=ROUND_HALF_EVEN)
 
-    ask_fills = _ration_side([o for o in asks if o.limit_price <= price], False, m_star_u)
-    bid_fills = _ration_side([o for o in bids if o.limit_price >= price], True, m_star_u)
-    allocations = {
-        oid: Decimal(qu).scaleb(-18).quantize(QTY_QUANTUM)
-        for oid, qu in {**ask_fills, **bid_fills}.items()
-    }
-    unmatched = []
-    for order in orders:
-        residual_u = _quanta(order.quantity) - ask_fills.get(order.order_id, 0) - bid_fills.get(
-            order.order_id, 0
-        )
-        if residual_u > 0:
-            unmatched.append(
-                SwapOrder(
-                    order.order_id,
-                    order.side,
-                    order.limit_price,
-                    Decimal(residual_u).scaleb(-18),
-                    order.timestamp,
-                )
-            )
+    # S(lo) and D(hi) both hold m_star_u: rationing stops inside the limits
+    fills = {**_ration_side(asks, units, m_star_u), **_ration_side(bids, units, m_star_u)}
+    unmatched = [
+        SwapOrder(o.order_id, o.side, o.limit_price, Decimal(f"{residual_u}e-18"), o.timestamp)
+        for o in orders
+        if (residual_u := units[o.order_id] - fills.get(o.order_id, 0)) > 0
+    ]
     return ClearingResult(
-        clearing_price=price,
-        matched_quantity=Decimal(m_star_u).scaleb(-18).quantize(QTY_QUANTUM),
-        allocations=allocations,
+        clearing_price=clearing,
+        matched_quantity=Decimal(f"{m_star_u}e-18"),
+        allocations={oid: Decimal(f"{qu}e-18") for oid, qu in fills.items()},
         unmatched=unmatched,
     )
 

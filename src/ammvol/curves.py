@@ -276,27 +276,43 @@ class AmmCurve(ABC):
         Otherwise a strip of Black-Scholes puts below q0 and calls above per
         unit strike, weighted by density(k) (d log k/dz) dz in ``_strip_axis``'s
         z, cut at the spot and z = 0 (kinks) and clipped to ``trade_bounds``.
+        Its nodes are offsets d = z - z0 from the spot's z0, and each node's
+        lm = log(k/q0) is formed from d alone, so no node near the spot loses
+        its digits to log q0.  With t0 = log(q0/c), a node on the spot's
+        side of z = 0 has lm = sign(t0)*(tau+|t0|)*expm1(sign(t0)*d); across
+        it, lm is a sum of two terms of one sign.
         """
         tau, log_c = self._strip_axis()
         lq0 = math.log(q0)
+        t0 = abs(lq0 - log_c)
+        sign = 1.0 if lq0 >= log_c else -1.0  # the spot's side of z = 0
+        z0, span = sign * math.log1p(t0 / tau), tau + t0  # span = d log k/dz at the spot
+
+        def offset(lm: float) -> float:  # z - z0 at log(k/q0) = lm
+            if sign * lm >= -t0:
+                return sign * math.log1p(sign * lm / span)
+            return -sign * math.log1p((-sign * lm - t0) / tau) - z0
+
         with np.errstate(divide="ignore"):  # a zero or infinite bound
-            lo, hi = np.log(self.trade_bounds)
-        a, b = max(lq0 - _strip_reach(s), lo), min(lq0 + _strip_reach(s), hi)
+            lo, hi = np.log(self.trade_bounds) - lq0
+        a, b = max(-_strip_reach(s), lo), min(_strip_reach(s), hi)
         if a >= b:
             return 0.0, 0.0
-        za, z0, zb = (math.copysign(math.log1p(abs(t - log_c) / tau), t - log_c) for t in (a, lq0, b))
-        cuts = [za, *sorted({c for c in (z0, 0.0) if za < c < zb}), zb]
+        da, db = offset(a), offset(b)
+        cuts = [da, *sorted({c for c in (0.0, -z0) if da < c < db}), db]
         n = max(1, _STRIP_INTERVALS // (_GL_ORDER * (len(cuts) - 1)))  # panels per part
-        edges = np.append(np.linspace(cuts[:-1], cuts[1:], n, endpoint=False, axis=1), zb)
+        edges = np.append(np.linspace(cuts[:-1], cuts[1:], n, endpoint=False, axis=1), db)
         half = 0.5 * np.diff(edges)[:, None]
         x, w = _gauss_legendre()
-        z = (edges[:-1, None] + half * (1.0 + x)).ravel()
-        t = tau * np.expm1(np.abs(z))
-        log_k = np.copysign(t, z) + log_c
-        mass = self.liquidity_grid(np.exp(log_k)) * (t + tau) * (half * w).ravel()
-        lm = log_k - lq0
+        d = (edges[:-1, None] + half * (1.0 + x)).ravel()
+        z = z0 + d
+        across = sign * z < 0.0
+        t = tau * np.expm1(np.abs(z))  # |log(k/c)| across z = 0
+        lm = np.where(across, -sign * (t + t0), sign * span * np.expm1(sign * d))
+        jacobian = np.where(across, t + tau, span * np.exp(sign * d))
+        mass = self.liquidity_grid(q0 * np.exp(lm)) * jacobian * (half * w).ravel()
         d1 = 0.5 * s - lm / s
-        side = np.where(lm >= 0.0, 1.0, -1.0)
+        side = np.where(lm >= 0.0, 1.0, -1.0)  # calls above the spot, puts below
         near = _ndtr(side * d1)
         # the OTM option per unit strike, side * (q0/k * Phi(side * d1) - Phi(side * (d1 - s))),
         # is the cash band Phi(d1) - Phi(d1 - s) plus side * (q0/k - 1) * Phi(side * d1)

@@ -1,14 +1,21 @@
 """Batch auction clearing: goldens, rationing, and brute-force comparison.
 
 The oracle recomputes max_p min(supply(p), demand(p)) over every limit
-price in exact Decimal arithmetic and checks the engine's matched volume,
-conservation, and individual rationality against it on random books.
+price in exact Decimal arithmetic, the half-even midpoint of the prices
+that reach it, and each side's fills level by level, and checks the
+engine's matched volume, clearing price, allocations, conservation and
+individual rationality against it on random books.  A digest pins the
+engine's output bytes on 2,000 more.
 """
 
+import hashlib
+import json
 import math
 import random
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ammvol import (
@@ -22,6 +29,7 @@ from ammvol import (
     clear_batch,
     validate_quote,
 )
+from ammvol.dataio import clearing_result_to_dict
 
 D = Decimal
 
@@ -59,6 +67,12 @@ def test_order_snapping_and_validation():
         ask("e", "abc", 1)
     with pytest.raises(InvalidParams):
         ask("f", math.inf, 1)
+    # a timestamp is an integer, held exactly; anything else is refused, not truncated
+    assert ask("g", 1, 1, ts=10**30).timestamp == 10**30
+    assert type(ask("h", 1, 1, ts=np.int64(7)).timestamp) is int
+    for ts in (1.5, 2.0, "x", "7", math.nan, math.inf):
+        with pytest.raises(InvalidParams, match="timestamp"):
+            ask("i", 1, 1, ts=ts)
 
 
 def test_order_too_large_to_quantize_is_invalid_params():
@@ -149,6 +163,15 @@ def test_duplicate_order_ids_rejected():
         clear_batch([ask("x", 1, 1), bid("x", 2, 1)])
 
 
+def test_matched_volume_beyond_the_decimal_context():
+    # 1.2e10 tokens take 29 digits at 18 decimal places, one more than the
+    # default decimal context holds
+    book = [ask("a1", "1.0", "6e9"), ask("a2", "1.0", "6e9"), bid("b1", "1.0", "9e9"), bid("b2", "1.0", "9e9")]
+    result = clear_batch(book)
+    assert result.matched_quantity == D("12000000000")
+    assert result.allocations == {oid: D("6e9") for oid in ("a1", "a2", "b1", "b2")}
+
+
 def test_partial_fill_keeps_residual_order_properties():
     result = clear_batch([ask("a", "1.0", 4), bid("b", "1.0", 10, ts=7)])
     assert result.matched_quantity == D(4)
@@ -163,7 +186,7 @@ def test_partial_fill_keeps_residual_order_properties():
 # ----- randomized brute force ------------------------------------------------------
 
 
-def random_book(rng, max_orders=12):
+def random_book(rng, max_orders=12, digits=4):
     lattice = [D("0.5"), D("1.0"), D("1.5"), D("2.0"), D("2.5")]
     orders = []
     for k in range(rng.randint(1, max_orders)):
@@ -171,7 +194,7 @@ def random_book(rng, max_orders=12):
         if rng.random() < 0.5:
             price = rng.choice(lattice)
         else:
-            price = D(str(round(rng.uniform(0.1, 3.0), 4)))
+            price = D(str(round(rng.uniform(0.1, 3.0), digits)))
         if rng.random() < 0.2:
             qty = D(rng.randint(1, 9)).scaleb(-18)  # force quantum rationing
         else:
@@ -180,19 +203,53 @@ def random_book(rng, max_orders=12):
     return orders
 
 
-def brute_force_max_match(orders):
+def brute_force_clearing(orders):
+    """(matched volume, clearing price): the largest min(supply, demand) over
+    the limit prices, and the half-even midpoint of the limit prices that
+    reach it (None when nothing matches)."""
     asks = [o for o in orders if o.side is OrderSide.OFFER_FLOATING]
     bids = [o for o in orders if o.side is OrderSide.BID_FIXED]
-    best = D(0)
+    volume = {}
     for p in {o.limit_price for o in orders}:
         supply = sum((o.quantity for o in asks if o.limit_price <= p), D(0))
         demand = sum((o.quantity for o in bids if o.limit_price >= p), D(0))
-        best = max(best, min(supply, demand))
-    return best
+        volume[p] = min(supply, demand)
+    best = max(volume.values(), default=D(0))
+    if best == 0:
+        return best, None
+    optimal = [p for p, v in volume.items() if v == best]
+    return best, ((min(optimal) + max(optimal)) / 2).quantize(D("1e-8"), rounding=ROUND_HALF_EVEN)
+
+
+def expected_fills(orders, side, matched):
+    """One side's fills: levels better than the marginal one fill in full and
+    worse ones not at all; the marginal level gets its pro-rata floor in
+    quanta of 1e-18, and the quanta left over go to its orders by
+    (timestamp, order id), each taking what it can until none are left."""
+    mine = [o for o in orders if o.side is side]
+    fills, need = {}, Fraction(matched)
+    for p in sorted({o.limit_price for o in mine}, reverse=side is OrderSide.BID_FIXED):
+        level = [o for o in mine if o.limit_price == p]
+        total = sum(Fraction(o.quantity) for o in level)
+        if need >= total:
+            fills.update((o.order_id, o.quantity) for o in level)
+            need -= total
+            continue
+        quanta = {o.order_id: math.floor(need * Fraction(o.quantity) / total * 10**18) for o in level}
+        leftover = int(need * 10**18) - sum(quanta.values())
+        for o in sorted(level, key=lambda o: (o.timestamp, o.order_id)):
+            take = min(int(o.quantity * 10**18) - quanta[o.order_id], leftover)
+            quanta[o.order_id] += take
+            leftover -= take
+        fills.update((oid, D(u).scaleb(-18)) for oid, u in quanta.items() if u)
+        break
+    return fills
 
 
 def check_clearing(orders, result):
-    assert result.matched_quantity == brute_force_max_match(orders)
+    matched, price = brute_force_clearing(orders)
+    assert result.matched_quantity == matched
+    assert result.clearing_price == price
     qty_by_id = {o.order_id: o.quantity for o in orders}
     side_by_id = {o.order_id: o.side for o in orders}
     if result.clearing_price is None:
@@ -214,6 +271,10 @@ def check_clearing(orders, result):
             bid_total += filled
     assert ask_total == result.matched_quantity  # exact conservation
     assert bid_total == result.matched_quantity
+    assert result.allocations == {
+        **expected_fills(orders, OrderSide.OFFER_FLOATING, matched),
+        **expected_fills(orders, OrderSide.BID_FIXED, matched),
+    }
     residual = {o.order_id: o.quantity for o in result.unmatched}
     for oid, qty in qty_by_id.items():
         assert residual.get(oid, D(0)) + result.allocations.get(oid, D(0)) == qty
@@ -224,6 +285,31 @@ def test_random_books_match_brute_force():
     for _ in range(400):
         orders = random_book(rng)
         check_clearing(orders, clear_batch(orders))
+    # limit prices on the 1e-8 grid put half a tick in some midpoints
+    for _ in range(200):
+        orders = random_book(rng, digits=8)
+        check_clearing(orders, clear_batch(orders))
+
+
+def test_seeded_books_clear_to_pinned_bytes():
+    # a digest of clearing_result_to_dict over 2,000 seeded books: a change
+    # to any price, fill, residual or the order of the residuals shows here
+    rng = random.Random(2015)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        levels = [D(rng.randint(1, 10**9)).scaleb(-8) for _ in range(rng.randint(1, 8))]
+        book = [
+            SwapOrder(
+                f"o{rng.randint(0, 99)}-{k}",
+                rng.choice(["offer", "bid"]),
+                rng.choice(levels),
+                D(rng.randint(1, 10 ** rng.randint(1, 24))).scaleb(-18),
+                rng.randint(0, 3),
+            )
+            for k in range(rng.randint(0, 30))
+        ]
+        digest.update(json.dumps(clearing_result_to_dict(clear_batch(book)), sort_keys=True).encode())
+    assert digest.hexdigest() == "fd7bbc4ca3abb98bebf175a776c8544a4280da1c8b2c3ce1efbdf2b1fd9cb634"
 
 
 def test_adding_orders_never_reduces_matched_volume():

@@ -326,6 +326,17 @@ def test_solve_vol_at_a_tiny_total_vol_reprices_the_quote(capsys):
     assert pool.floating_leg(1.0, out["sigma"])[0] == pytest.approx(0.2, rel=1e-6)
 
 
+@pytest.mark.parametrize("p0x", [0.9, 1.3])
+def test_solve_vol_at_a_tiny_total_vol_off_the_center_reprices_the_quote(capsys, p0x):
+    # off the center the strip's nodes once lost their digits to log p0x:
+    # Newton failed and bisection stopped at sigma = 2**-20, a leg of 1.7e187
+    curve = {"kind": "stableswap", "A": 100.0, "D": 1e200}
+    out = run_json(capsys, "solve-vol", json.dumps({"curve": curve, "T": 1.0, "p0x": p0x, "piBar": 0.2}))
+    pool = StableSwap(100.0, 1e200)
+    assert out["sigma"] == pytest.approx(math.sqrt(2.0 * 0.2 / pool.liquidity(p0x)), rel=1e-6, abs=0.0)
+    assert pool.floating_leg(p0x, out["sigma"])[0] == pytest.approx(0.2, rel=1e-13)
+
+
 SOLVE_VOL_BASE = {"curve": {"kind": "cpmm", "L": 1.0}, "T": 1.0, "p0x": 1.0, "piBar": 0.2}
 
 

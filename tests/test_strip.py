@@ -285,6 +285,25 @@ def test_strip_at_tiny_total_vol_is_half_s_squared_times_the_liquidity(curve):
         assert vega == pytest.approx(s * density, rel=1e-10, abs=0.0), s
 
 
+TINY_CENTER = 1e-190
+
+
+@pytest.mark.parametrize(
+    "curve, q0",
+    [(curve, q0) for curve in (STABLE, RANGE) for q0 in (0.9, 1.3)]
+    + [(StableSwap(100.0, 2.0, TINY_CENTER), q * TINY_CENTER) for q in (0.9, 1.3)],
+    ids=["stableswap-q0.9", "stableswap-q1.3", "range-q0.9", "range-q1.3", "tiny-center-q0.9c", "tiny-center-q1.3c"],
+)
+def test_strip_off_the_center_at_tiny_total_vol_keeps_its_digits(curve, q0):
+    # the nodes are offsets from the spot: placed in absolute log price,
+    # log(k/q0) kept only the ulp of log q0, 1.4e-6 of the leg at s = 1e-12
+    density = curve.liquidity(q0)
+    for s in (1e-9, 1e-12, 1e-15, 1e-18):
+        leg, vega = curve.floating_leg(q0, s)
+        assert leg == pytest.approx(0.5 * s * s * density, rel=1e-12, abs=0.0), s
+        assert vega == pytest.approx(s * density, rel=1e-12, abs=0.0), s
+
+
 def test_band_rule_matches_numpy():
     x, w = _gauss_legendre(ammvol.curves._BAND_ORDER)
     want_x, want_w = np.polynomial.legendre.leggauss(ammvol.curves._BAND_ORDER)
