@@ -134,13 +134,13 @@ _NDTR_END = 26.5
 
 @cache
 def _ndtr_taylor() -> np.ndarray:
-    """S^(n)(x_k) / n! for n = 5..0 in the columns, one node x_k per row."""
+    """S^(n)(x_k) / n! for n = 5..0 in the rows, one node x_k per column."""
     x = np.arange(round(_NDTR_END / _NDTR_STEP) + 1) * _NDTR_STEP
     s = np.array([math.sqrt(0.5 * math.pi) * math.erfc(t) * math.exp(t * t) for t in x])
     coef = [s, 2.0 * x * s - math.sqrt(2.0)]
     for n in range(1, 5):
         coef.append((2.0 * coef[n - 1] + 2.0 * x * coef[n]) / (n + 1))
-    table = np.stack(coef[::-1], axis=1)
+    table = np.stack(coef[::-1])
     table.flags.writeable = False  # shared by every caller
     return table
 
@@ -152,12 +152,15 @@ def _ndtr(v: np.ndarray) -> np.ndarray:
     node = np.fmin(x, _NDTR_END)  # NaN and the far tail take the last node
     k = (node / _NDTR_STEP + 0.5).astype(np.intp)
     d = node - k * _NDTR_STEP
-    coef = taylor[k]
-    mills = coef[:, 0]
-    for i in range(1, coef.shape[1]):
-        mills = mills * d + coef[:, i]
-    tail = mills * np.exp(-x * x) / math.sqrt(2.0 * math.pi)
-    return np.where(v < 0.0, tail, 1.0 - tail)
+    mills = taylor[0].take(k)
+    for row in taylor[1:]:
+        mills *= d
+        mills += row.take(k)
+    x *= x
+    np.negative(x, out=x)
+    mills *= np.exp(x, out=x)
+    mills /= math.sqrt(2.0 * math.pi)
+    return np.where(v < 0.0, mills, 1.0 - mills)
 
 
 @cache
@@ -176,9 +179,33 @@ def _gauss_legendre(n: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _strip_reach(s: float) -> float:
+def _strip_reach(s):
     # log Q has mean -s**2/2, and +s**2/2 under the calls' share measure
     return _STRIP_WIDTH * s + 0.5 * s * s
+
+
+@lru_cache(maxsize=4)
+def _strip_panels(intervals: int) -> np.ndarray:
+    """Panel edges of a strip of ``intervals`` nodes from its four candidate
+    cuts (lower end, lower kink, upper kink, upper end): edges =
+    table[2 * (lower kink inside) + (upper kink inside)] @ cuts.
+
+    Each of the one to three parts between the cuts in use gets intervals //
+    (_GL_ORDER * parts) equal panels, at least one, the j-th of n starting
+    j/n of the way along it.  A layout with fewer panels than the longest
+    ends in empty panels at the upper end.  At 576 nodes each has 24."""
+    layouts = []
+    for used in ([0, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2, 3]):
+        n = max(1, intervals // (_GL_ORDER * (len(used) - 1)))
+        layouts.append([(a, b, j / n) for a, b in zip(used, used[1:]) for j in range(n)])
+    table = np.zeros((4, max(map(len, layouts)) + 1, 4))
+    for rows, layout in zip(table, layouts):
+        for row, (a, b, f) in zip(rows, layout):
+            row[a] += 1.0 - f
+            row[b] += f
+        rows[len(layout):, 3] = 1.0  # the upper end, where the unused panels collapse
+    table.flags.writeable = False  # shared by every caller
+    return table
 
 
 class AmmCurve(ABC):
@@ -267,64 +294,123 @@ class AmmCurve(ABC):
         return self.pool_value_grid(qs), None
 
     def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
-        """(C(q0) - E[C(Q)], its derivative in s) with C the pool value.
+        """(C(q0) - E[C(Q)], its derivative in s) with C the pool value: the
+        ``floating_leg_grid`` kernel at one spot and total volatility."""
+        value, vega = self.floating_leg_grid(np.array([q0], dtype=float), np.array([s], dtype=float))
+        return float(value[0]), float(vega[0])
+
+    def floating_leg_grid(self, q0: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(C(q0) - E[C(Q)], its derivative in s) elementwise over 1-D arrays.
 
         Q = q0 * exp(-s**2/2 + s*Z) for standard normal Z and total
         volatility s = sigma*sqrt(T) > 0.  ``exact_floating_leg`` marks
         curves that evaluate it in closed form rather than by quadrature.
 
         Otherwise a strip of Black-Scholes puts below q0 and calls above per
-        unit strike, weighted by density(k) (d log k/dz) dz in ``_strip_axis``'s
-        z, cut at the spot and z = 0 (kinks) and clipped to ``trade_bounds``.
-        Its nodes are offsets d = z - z0 from the spot's z0, and each node's
-        lm = log(k/q0) is formed from d alone, so no node near the spot loses
-        its digits to log q0.  With t0 = log(q0/c), a node on the spot's
-        side of z = 0 has lm = sign(t0)*(tau+|t0|)*expm1(sign(t0)*d); across
-        it, lm is a sum of two terms of one sign.
+        unit strike, weighted by density(k) dk/k: the integrand over the
+        nodes that ``_strip_nodes`` places, one row of them per element, all
+        rows evaluated together.
         """
-        tau, log_c = self._strip_axis()
-        lq0 = math.log(q0)
-        t0 = abs(lq0 - log_c)
-        sign = 1.0 if lq0 >= log_c else -1.0  # the spot's side of z = 0
-        z0, span = sign * math.log1p(t0 / tau), tau + t0  # span = d log k/dz at the spot
-
-        def offset(lm: float) -> float:  # z - z0 at log(k/q0) = lm
-            if sign * lm >= -t0:
-                return sign * math.log1p(sign * lm / span)
-            return -sign * math.log1p((-sign * lm - t0) / tau) - z0
-
-        with np.errstate(divide="ignore"):  # a zero or infinite bound
-            lo, hi = np.log(self.trade_bounds) - lq0
-        a, b = max(-_strip_reach(s), lo), min(_strip_reach(s), hi)
-        if a >= b:
-            return 0.0, 0.0
-        da, db = offset(a), offset(b)
-        cuts = [da, *sorted({c for c in (0.0, -z0) if da < c < db}), db]
-        n = max(1, _STRIP_INTERVALS // (_GL_ORDER * (len(cuts) - 1)))  # panels per part
-        edges = np.append(np.linspace(cuts[:-1], cuts[1:], n, endpoint=False, axis=1), db)
-        half = 0.5 * np.diff(edges)[:, None]
-        x, w = _gauss_legendre()
-        d = (edges[:-1, None] + half * (1.0 + x)).ravel()
-        z = z0 + d
-        across = sign * z < 0.0
-        t = tau * np.expm1(np.abs(z))  # |log(k/c)| across z = 0
-        lm = np.where(across, -sign * (t + t0), sign * span * np.expm1(sign * d))
-        jacobian = np.where(across, t + tau, span * np.exp(sign * d))
-        mass = self.liquidity_grid(q0 * np.exp(lm)) * jacobian * (half * w).ravel()
+        q0, s = np.asarray(q0, dtype=float), np.asarray(s, dtype=float)
+        lm, weight = self._strip_nodes(q0, s)
+        s = s[:, None]
+        mass = self.liquidity_grid(q0[:, None] * np.exp(lm))
+        mass *= weight
         d1 = 0.5 * s - lm / s
         side = np.where(lm >= 0.0, 1.0, -1.0)  # calls above the spot, puts below
         near = _ndtr(side * d1)
         # the OTM option per unit strike, side * (q0/k * Phi(side * d1) - Phi(side * (d1 - s))),
         # is the cash band Phi(d1) - Phi(d1 - s) plus side * (q0/k - 1) * Phi(side * d1)
-        if s < _BAND_SPLIT:  # the band as the integral of phi over [d1 - s, d1]
+        narrow = s[:, 0] < _BAND_SPLIT  # there the band as the integral of phi over [d1 - s, d1]
+        band = np.empty_like(lm)
+        if narrow.any():
             bx, bw = _gauss_legendre(_BAND_ORDER)
-            u = (d1 - 0.5 * s)[:, None] + 0.5 * s * bx
-            band = np.exp(-0.5 * u * u) @ (0.5 * s * bw) / math.sqrt(2.0 * math.pi)
-        else:
-            band = side * (near - _ndtr(side * (d1 - s)))
-        otm = band + side * np.expm1(-lm) * near
-        vega = np.exp(-lm - 0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
-        return float(otm @ mass), float(vega @ mass)
+            half = 0.5 * s[narrow]
+            u = (d1[narrow] - half) + half * bx[:, None, None]  # a node of the rule per leading index
+            u *= u
+            u *= -0.5
+            band[narrow] = (bw @ np.exp(u, out=u).reshape(_BAND_ORDER, -1)).reshape(half.size, -1)
+            band[narrow] *= half / math.sqrt(2.0 * math.pi)
+        if not narrow.all():
+            wide = ~narrow
+            band[wide] = side[wide] * (near[wide] - _ndtr(side[wide] * (d1[wide] - s[wide])))
+        otm = side * np.expm1(-lm)
+        otm *= near
+        otm += band
+        vega = d1 * d1
+        vega *= -0.5
+        vega -= lm
+        vega = np.einsum("ij,ij->i", np.exp(vega, out=vega), mass)
+        return np.einsum("ij,ij->i", otm, mass), vega / math.sqrt(2.0 * math.pi)
+
+    def _strip_nodes(self, q0: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lm, weight): one row per element of the 1-D q0 and s, holding the
+        strip's nodes as lm = log(k/q0) and their weights in log k.
+
+        The nodes are Gauss-Legendre panels in ``_strip_axis``'s z, cut at
+        the spot and z = 0 (kinks) and clipped to ``trade_bounds``: each of
+        the one to three parts gets an equal share of the panels, laid out
+        by ``_strip_panels``.  Nodes are offsets d = z - z0 from the spot's
+        z0, and each node's lm is formed from d alone, so no node near the
+        spot loses its digits to log q0.  With t0 = log(q0/c), a node on the
+        spot's side of z = 0 has lm = sign(t0)*(tau+|t0|)*expm1(sign(t0)*d);
+        across it, lm is a sum of two terms of one sign.  A row whose strip
+        is empty has zero weights.
+        """
+        tau, log_c = self._strip_axis()
+        lo, hi = self.trade_bounds
+        log_lo, log_hi = math.log(lo) if lo > 0.0 else -math.inf, math.log(hi) if hi < math.inf else math.inf
+        rows = []
+        for q, vol in zip(q0.tolist(), s.tolist()):  # a few scalars a row: cheaper as floats
+            lq0 = math.log(q)
+            t0 = abs(lq0 - log_c)
+            sign = 1.0 if lq0 >= log_c else -1.0  # the spot's side of z = 0
+            az0, span = math.log1p(t0 / tau), tau + t0  # |z0|, and d log k/dz at the spot
+            reach = _strip_reach(vol)
+            a, b = max(-reach, log_lo - lq0), min(reach, log_hi - lq0)
+            # the ends as offsets: u = sign * log(k/q0) moves away from z = 0
+            # on the spot's side of it, and crosses it below -t0
+            da, db = (
+                sign * math.log1p(u / span) if u >= -t0 else -sign * (math.log1p((-u - t0) / tau) + az0)
+                for u in (sign * a, sign * b)
+            )
+            # the kinks at the spot (d = 0) and at z = 0 (d = -z0), ascending,
+            # and which of them fall strictly inside: one where z0 = 0
+            kinks = sorted((0.0, -sign * az0))
+            lower = da < kinks[0] < db
+            upper = da < kinks[1] < db and kinks[1] != kinks[0]
+            rows.append((sign, t0, az0, span, a >= b, 2 * lower + upper, da, *kinks, db))
+        rows = np.array(rows, dtype=float).reshape(len(q0), 10)
+        sign, t0, az0, span, empty = (rows[:, k:k + 1] for k in range(5))
+        edges = _strip_panels(_STRIP_INTERVALS)[rows[:, 5].astype(np.intp)] @ rows[:, 6:, None]
+        half = edges[:, 1:] - edges[:, :-1]
+        half *= 0.5
+        x, w = _gauss_legendre()
+        d = edges[:, :-1] + half * (1.0 + x)
+        weight = half * w
+        d, weight = (a.reshape(len(q0), d.shape[1] * d.shape[2]) for a in (d, weight))
+        # on the spot's side of z = 0 sign * lm = span * expm1(sign * d);
+        # across it, -(t0 + t) with t = tau * expm1(|z|), |z| = -(|z0| + sign * d)
+        d *= sign
+        lm = np.expm1(d)
+        jacobian = np.exp(d)
+        lm *= span
+        jacobian *= span
+        d += az0
+        across = d < 0.0
+        if across.any():
+            np.negative(d, out=d)
+            t = np.expm1(d, out=d)
+            t *= tau
+            np.copyto(jacobian, t + tau, where=across)
+            t += t0
+            np.negative(t, out=t)
+            np.copyto(lm, t, where=across)
+        lm *= sign
+        weight *= jacobian
+        if empty.any():
+            weight[empty[:, 0] > 0.0] = 0.0
+        return lm, weight
 
     def _strip_axis(self) -> tuple[float, float]:
         """(tau, log c) of the strip variable z; see ``floating_leg``."""
@@ -393,10 +479,11 @@ class Cpmm(AmmCurve):
     def liquidity_grid(self, qs: np.ndarray) -> np.ndarray:
         return 0.5 * self.liquidity_tokens * np.sqrt(np.maximum(qs, 0.0))
 
-    def floating_leg(self, q0: float, s: float) -> tuple[float, float]:
+    def floating_leg_grid(self, q0: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # E[sqrt(Q)] = sqrt(q0) * exp(-s**2/8), the lognormal half-moment
-        c0 = 2.0 * self.liquidity_tokens * math.sqrt(q0)
-        return -c0 * math.expm1(-s * s / 8.0), 0.25 * c0 * s * math.exp(-s * s / 8.0)
+        q0, s = np.asarray(q0, dtype=float), np.asarray(s, dtype=float)
+        c0 = 2.0 * self.liquidity_tokens * np.sqrt(q0)
+        return -c0 * np.expm1(-s * s / 8.0), 0.25 * c0 * s * np.exp(-s * s / 8.0)
 
     def scaled_to_value(self, target_value: float, q: float) -> "Cpmm":
         q = check_positive(q, "price", DomainError)
@@ -867,20 +954,31 @@ def dollar_pool_value(curve: AmmCurve, px: float, py: float) -> float:
 
 
 def curvature(curve: AmmCurve, q: float) -> float:
-    """Curve curvature at q, equal to -1 / ((1 + q**2)**1.5 * x'(q)).
+    """Curve curvature at q, q**2 / ((1 + q**2)**1.5 * density(q)) with the
+    liquidity density -q**2 * x'(q): that is -1 / ((1 + q**2)**1.5 * x'(q)).
 
     The magnitude matches the parametric curvature quotient
     (x'y'' - y'x'') / (x'**2 + y'**2)**1.5 of the holdings path; this form
     fixes the orientation so flatter (more amplified) curves give smaller
-    positive values.
+    positive values.  It is formed from the mantissas of q and the density,
+    with their exponents added back last, so nothing over- or underflows on
+    the way to a curvature that is a double; one beyond the float range
+    raises DomainError.
     """
     q = check_positive(q, "price", DomainError)
     if not curve.is_interior(q):
         raise DomainError(f"price {q!r} is not interior to the curve domain")
-    xp, _ = curve.first_derivs(q)
-    if xp == 0.0:
-        raise DegenerateCurve(f"x'(q) vanishes at q={q!r}; curvature undefined")
-    return -1.0 / ((1.0 + q * q) ** 1.5 * xp)
+    density = curve.liquidity(q)
+    if density == 0.0:
+        raise DegenerateCurve(f"the liquidity density vanishes at q={q!r}; curvature undefined")
+    (mq, eq), (md, ed) = math.frexp(q), math.frexp(density)
+    try:
+        if q <= 1.0:  # q**2 / (1 + q**2)**1.5
+            return math.ldexp(mq * mq / ((1.0 + q * q) ** 1.5 * md), 2 * eq - ed)
+        r = 1.0 / q  # 1 / (q * (1 + q**-2)**1.5)
+        return math.ldexp(1.0 / ((1.0 + r * r) ** 1.5 * mq * md), -eq - ed)
+    except OverflowError:
+        raise DomainError(f"the curvature at price {q!r} is beyond the float range") from None
 
 
 def equivalent_cpmm_liquidity(curve: AmmCurve, q: float) -> float:

@@ -14,26 +14,30 @@ field over csv's size limit and a timestamp beyond int64 are malformed rows
 too, so the CLI exits 2 on them.
 
 Tick and pool-event files are parsed in one vectorized pass,
-``_load_columns`` (one ``np.loadtxt`` call), whose columns meet the same
-``fault`` rules.  It takes only files that it reads exactly as the row loop
-would: the first line is exactly the header, the data rows hold only the
-bytes of ``_NUMBER_BYTES``, no line is longer than csv's field-size limit,
-and loadtxt neither raises nor warns (numpy 1.23 to 1.26 read ``1.5`` into
-an int64 column as 1, with a DeprecationWarning; every numpy warns on a
-file without data rows).  Each file is parsed once: the row loop reads only
-the files that this pass refuses, and a row of a file that the pass took
-and that breaks a rule is named by its line, counted from the newlines the
-pass found.  Window rows must start after the row above them starts.
+``_load_columns``: one ``np.loadtxt`` call on the path, which numpy reads
+in chunks rather than line by line.  Its columns meet the same ``fault``
+rules.  It takes only files that it reads exactly as the row loop would:
+the first line is exactly the header, the data rows hold only the bytes of
+``_NUMBER_BYTES``, no line is longer than csv's field-size limit, every
+\r is followed by \n or is the file's last byte (numpy opens the path with
+universal newlines, where a lone \r would end a line), and loadtxt neither
+raises nor warns (numpy 1.23 to 1.26 read ``1.5`` into an int64 column as
+1, with a DeprecationWarning; every numpy warns on a file without data
+rows).  The guards read the file's bytes and loadtxt reads them again, but
+each file is parsed once: the row loop reads only the files that this pass
+refuses, and a row of a file that the pass took and that breaks a rule is
+named by its line, counted from the newlines the guards found.  Window rows
+must start after the row above them starts.
 
 The tick and ledger writers format blocks of rows a column at a time, one
 ``repr`` per distinct column: a column bit-equal to an earlier one in the
-block (ask = bid at spread 0) reuses that column's text.
+block (ask = bid at spread 0) reuses that column's text.  Each block is
+joined into rows with ``str.join``.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -67,7 +71,6 @@ def _write_columns(path, header, timestamps, *columns) -> None:
     """``header``, then one row per timestamp: the integer, then each float
     column as ``_fmt`` writes it.  Columns are compared in bits, since 0.0
     and -0.0 are equal values with different text."""
-    row = ",".join(["{}"] * (len(columns) + 1)) + "\n"
     timestamps = np.asarray(timestamps, dtype=np.int64)
     columns = [np.asarray(col, dtype=float) for col in columns]
     with open(path, "w", newline="") as fh:
@@ -79,7 +82,7 @@ def _write_columns(path, header, timestamps, *columns) -> None:
                 bits.append(col[block].view(np.int64))
                 same = next((k for k, prior in enumerate(bits[:-1]) if np.array_equal(prior, bits[-1])), None)
                 texts.append(list(map(repr, col[block].tolist())) if same is None else texts[same])
-            fh.write("".join(map(row.format, timestamps[block].tolist(), *texts)))
+            fh.write("\n".join(map(",".join, zip(map(str, timestamps[block].tolist()), *texts))) + "\n")
 
 
 def _dec_str(value) -> str:
@@ -152,11 +155,16 @@ def _load_columns(path, header, series_type):
     ends = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n"))
     if np.diff(ends, prepend=-1, append=len(body)).max() - 1 > csv.field_size_limit():
         return None
+    # loadtxt reads the path with universal newlines, where a lone \r ends a
+    # line: the pass leaves to the row loop each file with a \r that is
+    # neither followed by \n nor the file's last byte
+    if b"\r" in body and body.count(b"\r") != body.count(b"\r\n") + body.endswith(b"\r"):
+        return None
     dtype = np.dtype([(header[0], np.int64)] + [(name, float) for name in header[1:]])
-    with io.TextIOWrapper(io.BytesIO(body), encoding="ascii", newline="\n") as lines, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:  # a lone \r, a field count other than the header's, a bad number or a warning raise
-            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        try:  # a field count other than the header's, a bad number or a warning raise
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1, encoding="ascii", ndmin=1)
         except (ValueError, Warning):
             return None
     return series_type(*(np.ascontiguousarray(rows[name]) for name in header)), ends

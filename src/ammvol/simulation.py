@@ -276,7 +276,9 @@ class SimConfig:
 @dataclass(frozen=True)
 class WindowStat:
     """Aggregates for one rolling window; fee_vol is nan until attached by
-    the implied-vol layer."""
+    the implied-vol layer, which also counts the Newton iterations of its
+    solve in fee_vol_iterations (a diagnostic, not part of the window's
+    value: it is not compared, nor written to the windows CSV)."""
 
     window_start: int
     window_end: int
@@ -284,6 +286,7 @@ class WindowStat:
     lvr: float
     hist_vol: float
     fee_vol: float = math.nan
+    fee_vol_iterations: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not self.window_start < self.window_end:

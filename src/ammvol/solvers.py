@@ -16,8 +16,10 @@ volatility sigma_bar, and the implied correlation follows from
     sigma_bar**2 = sigma_x**2 - 2*rho*sigma_x*sigma_y + sigma_y**2.
 
 Every valuation and inversion goes through the curve's deterministic
-``floating_leg`` kernel, an option strip (see ``ammvol.curves``), and its
-analytic vega; implied vols are safeguarded Newton solves on it.  Monte
+``floating_leg_grid`` kernel, an option strip (see ``ammvol.curves``), and
+its analytic vega; implied vols come from one safeguarded Newton on it,
+``_solve_legs``, batched over a stream's windows and run on one element
+for a single quote.  Monte
 Carlo stays as the independent oracle (``mc_expected_pool_value``,
 ``mc_floating_leg``) and as the stderr ``implied_vol`` reports.  Only
 ``floating_leg_value`` still takes an McConfig it ignores: the benchmark
@@ -33,6 +35,7 @@ import numpy as np
 
 from .curves import AmmCurve
 from .errors import (
+    AmmVolError,
     ArbitrageViolation,
     InvalidParams,
     NoConvergence,
@@ -89,10 +92,21 @@ class SwapSpec:
         Beyond the curve's price domain the pool holds the boundary portfolio.
         A value beyond the float range raises InvalidParams.
         """
-        lo, hi = self.curve.q_bounds
-        x, y = self.curve.holdings(min(max(self.q0, lo), hi))
-        value = self.notional_scale * (self.q0 * x + y)
+        value = _pool_values(self.curve, _one(self.q0), _one(self.notional_scale))[0]
         return check_nonnegative(value, "the pool value at the start prices")
+
+
+def _pool_values(curve: AmmCurve, q0: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Dollar pool values of notionals ``scale`` at spots q0, elementwise;
+    beyond the curve's price domain the pool holds the boundary portfolio."""
+    lo, hi = curve.q_bounds
+    x, y = curve.holdings_grid(np.minimum(np.maximum(q0, lo), hi))
+    with np.errstate(over="ignore"):  # a value beyond the float range is the caller's to refuse
+        return scale * (q0 * x + y)
+
+
+def _one(value: float) -> np.ndarray:
+    return np.array([value], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -168,18 +182,30 @@ def lognormal_kernel_expectation(curve: AmmCurve, p0: float, sigma: float, matur
     return c0 - curve.floating_leg(p0, sigma * math.sqrt(maturity))[0]
 
 
+def _legs(curve: AmmCurve, q0, root_t, scale, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """(floating legs, d leg/d sigma) in dollars, elementwise over arrays of
+    spots q0, square-root horizons, notionals and vols; zero where sigma or
+    the notional is.  What overflows is left for the caller to refuse."""
+    if not (sigma.all() and scale.all()):
+        value, vega = np.zeros(sigma.shape), np.zeros(sigma.shape)
+        live = (sigma != 0.0) & (scale != 0.0)
+        value[live], vega[live] = _legs(curve, q0[live], root_t[live], scale[live], sigma[live])
+        return value, vega
+    with np.errstate(all="ignore"):
+        value, vega = curve.floating_leg_grid(q0, sigma * root_t)
+        value *= scale
+        vega *= scale
+        vega *= root_t
+    return value, vega
+
+
 def _leg(spec: SwapSpec, sigma: float) -> tuple[float, float]:
     """(floating leg, d leg/d sigma) in dollars for the swap notional.
 
     A leg or vega beyond the float range raises InvalidParams.
     """
-    scale = spec.notional_scale
-    if sigma == 0.0 or scale == 0.0:
-        return 0.0, 0.0
-    root_t = math.sqrt(spec.maturity)
-    with np.errstate(all="ignore"):  # what overflows is caught below
-        value, vega = spec.curve.floating_leg(spec.q0, sigma * root_t)
-        value, vega = scale * value, scale * vega * root_t
+    value, vega = _legs(spec.curve, *map(_one, (spec.q0, math.sqrt(spec.maturity), spec.notional_scale, sigma)))
+    value, vega = float(value[0]), float(vega[0])
     if not (math.isfinite(value) and math.isfinite(vega)):
         raise InvalidParams(f"the floating leg at sigma={sigma!r} is beyond the float range")
     return value, vega
@@ -207,62 +233,106 @@ def floating_leg_value(spec: SwapSpec, sigma: float, mc: McConfig | None = None)
     return _leg(spec, check_nonnegative(sigma, "sigma"))[0]
 
 
-def _solve_leg(spec: SwapSpec, pi_bar: float, cap: float, tol: float) -> tuple[float, float, int]:
-    """(sigma, vega at the last evaluation, iterations) with leg(sigma) = pi_bar.
+def _solve_legs(curve: AmmCurve, q0, maturity, scale, target, cap, tol: float):
+    """(sigma, vega at the last evaluation, iterations, errors): elementwise
+    over arrays of spots, horizons, notionals, fixed legs and pool values,
+    the vol at which the floating leg is worth the fixed leg; ``errors``
+    maps the index of each element that fails to its exception.
 
-    Newton on log(leg) against log(sigma), exact in one step where the leg
-    grows like sigma**2, starting from the vol a constant-product pool of
-    value cap would need; steps leaving the bracket [lo, hi] that every
-    evaluation tightens bisect it, and so does an evaluation whose
-    pi_bar / leg is not a positive double.  Stops once a step is within
-    tol * max(1, sigma); tol must lie in (0, 1).
+    One safeguarded Newton on log(leg) against log(sigma), exact in one step
+    where the leg grows like sigma**2, from the vol a constant-product pool
+    of value cap would need.  Every evaluation tightens a bracket [lo, hi];
+    a step leaving it bisects, and so does an evaluation whose target / leg
+    is not a positive double.  An element freezes once its step is within
+    tol * max(1, sigma).  Each iteration prices one strip over the elements
+    still moving, and then steps each of them in scalar arithmetic, cheaper
+    than array calls at these sizes.  A solve that stops on a bisection
+    returns only once legs on both sides of its target were evaluated; one
+    that never brackets its target raises NoConvergence.  tol must lie in
+    (0, 1).
     """
     if not 0.0 < tol < 1.0:
         raise InvalidParams(f"tol must lie in (0, 1), got {tol!r}")
-    if pi_bar == 0.0:
-        return 0.0, 0.0, 0
-    lo, hi = 0.0, _SIGMA_CAP
-    sigma = min(math.sqrt(-8.0 / spec.maturity * math.log1p(-pi_bar / cap)), _SIGMA_CAP)
-    for iterations in range(1, _MAX_NEWTON_STEPS + 1):
-        value, vega = _leg(spec, sigma)
-        if value < pi_bar:
-            lo = sigma
-        else:
-            hi = sigma
-        # the slope of log(leg) against log(sigma) is the elasticity
-        elasticity = sigma * vega / value if value > 0.0 else 0.0
-        ratio = pi_bar / value if value > 0.0 else 0.0
-        if 0.0 < elasticity < math.inf and 0.0 < ratio < math.inf:
-            step = math.log(ratio) / elasticity
-        else:
-            step = math.inf
-        nxt = sigma * math.exp(step) if abs(step) < 700.0 else -1.0  # else exp overflows
-        if not lo <= nxt <= hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - sigma) <= tol * max(1.0, nxt):
-            if nxt >= _SIGMA_CAP * (1.0 - tol):
-                raise ArbitrageViolation(
+    root_t = np.sqrt(maturity)
+    sigma_out, vega_out = np.zeros(target.shape), np.zeros(target.shape)
+    iterations = np.zeros(target.shape, dtype=np.int64)
+    errors: dict[int, Exception] = {}
+    # (element, lo, hi, sigma, sides evaluated: 1 below the target, 2 above)
+    todo = [
+        (k, 0.0, _SIGMA_CAP, min(math.sqrt(-8.0 / t * math.log1p(-pi_bar / c)), _SIGMA_CAP), 0)
+        for k, (t, pi_bar, c) in enumerate(zip(maturity.tolist(), target.tolist(), cap.tolist()))
+        if pi_bar > 0.0  # a zero fixed leg is a zero vol
+    ]
+    targets, rows = target.tolist(), None
+    for iteration in range(1, _MAX_NEWTON_STEPS + 1):
+        if not todo:
+            break
+        if rows is None or rows.size != len(todo):  # the elements still moving
+            rows = np.array([state[0] for state in todo])
+            args = q0[rows], root_t[rows], scale[rows]
+        values, vegas = _legs(curve, *args, np.array([state[3] for state in todo]))
+        moving = []
+        for (k, lo, hi, sigma, sides), value, vega in zip(todo, values.tolist(), vegas.tolist()):
+            pi_bar = targets[k]
+            if not (math.isfinite(value) and math.isfinite(vega)):
+                errors[k] = InvalidParams(f"the floating leg at sigma={sigma!r} is beyond the float range")
+                continue
+            if value < pi_bar:
+                lo, sides = sigma, sides | 1
+            else:
+                hi, sides = sigma, sides | 2
+            # the slope of log(leg) against log(sigma) is the elasticity
+            elasticity = sigma * vega / value if value > 0.0 else 0.0
+            ratio = pi_bar / value if value > 0.0 else 0.0
+            if 0.0 < elasticity < math.inf and 0.0 < ratio < math.inf:
+                step = math.log(ratio) / elasticity
+            else:
+                step = math.inf
+            nxt = sigma * math.exp(step) if abs(step) < 700.0 else -1.0  # else exp overflows
+            newton = lo <= nxt <= hi
+            if not newton:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - sigma) > tol * max(1.0, nxt):
+                moving.append((k, lo, hi, nxt, sides))
+            elif nxt >= _SIGMA_CAP * (1.0 - tol):
+                errors[k] = ArbitrageViolation(
                     f"no volatility below {_SIGMA_CAP} reproduces fixed leg {pi_bar:.6g} "
-                    f"against pool value {cap:.6g}"
+                    f"against pool value {float(cap[k]):.6g}"
                 )
-            return nxt, vega, iterations
-        sigma = nxt
-    raise NoConvergence(
-        f"Newton solve did not reach tolerance {tol:g} within {_MAX_NEWTON_STEPS} iterations"
+            elif not newton and sides != 3:
+                errors[k] = NoConvergence(
+                    f"bisection stopped at sigma={nxt!r} without bracketing fixed leg {pi_bar:.6g}: "
+                    f"every floating leg evaluated lies {'above' if sides == 2 else 'below'} it"
+                )
+            else:
+                sigma_out[k], vega_out[k], iterations[k] = nxt, vega, iteration
+        # once an element has failed, the results of those after it no longer matter
+        todo = [state for state in moving if state[0] < min(errors)] if errors else moving
+    for state in todo:
+        errors[state[0]] = NoConvergence(
+            f"Newton solve did not reach tolerance {tol:g} within {_MAX_NEWTON_STEPS} iterations"
+        )
+    return sigma_out, vega_out, iterations, errors
+
+
+def _solve_quote(spec: SwapSpec, pi_bar: float, cap: float, tol: float) -> tuple[float, float, int]:
+    """(sigma, vega at the last evaluation, iterations) with leg(sigma) =
+    pi_bar: ``_solve_legs`` on one element, raising its error."""
+    sigma, vega, iterations, errors = _solve_legs(
+        spec.curve, *map(_one, (spec.q0, spec.maturity, spec.notional_scale, pi_bar, cap)), tol
     )
+    if errors:
+        raise errors[0]
+    return float(sigma[0]), float(vega[0]), int(iterations[0])
 
 
 def _check_quote(spec: SwapSpec, pi_bar: float, sigmas=None) -> tuple[float, tuple[float, float] | None]:
     """(pool value, correlation band or None): the one no-arbitrage rule for
-    a fixed leg.  pi_bar at or above the pool value raises ArbitrageViolation;
-    only then, given (sigma_x, sigma_y), pi_bar outside ``implied_corr_bounds``
-    widened by a slack of the pool value raises OutOfBounds."""
-    cap = spec.pool_value_now()
-    if pi_bar >= cap:
-        raise ArbitrageViolation(
-            f"fixed leg {pi_bar:.6g} >= pool value {cap:.6g}: "
-            "paying it admits a risk-free profit"
-        )
+    a fixed leg.  pi_bar at or above the pool value raises ArbitrageViolation
+    (``_check_below_cap``); only then, given (sigma_x, sigma_y), pi_bar
+    outside ``implied_corr_bounds`` widened by a slack of the pool value
+    raises OutOfBounds."""
+    cap = _check_below_cap(pi_bar, spec.pool_value_now())
     if sigmas is None:
         return cap, None
     pi_lo, pi_hi = implied_corr_bounds(spec, *sigmas)
@@ -273,6 +343,17 @@ def _check_quote(spec: SwapSpec, pi_bar: float, sigmas=None) -> tuple[float, tup
             f"[{pi_lo:.6g}, {pi_hi:.6g}]"
         )
     return cap, (pi_lo, pi_hi)
+
+
+def _check_below_cap(pi_bar: float, cap: float) -> float:
+    """cap, once pi_bar lies below it: paying a fixed leg at or above the
+    pool value admits a risk-free profit, and raises ArbitrageViolation."""
+    if pi_bar >= cap:
+        raise ArbitrageViolation(
+            f"fixed leg {pi_bar:.6g} >= pool value {cap:.6g}: "
+            "paying it admits a risk-free profit"
+        )
+    return cap
 
 
 def implied_vol(
@@ -287,7 +368,7 @@ def implied_vol(
     """
     mc = mc or McConfig()
     pi_bar = check_nonnegative(pi_bar, "pi_bar")
-    sigma, vega, iterations = _solve_leg(spec, pi_bar, _check_quote(spec, pi_bar)[0], tol)
+    sigma, vega, iterations = _solve_quote(spec, pi_bar, _check_quote(spec, pi_bar)[0], tol)
     _, price_se = mc_floating_leg(spec, sigma, mc)
     if price_se == 0.0:
         stderr = 0.0
@@ -377,22 +458,55 @@ def fee_vol_from_realized(window_fees: float, spec: SwapSpec, tol: float = 1e-6)
     No Monte Carlo runs: every curve inverts its floating-leg kernel.
     """
     fees = check_nonnegative(window_fees, "window_fees")
-    return _solve_leg(spec, fees, _check_quote(spec, fees)[0], tol)[0]
+    return _solve_quote(spec, fees, _check_quote(spec, fees)[0], tol)[0]
+
+
+# windows per batched solve: a strip's temporaries peak at about 70 kB per
+# window, so a chunk adds about 1 MB whatever the stream's length
+_FEE_VOL_CHUNK = 16
 
 
 def attach_fee_vols(ledger: SimLedger, stats: list[WindowStat]) -> list[WindowStat]:
-    """Fill in each window's fee_vol from its realized fees.
+    """Fill in each window's fee_vol, and its Newton iterations, from its
+    realized fees.
 
     Each window is priced as its own swap: spot at the window start, window
-    length as maturity, the ledger's (already scaled) pool as the curve.
+    length as maturity, the ledger's (already scaled) pool as the curve,
+    checked as ``SwapSpec`` and ``_check_quote`` check one swap.  Windows
+    are priced and solved _FEE_VOL_CHUNK at a time, in one ``_solve_legs``;
+    the first window that fails raises its error.
     """
     out = []
-    for stat in stats:
-        spec = SwapSpec(
-            curve=ledger.curve,
-            maturity=(stat.window_end - stat.window_start) / YEAR_SECONDS,
-            p0x=ledger.spot_at(stat.window_start),
-            p0y=1.0,
+    for first in range(0, len(stats), _FEE_VOL_CHUNK):
+        chunk = stats[first:first + _FEE_VOL_CHUNK]
+        spots = ledger.spot_at(np.array([stat.window_start for stat in chunk], dtype=np.int64))
+        rows, failure = [], None
+        for stat, spot in zip(chunk, spots):
+            try:
+                spec = SwapSpec(ledger.curve, (stat.window_end - stat.window_start) / YEAR_SECONDS, spot, 1.0)
+                fees = check_nonnegative(stat.fees, "window_fees")
+            except AmmVolError as exc:  # raised once the windows above it are solved
+                failure = exc
+                break
+            rows.append((spec.q0, spec.maturity, spec.notional_scale, fees))
+        q0, maturity, scale, fees = np.array(rows, dtype=float).reshape(-1, 4).T
+        caps = _pool_values(ledger.curve, q0, scale)
+        n = len(rows)
+        for k, (fee, cap) in enumerate(zip(fees.tolist(), caps.tolist())):
+            try:
+                _check_below_cap(fee, check_nonnegative(cap, "the pool value at the start prices"))
+            except AmmVolError as exc:
+                failure, n = exc, k
+                break
+        sigma, _, iterations, errors = _solve_legs(
+            ledger.curve, q0[:n], maturity[:n], scale[:n], fees[:n], caps[:n], 1e-6
         )
-        out.append(replace(stat, fee_vol=fee_vol_from_realized(stat.fees, spec)))
+        if errors:
+            raise errors[min(errors)]
+        if failure is not None:
+            raise failure
+        out.extend(
+            replace(stat, fee_vol=vol, fee_vol_iterations=steps)
+            for stat, vol, steps in zip(chunk, sigma.tolist(), iterations.tolist())
+        )
     return out

@@ -7,6 +7,7 @@ and y''=-50.25 are exact rationals there), and finite differences as a
 cross-check oracle throughout.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -365,9 +366,42 @@ def test_slopes_beyond_a_double_are_a_domain_error():
     with pytest.raises(DomainError, match="beyond the float range"):
         tiny.first_derivs(1e-190)
     with pytest.raises(DomainError, match="beyond the float range"):
-        curvature(tiny, 1e-190)
-    with pytest.raises(DomainError, match="beyond the float range"):
         CPMM.first_derivs(1e-300)
+
+
+@pytest.mark.parametrize("center", [1e-190, 1e-160, 1e190])
+def test_curvature_where_the_slope_is_beyond_a_double_reads_the_density(center):
+    # x' leaves the float range at these centers (about -1e382 at 1e-190,
+    # -1e-378 at 1e190), so reading it raised DomainError; the curvature is
+    # q**2 / ((1 + q**2)**1.5 * density), here held to 60-digit arithmetic:
+    # it underflows to 0 at 1e-190, is subnormal at 1e-160, and is about
+    # 1e-190 at 1e190
+    pool = StableSwap(100.0, 2.0, center)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        for ratio in (0.97, 1.0, 1.05):
+            q = center * ratio
+            exact = decimal.Decimal(q) ** 2
+            exact /= (1 + exact) ** decimal.Decimal("1.5") * decimal.Decimal(pool.liquidity(q))
+            assert curvature(pool, q) == pytest.approx(float(exact), rel=1e-13, abs=2e-323), ratio
+
+
+def test_curvature_beyond_a_double_is_a_domain_error():
+    class Thin(ConcentratedCpmm):  # a density so small that the curvature overflows
+        def liquidity_grid(self, qs):
+            return np.full(np.shape(qs), 1e-320)
+
+    with pytest.raises(DomainError, match="beyond the float range"):
+        curvature(Thin(1.0, 0.5, 2.0), 1.0)
+
+
+@pytest.mark.parametrize("curve", [CPMM, CONC, STABLE, StableSwap(100.0, 2.0, 3.0), StableSwap(1e4, 7.0, 0.02)],
+                         ids=["cpmm", "concentrated", "stableswap", "stableswap-c3", "stableswap-a1e4"])
+def test_curvature_from_the_density_matches_the_slope_form(curve):
+    # the form -1 / ((1 + q**2)**1.5 * x'(q)) the curvature was read from
+    lo, hi = curve.trade_bounds
+    for q in np.exp(np.linspace(math.log(max(lo, 1e-3)), math.log(min(hi, 1e3)), 41))[1:-1]:
+        xp, _ = curve.first_derivs(q)
+        assert curvature(curve, q) == pytest.approx(-1.0 / ((1.0 + q * q) ** 1.5 * xp), rel=1e-13)
 
 
 def test_stableswap_holdings_near_matches_cold_solve():
@@ -585,11 +619,12 @@ def test_curvature_errors():
 
 def test_degenerate_curvature_via_zero_derivative():
     # out-of-range concentrated point reached through trade_bounds is a
-    # DomainError; the DegenerateCurve path needs x'==0 strictly inside,
-    # which no shipped family produces, so probe the guard directly.
+    # DomainError; the DegenerateCurve path needs a zero density (x' == 0)
+    # strictly inside, which no shipped family produces, so probe the guard
+    # directly.
     class Flat(ConcentratedCpmm):
-        def first_derivs(self, q):
-            return (0.0, 0.0)
+        def liquidity_grid(self, qs):
+            return np.zeros(np.shape(qs))
 
     flat = Flat(1.0, 0.5, 2.0)
     with pytest.raises(DegenerateCurve):

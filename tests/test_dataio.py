@@ -470,6 +470,42 @@ def test_the_vectorized_pass_names_a_broken_rule_where_the_row_loop_does(tmp_pat
     assert getattr(err.value, "line", None) == getattr(expected.value, "line", None)
 
 
+@pytest.mark.parametrize(
+    "body, taken",
+    [
+        (b"0,1.\r0,1.0\n1,1.0,1.0\n", False),
+        (b"0,1.0,1.0\r1,1.0,1.0\n", False),
+        (b"0,1.0,1.0\r\r\n1,1.0,1.0\n", False),
+        (b"0,1.0,1.0\r\n1,1.0,1.0\r\n", True),
+        (b"0,1.0,1.0\n\r\n1,1.0,1.0\n", True),
+        (b"0,1.0,1.0\n1,1.0,1.0\r", True),
+    ],
+    ids=["mid_field_cr", "cr_between_rows", "cr_cr_lf", "crlf_endings", "crlf_only_line", "trailing_lone_cr"],
+)
+def test_the_vectorized_pass_takes_a_cr_only_before_a_newline_or_at_the_end(tmp_path, body, taken):
+    # numpy reads the path with universal newlines, where a lone \r ends a
+    # line; the pass refuses each file with a \r that is neither followed by
+    # \n nor the file's last byte, and the row loop reads those
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"timestamp,bid,ask\n" + body)
+    loaded = dataio._load_columns(path, ["timestamp", "bid", "ask"], TickSeries)
+    assert (loaded is not None) is taken
+
+    def outcome():
+        try:
+            series = read_ticks(path)
+        except AmmVolError as exc:
+            return type(exc), str(exc)
+        return [col.view(np.uint64).tolist() for col in (series.timestamps, series.bids, series.asks)]
+
+    fast = outcome()
+    with pytest.MonkeyPatch.context() as row_loop_only:
+        row_loop_only.setattr(dataio, "_load_columns", lambda *args: None)
+        assert outcome() == fast
+    if taken:
+        assert fast == [[0, 1], [0x3FF0000000000000] * 2, [0x3FF0000000000000] * 2]  # the bits of 1.0
+
+
 def test_rows_below_a_header_line_that_csv_reads_as_two_keep_their_lines(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"timestamp,bid,ask\r\r\n0,1.0,1.0\n0,1.0,1.0\n")

@@ -9,10 +9,12 @@ Those exact numbers anchor the Monte Carlo paths for the other curve kinds.
 import math
 from dataclasses import replace
 
+import fee_vol_reference
 import numpy as np
 import pytest
 
 from ammvol import (
+    AmmVolError,
     ArbitrageViolation,
     ConcentratedCpmm,
     Cpmm,
@@ -21,10 +23,12 @@ from ammvol import (
     InvalidParams,
     IvSolution,
     McConfig,
+    NoConvergence,
     OutOfBounds,
     SimConfig,
     StableSwap,
     SwapSpec,
+    WindowStat,
     attach_fee_vols,
     fee_vol_from_realized,
     floating_leg_value,
@@ -39,6 +43,7 @@ from ammvol import (
     run_simulation,
     synthetic_gbm_ticks,
 )
+from ammvol.dataio import read_windows, write_windows
 from ammvol.fees import MAX_PATHS
 
 CPMM_SPEC = SwapSpec(curve=Cpmm(1.0), maturity=1.0, p0x=1.0)
@@ -322,3 +327,103 @@ def test_fee_vol_reads_sigma_times_root_capture():
         np.testing.assert_allclose(fee_vol / lvr_vol, np.sqrt(capture), rtol=rtol)
         captures.append(capture)
     np.testing.assert_allclose(captures[1], captures[0], atol=0.01)
+
+
+# ----- the batched fee-vol Newton against the scalar oracle ------------------------------
+
+
+def _fee_vol_stream(curve, seed=21):
+    """A 2-day 5 s stream's ledger on ``curve`` and its 30-minute windows on a
+    15-minute stride, every 7th with zero fees."""
+    series = synthetic_gbm_ticks(GbmParams(0.5), 1.0, 0.0, 2 * 86400, 5, seed=seed)
+    ledger = run_simulation(curve, series, 5e-4, SimConfig(initial_investment=100.0))
+    windows = rolling_windows(ledger, 1800, 900)
+    return ledger, [replace(w, fees=0.0) if k % 7 == 3 else w for k, w in enumerate(windows)]
+
+
+@pytest.mark.parametrize("curve", [Cpmm(1.0), ConcentratedCpmm(1.0, 0.5, 2.0), STABLE], ids=lambda c: c.kind)
+def test_batched_fee_vols_match_the_scalar_oracle(curve):
+    ledger, windows = _fee_vol_stream(curve)
+    assert len(windows) >= 100  # over 300 windows across the three curves
+    got = attach_fee_vols(ledger, windows)
+    want = fee_vol_reference.attach_fee_vols(ledger, windows)
+    assert [w.fee_vol == 0.0 for w in got] == [w.fees == 0.0 for w in windows]
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.fee_vol == pytest.approx(w.fee_vol, rel=1e-9, abs=0.0), k
+        assert g.fee_vol_iterations == w.fee_vol_iterations, k
+        assert (g.fee_vol_iterations == 0) == (g.fees == 0.0), k
+
+
+def _windows_with_fees(fees):
+    return [WindowStat(3600 * k, 3600 * (k + 1), fee, 0.0, 0.5) for k, fee in enumerate(fees)]
+
+
+@pytest.mark.parametrize(
+    "fees",
+    [
+        [0.01, 250.0, 0.01],  # fees at or above the pool value: refused before any iteration
+        # the second window needs a vol above the cap, which takes a full
+        # bisection to find; the third is refused before any iteration
+        [0.01, 60.0, 250.0],
+        # the same across a chunk boundary, the late failure ending the first chunk
+        [0.01] * 15 + [60.0, 250.0],
+        # a leg beyond the float range fails at the first iteration, after a late failure
+        [0.01, 60.0, 0.02],
+    ],
+    ids=["arbitrage", "late-then-early", "across-chunks", "late-then-overflow"],
+)
+def test_the_first_failing_window_raises_its_error(fees, monkeypatch):
+    ledger = run_simulation(Cpmm(1.0), synthetic_gbm_ticks(GbmParams(0.5), 1.0, 0.0, 20 * 3600, 60, seed=4),
+                            5e-4, SimConfig(initial_investment=100.0))
+    windows = _windows_with_fees(fees)
+    if fees[-1] == 0.02:  # the last window's leg overflows at any vol
+        spot = ledger.spot_at(windows[-1].window_start)
+        assert all(ledger.spot_at(w.window_start) != spot for w in windows[:-1])
+        legs = Cpmm.floating_leg_grid
+
+        def overflowing(self, q0, s):
+            value, vega = legs(self, q0, s)
+            return np.where(q0 == spot, math.inf, value), vega
+
+        monkeypatch.setattr(Cpmm, "floating_leg_grid", overflowing)
+    with pytest.raises(AmmVolError) as want:
+        fee_vol_reference.attach_fee_vols(ledger, windows)
+    with pytest.raises(AmmVolError) as got:
+        attach_fee_vols(ledger, windows)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert "60" in str(got.value) or "250" in str(got.value)
+
+
+class _AboveEveryQuote(ConcentratedCpmm):
+    """A leg that stays above any quote below the pool value, whatever the vol."""
+
+    def floating_leg_grid(self, q0, s):
+        return np.full(np.shape(q0), 0.5), np.zeros(np.shape(q0))
+
+
+def test_a_leg_that_never_crosses_the_quote_is_no_convergence():
+    # a bisection toward sigma = 0 used to stop at 2**-20 and return it as the root
+    spec = SwapSpec(curve=_AboveEveryQuote(1.0, 0.5, 2.0), maturity=1.0, p0x=1.0)
+    assert spec.pool_value_now() > 0.5
+    with pytest.raises(NoConvergence, match="every floating leg evaluated lies above it") as err:
+        fee_vol_from_realized(0.2, spec)
+    with pytest.raises(NoConvergence) as oracle:
+        fee_vol_reference._solve_leg(spec, 0.2, spec.pool_value_now(), 1e-6)
+    assert str(err.value) == str(oracle.value)
+    with pytest.raises(NoConvergence, match="without bracketing"):
+        implied_vol(spec, 0.2, McConfig(n_paths=256))
+
+
+def test_attach_fee_vols_carries_iterations_outside_the_windows_csv(tmp_path):
+    ledger, windows = _fee_vol_stream(STABLE)
+    attached = attach_fee_vols(ledger, windows[:20])
+    assert all(w.fee_vol_iterations == 0 for w in windows)
+    assert [w.fee_vol_iterations > 0 for w in attached] == [w.fees > 0.0 for w in attached]
+    assert max(w.fee_vol_iterations for w in attached) <= 100
+    path = tmp_path / "w.csv"
+    write_windows(path, attached)
+    assert path.read_text().splitlines()[0] == "start,end,fees,lvr,hist_vol,fee_vol"
+    back = read_windows(path)
+    assert all(w.fee_vol_iterations == 0 for w in back)
+    assert back == attached  # a diagnostic, not part of a window's value
