@@ -19,11 +19,12 @@ Every valuation and inversion goes through the curve's deterministic
 ``floating_leg_grid`` kernel, an option strip (see ``ammvol.curves``), and
 its analytic vega; implied vols come from one safeguarded Newton on it,
 ``_solve_legs``, batched over a stream's windows and run on one element
-for a single quote.  Monte
-Carlo stays as the independent oracle (``mc_expected_pool_value``,
-``mc_floating_leg``) and as the stderr ``implied_vol`` reports.  Only
-``floating_leg_value`` still takes an McConfig it ignores: the benchmark
-passes one to it by position.
+for a single quote.  The no-arbitrage cap C(q0) is the curve's
+``pool_value_grid``, computed once per quote or stream.  Monte Carlo stays
+as the independent oracle (``mc_expected_pool_value``, ``mc_floating_leg``)
+and as the stderr ``implied_vol`` reports.  Only ``floating_leg_value``
+still takes an McConfig it ignores: the benchmark passes one to it by
+position.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 
 from .curves import AmmCurve
 from .errors import (
-    AmmVolError,
     ArbitrageViolation,
     InvalidParams,
     NoConvergence,
@@ -87,22 +87,12 @@ class SwapSpec:
         return self.liquidity_tokens * self.p0y
 
     def pool_value_now(self) -> float:
-        """Dollar pool value of the swap notional at the start prices.
-
-        Beyond the curve's price domain the pool holds the boundary portfolio.
-        A value beyond the float range raises InvalidParams.
-        """
-        value = _pool_values(self.curve, _one(self.q0), _one(self.notional_scale))[0]
+        """Dollar pool value of the swap notional at the start prices: the
+        notional times the curve's ``pool_value_grid`` at the spot.  A value
+        beyond the float range raises InvalidParams."""
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            value = self.notional_scale * self.curve.pool_value_grid(_one(self.q0))[0]
         return check_nonnegative(value, "the pool value at the start prices")
-
-
-def _pool_values(curve: AmmCurve, q0: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Dollar pool values of notionals ``scale`` at spots q0, elementwise;
-    beyond the curve's price domain the pool holds the boundary portfolio."""
-    lo, hi = curve.q_bounds
-    x, y = curve.holdings_grid(np.minimum(np.maximum(q0, lo), hi))
-    with np.errstate(over="ignore"):  # a value beyond the float range is the caller's to refuse
-        return scale * (q0 * x + y)
 
 
 def _one(value: float) -> np.ndarray:
@@ -361,19 +351,25 @@ def implied_vol(
 ) -> IvSolution:
     """Invert the floating leg: the volatility at which it is worth pi_bar.
 
-    A safeguarded Newton solve on the floating-leg kernel and its analytic
-    vega, converged to tol * max(1, sigma).  The stderr is the MC price noise
-    of ``mc_floating_leg`` at the solution over the vega (zero for closed
-    forms): how far sampling noise in a quote would move the implied vol.
+    The quote passes ``_check_quote`` once, and its pool value seeds a
+    safeguarded Newton solve on the floating-leg kernel and its analytic
+    vega, converged to tol * max(1, sigma).  The stderr is the MC noise of
+    the expected pool value at the solution (zero for closed forms) over the
+    vega: how far sampling noise in a quote would move the implied vol.
     """
-    mc = mc or McConfig()
     pi_bar = check_nonnegative(pi_bar, "pi_bar")
-    sigma, vega, iterations = _solve_quote(spec, pi_bar, _check_quote(spec, pi_bar)[0], tol)
-    _, price_se = mc_floating_leg(spec, sigma, mc)
-    if price_se == 0.0:
-        stderr = 0.0
-    else:
-        stderr = price_se / vega if vega > 0.0 else math.inf
+    return _implied_vol(spec, pi_bar, _check_quote(spec, pi_bar)[0], mc, tol)
+
+
+def _implied_vol(spec: SwapSpec, pi_bar: float, cap: float, mc: McConfig | None, tol: float) -> IvSolution:
+    """``implied_vol`` of a quote already checked below its pool value cap;
+    the price noise is the expected pool value's, as C(q0) carries none."""
+    sigma, vega, iterations = _solve_quote(spec, pi_bar, cap, tol)
+    stderr = 0.0
+    if not (spec.curve.exact_floating_leg or sigma == 0.0):
+        price_se = spec.notional_scale * mc_expected_pool_value(spec.curve, spec.q0, sigma, spec.maturity, mc)[1]
+        if price_se != 0.0:
+            stderr = price_se / vega if vega > 0.0 else math.inf
     return IvSolution(sigma=sigma, stderr=stderr, iterations=iterations)
 
 
@@ -389,10 +385,7 @@ def implied_vol_cpmm_closed_form(
     maturity = check_positive(maturity, "maturity")
     liquidity_tokens = check_positive(liquidity_tokens, "liquidity_tokens")
     cap = check_positive(2.0 * liquidity_tokens * math.sqrt(p0x), "the pool value 2*L*sqrt(p0x)")
-    if pi_bar >= cap:
-        raise ArbitrageViolation(
-            f"fixed leg {pi_bar:.6g} >= pool value {cap:.6g}: paying it admits a risk-free profit"
-        )
+    _check_below_cap(pi_bar, cap)
     if pi_bar == 0.0:
         return 0.0
     log_ratio = math.log(cap / (cap - pi_bar))
@@ -431,18 +424,18 @@ def implied_corr(
     rho = (sx**2 + sy**2 - sigma_bar**2) / (2*sx*sy), taken in units of a
     power of two near max(sx, sy): exact, and no square over- or underflows.
     The quote must pass ``_check_quote``, the rule ``validate_quote`` also
-    applies; quotes at or within its slack of the band's ends pin rho to
-    exactly +1 or -1.
+    applies, once; quotes at or within its slack of the band's ends pin rho
+    to exactly +1 or -1, and its pool value seeds ``implied_vol``'s solve.
     """
     sigma_x = check_positive(sigma_x, "sigma_x")
     sigma_y = check_positive(sigma_y, "sigma_y")
     pi_bar = check_nonnegative(pi_bar, "pi_bar")
-    _, (pi_lo, pi_hi) = _check_quote(spec, pi_bar, (sigma_x, sigma_y))
+    cap, (pi_lo, pi_hi) = _check_quote(spec, pi_bar, (sigma_x, sigma_y))
     if pi_bar <= pi_lo:
         return CorrSolution(rho=1.0, sigma_bar=abs(sigma_x - sigma_y), stderr=0.0, iterations=0)
     if pi_bar >= pi_hi:
         return CorrSolution(rho=-1.0, sigma_bar=sigma_x + sigma_y, stderr=0.0, iterations=0)
-    sol = implied_vol(spec, pi_bar, mc, tol)
+    sol = _implied_vol(spec, pi_bar, cap, mc, tol)
     unit = math.ldexp(1.0, math.frexp(max(sigma_x, sigma_y))[1] - 1)
     a, b, c = sigma_x / unit, sigma_y / unit, sol.sigma / unit
     rho = min(max((a * a + b * b - c * c) / (2.0 * a * b), -1.0), 1.0)
@@ -466,47 +459,53 @@ def fee_vol_from_realized(window_fees: float, spec: SwapSpec, tol: float = 1e-6)
 _FEE_VOL_CHUNK = 16
 
 
+def _window_terms(stat: WindowStat) -> tuple[int, float, float]:
+    """(start second, length in years, fees) of one window; InvalidParams
+    naming it where the start is not an int64 or the length is beyond a double."""
+    try:
+        return int(np.int64(stat.window_start)), (stat.window_end - stat.window_start) / YEAR_SECONDS, stat.fees
+    except OverflowError:
+        raise InvalidParams(f"window [{stat.window_start!r}, {stat.window_end!r}) is out of range: its start "
+                            "must be an int64 second and its length in years a double") from None
+
+
 def attach_fee_vols(ledger: SimLedger, stats: list[WindowStat]) -> list[WindowStat]:
     """Fill in each window's fee_vol, and its Newton iterations, from its
     realized fees.
 
-    Each window is priced as its own swap: spot at the window start, window
-    length as maturity, the ledger's (already scaled) pool as the curve,
-    checked as ``SwapSpec`` and ``_check_quote`` check one swap.  Windows
-    are priced and solved _FEE_VOL_CHUNK at a time, in one ``_solve_legs``;
-    the first window that fails raises its error.
+    Each window is priced as its own swap of unit notional: spot at the
+    window start, window length as maturity, the ledger's (already scaled)
+    pool as the curve.  One pass takes all windows' terms and pool values as
+    arrays and finds the first window that ``SwapSpec`` or ``_check_quote``
+    refuses; the windows above it are solved _FEE_VOL_CHUNK at a time, in
+    one ``_solve_legs`` each.  The first window that fails raises its error.
     """
+    rows = []
+    for stat in stats:
+        try:
+            rows.append(_window_terms(stat))
+        except InvalidParams:  # raised below, unless a window above it fails first
+            break
+    start, maturity, fees = np.array(rows, dtype=object).reshape(-1, 3).T
+    spot, maturity, fees = ledger.spot_at(start.astype(np.int64)), maturity.astype(float), fees.astype(float)
+    with np.errstate(all="ignore"):  # a pool value that is not a double fails below
+        caps = ledger.curve.pool_value_grid(spot)
+    ok = (0.0 < maturity) & (0.0 < spot) & (0.0 <= fees) & (fees < caps) & np.isfinite([maturity, spot, caps]).all(0)
+    n = len(rows) if ok.all() else int(np.argmin(ok))
     out = []
-    for first in range(0, len(stats), _FEE_VOL_CHUNK):
-        chunk = stats[first:first + _FEE_VOL_CHUNK]
-        spots = ledger.spot_at(np.array([stat.window_start for stat in chunk], dtype=np.int64))
-        rows, failure = [], None
-        for stat, spot in zip(chunk, spots):
-            try:
-                spec = SwapSpec(ledger.curve, (stat.window_end - stat.window_start) / YEAR_SECONDS, spot, 1.0)
-                fees = check_nonnegative(stat.fees, "window_fees")
-            except AmmVolError as exc:  # raised once the windows above it are solved
-                failure = exc
-                break
-            rows.append((spec.q0, spec.maturity, spec.notional_scale, fees))
-        q0, maturity, scale, fees = np.array(rows, dtype=float).reshape(-1, 4).T
-        caps = _pool_values(ledger.curve, q0, scale)
-        n = len(rows)
-        for k, (fee, cap) in enumerate(zip(fees.tolist(), caps.tolist())):
-            try:
-                _check_below_cap(fee, check_nonnegative(cap, "the pool value at the start prices"))
-            except AmmVolError as exc:
-                failure, n = exc, k
-                break
+    for first in range(0, n, _FEE_VOL_CHUNK):
+        part = slice(first, min(first + _FEE_VOL_CHUNK, n))
         sigma, _, iterations, errors = _solve_legs(
-            ledger.curve, q0[:n], maturity[:n], scale[:n], fees[:n], caps[:n], 1e-6
+            ledger.curve, spot[part], maturity[part], np.ones_like(fees[part]), fees[part], caps[part], 1e-6
         )
         if errors:
             raise errors[min(errors)]
-        if failure is not None:
-            raise failure
         out.extend(
             replace(stat, fee_vol=vol, fee_vol_iterations=steps)
-            for stat, vol, steps in zip(chunk, sigma.tolist(), iterations.tolist())
+            for stat, vol, steps in zip(stats[part], sigma.tolist(), iterations.tolist())
         )
+    if n < len(stats):  # the failing window's error, as SwapSpec and _check_quote raise it
+        start, maturity, fee = _window_terms(stats[n])
+        spec = SwapSpec(ledger.curve, maturity, ledger.spot_at(start), 1.0)
+        _check_quote(spec, check_nonnegative(fee, "window_fees"))
     return out

@@ -11,6 +11,7 @@ import math
 import os
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -443,6 +444,27 @@ def test_solve_corr_interior_and_out_of_bounds(capsys):
     code, err = error_of(capsys, "solve-corr", CORR_REQ % "2.0")
     assert code == 3
     assert err["error"] == "arbitrage_violation"
+
+
+def test_solve_requests_value_the_pool_once(capsys, monkeypatch):
+    # one unit-pool evaluation prices the quote's pool value, the other the
+    # stderr's Monte Carlo paths
+    calls = []
+    unit_holdings = StableSwap._unit_holdings
+
+    def counted(self, qs):
+        calls.append(np.size(qs))
+        return unit_holdings(self, qs)
+
+    monkeypatch.setattr(StableSwap, "_unit_holdings", counted)
+    base = {"curve": {"kind": "stableswap", "A": 100, "D": 2}, "T": 1.0, "p0x": 1.0, "paths": 16384}
+    out = run_json(capsys, "solve-vol", json.dumps({**base, "piBar": 0.05}))
+    assert out["stderr"] > 0.0
+    assert calls == [1, 16384]
+    calls.clear()
+    out = run_json(capsys, "solve-corr", json.dumps({**base, "piBar": 0.2, "sigmaX": 0.5, "sigmaY": 0.4}))
+    assert -1.0 < out["rho"] < 1.0 and out["stderr"] > 0.0
+    assert calls == [1, 16384]
 
 
 # ----- price-swap -------------------------------------------------------------------

@@ -7,6 +7,7 @@ Those exact numbers anchor the Monte Carlo paths for the other curve kinds.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import fee_vol_reference
@@ -66,6 +67,15 @@ def test_swap_spec_validation():
     assert spec.q0 == pytest.approx(1.5)
     assert spec.notional_scale == pytest.approx(10.0)
     assert spec.pool_value_now() == pytest.approx(10.0 * 2.0 * math.sqrt(1.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("curve", [Cpmm(1.5), CONC, StableSwap(100.0, 123.4, 1.7)], ids=lambda c: c.kind)
+def test_pool_value_now_is_the_curve_kernel_at_the_spot(curve):
+    # spots inside the range and beyond either end, where the pool holds
+    # the boundary portfolio
+    for p0x, p0y, tokens in [(1.1, 1.0, 1.0), (3.0, 2.0, 5.0), (0.01, 1.0, 0.5), (90.0, 1.5, 2.0)]:
+        spec = SwapSpec(curve, 0.5, p0x, p0y, liquidity_tokens=tokens)
+        assert spec.pool_value_now() == tokens * p0y * curve.pool_value_grid([p0x / p0y])[0]
 
 
 def test_mc_config_validation():
@@ -155,6 +165,13 @@ def test_closed_form_edge_cases():
     a = implied_vol_cpmm_closed_form(4.0, 1.0, 1.0, liquidity_tokens=1.0)
     b = implied_vol_cpmm_closed_form(1.0, 1.0, 1.0, liquidity_tokens=2.0)
     assert a == pytest.approx(b, rel=1e-15)
+    # one quote at the cap: the closed form and the solver refuse it alike
+    cap = 2.0 * 3.0 * math.sqrt(1.5)
+    with pytest.raises(ArbitrageViolation) as closed:
+        implied_vol_cpmm_closed_form(1.5, cap, 0.5, liquidity_tokens=3.0)
+    with pytest.raises(ArbitrageViolation) as solved:
+        implied_vol(SwapSpec(Cpmm(3.0), 0.5, 1.5), cap)
+    assert str(closed.value) == str(solved.value)
 
 
 def test_implied_vol_cpmm_solver_matches_closed_form():
@@ -427,3 +444,45 @@ def test_attach_fee_vols_carries_iterations_outside_the_windows_csv(tmp_path):
     back = read_windows(path)
     assert all(w.fee_vol_iterations == 0 for w in back)
     assert back == attached  # a diagnostic, not part of a window's value
+
+
+@pytest.mark.parametrize(
+    "start, end",
+    [(0, 10**400), (2**63, 2**63 + 3600), (-(2**70), -(2**70) + 3600)],
+    ids=["length-beyond-a-double", "start-beyond-int64", "start-below-int64"],
+)
+def test_out_of_range_windows_are_invalid_params_in_window_order(start, end):
+    ledger, windows = _fee_vol_stream(Cpmm(1.0))
+    odd = WindowStat(start, end, 0.0, 0.0, math.nan)
+    named = re.escape(f"window [{start!r}, {end!r}) is out of range")
+    with pytest.raises(InvalidParams, match=named):
+        attach_fee_vols(ledger, [odd])
+    # the windows above it are solved first, and a failing one raises first
+    with pytest.raises(InvalidParams, match=named):
+        attach_fee_vols(ledger, windows[:20] + [odd] + windows[20:])
+    with pytest.raises(ArbitrageViolation):
+        attach_fee_vols(ledger, windows[:3] + [replace(windows[3], fees=1e9), odd])
+
+
+def test_attach_fee_vols_values_all_windows_in_one_kernel_call(monkeypatch):
+    ledger, windows = _fee_vol_stream(STABLE)
+    assert len(windows) > 16  # more than one chunk
+    calls = {"specs": 0, "pool_values": 0}
+    post_init, pool_values = SwapSpec.__post_init__, StableSwap.pool_value_grid
+
+    def counted_post_init(self):
+        calls["specs"] += 1
+        post_init(self)
+
+    def counted_pool_values(self, qs):
+        calls["pool_values"] += 1
+        return pool_values(self, qs)
+
+    monkeypatch.setattr(SwapSpec, "__post_init__", counted_post_init)
+    monkeypatch.setattr(StableSwap, "pool_value_grid", counted_pool_values)
+    attach_fee_vols(ledger, windows)
+    assert calls == {"specs": 0, "pool_values": 1}
+    # a failing window is checked again on its own, as one swap
+    with pytest.raises(ArbitrageViolation):
+        attach_fee_vols(ledger, windows[:20] + [replace(windows[20], fees=1e9)] + windows[21:])
+    assert calls == {"specs": 1, "pool_values": 3}
