@@ -30,19 +30,17 @@ is nondecreasing and concave.  Three curve families are provided:
 
         4*A*(u + v) + 1 = 4*A + 1 / (4*u*v)
 
-    Holdings at a price are found by inverting its strictly decreasing
-    marginal price map ``q(u)``: one vectorized solve, a safeguarded Newton
-    iteration bracketed and seeded by a dense table of the inverse map that
-    every pool with the same amplification shares.  The same solve builds
-    that table, refining it level by level from its two end nodes, the
-    center and the domain floor, which are known in closed form.  The seed
-    lands within rounding of the root, so one evaluation of the map per
-    price suffices.  ``liquidity_grid`` needs no solve: the table also holds
-    the log of the density and its slope, differentiated implicitly at each
-    node from the build's own solve.  The scalar ``first_derivs`` is that
-    density at one price, like the other scalar methods; the implicit
-    derivatives at the solved holdings, the oracle the table is held to,
-    live in ``tests/stableswap_reference.py``.
+    Holdings are read off a dense table, shared by every pool with the same
+    amplification, of the inverse of the strictly decreasing marginal price
+    map ``q(u)``: its interpolant gives u and the invariant v, with no
+    evaluation of the map.  A safeguarded Newton solve builds the table from
+    its two closed-form end nodes, the center and the domain floor, and
+    refines it until the interpolant lies within rounding of the root.  The
+    table also holds the log of the density and its slope, differentiated
+    implicitly at each node from the build's own solve, for
+    ``liquidity_grid`` and the scalar ``first_derivs``; the implicit
+    derivatives at the holdings, the oracle the table is held to, live in
+    ``tests/stableswap_reference.py``.
 
 Each curve states its liquidity density ``-q**2 * x'(q)`` once, in
 ``liquidity_grid``; the LVR rate is sigma**2/2 times it.  The fee-swap
@@ -82,31 +80,29 @@ _GL_ORDER = 24
 _BAND_SPLIT = 0.5
 _BAND_ORDER = 6
 
-# The StableSwap price->holdings solve freezes an element once a step moves
-# log u by at most _SOLVE_XTOL or its log-price residual is within
-# _SOLVE_RTOL of the target's magnitude (the rounding floor); an element
-# still moving after _SOLVE_MAX_ITER iterations raises NoConvergence.  The
-# dense seed table puts nearly every seed within _SOLVE_XTOL, so one
-# evaluation freezes it; bisecting a whole table cell down to _SOLVE_XTOL
-# takes about 40.  Brackets are padded by _SOLVE_PAD in log u so that a
-# root within rounding of a node stays in.
+# The StableSwap solve that builds the seed table freezes an element once a
+# step moves log u by at most _SOLVE_XTOL or its log-price residual is within
+# _SOLVE_RTOL of the target's magnitude (the rounding floor); one still moving
+# after _SOLVE_MAX_ITER iterations raises NoConvergence, and bisecting a whole
+# cell to _SOLVE_XTOL takes about 40.  Brackets are padded by _SOLVE_PAD in
+# log u so that a root within rounding of a node stays in.
 _SOLVE_XTOL = 1e-13
 _SOLVE_PAD = 1e-9
 _SOLVE_RTOL = 4.0 * np.finfo(float).eps
 _SOLVE_MAX_ITER = 64
 
-# The solve is seeded from a table of _SEED_NODES nodes per amplification;
-# the last _SEED_CACHE tables stay cached.  The table is refined from its two
-# end nodes through the _SEED_LEVELS node counts, each level solved from the
-# one before it, _SEED_CHUNK nodes at a time: under two evaluations of the
-# price map per final node in all.  A whole level in one solve builds the same
-# table a little faster, but its temporaries raise the peak memory of a
-# process that builds it by about 2 MB.  _SEED_NODES nodes put the seed within
-# _SOLVE_XTOL for A up to 1e4; at A = 1e5, 2-5% of prices beyond a
-# hundredfold move from the center take a second evaluation.  Each set-up
-# of a fresh process pays the build, about 5-7 ms with the density columns.
+# The seed table is refined from its two end nodes through the _SEED_LEVELS
+# node counts, _SEED_CHUNK nodes at a time, then halved at most
+# _SEED_HALVINGS times until every cell midpoint lies within _SOLVE_XTOL of
+# the interpolant; the last _SEED_CACHE tables stay cached.  The node count
+# follows from A: _SEED_NODES up to 1e4 (midpoints within 9e-14), 32,767 to
+# about 5e6, 65,533 beyond.  The build takes under three evaluations of the
+# price map per final node, about 1.7 times the levels alone at A <= 1e4 and
+# 4 times at 1e9, paid at each set-up of a fresh process.  Solving a whole
+# level at once is a little faster but raises peak memory by 2 MB.
 _SEED_NODES = 16384
 _SEED_LEVELS = (64, 4096, _SEED_NODES)
+_SEED_HALVINGS = 3
 _SEED_CHUNK = 8192
 _SEED_CACHE = 16
 
@@ -682,20 +678,20 @@ class StableSwap(AmmCurve):
     def _newton(self, t: np.ndarray, w: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray):
         """(smaller holding, larger holding, d log q / dw, d log v / d log u,
         Newton update of w) at the roots w = log min(u, v) of log(q/c) = t
-        >= 0, from seeds w, clipped in place into brackets [w_lo, w_hi].
+        >= 0, from seeds w inside brackets [w_lo, w_hi]: the solve that
+        builds ``_seed_table``, which the holdings then read.
 
         Each iteration takes the Newton step if it stays inside the bracket
         and bisects otherwise (rtsafe, Press et al., Numerical Recipes 9.4).
         An element is frozen once its Newton step is at most _SOLVE_XTOL or
         its residual is at the rounding floor: its first four outputs are
         evaluated at the last w, and the fifth is the step from there, the
-        root to rounding.  One still moving after _SOLVE_MAX_ITER iterations
-        raises NoConvergence.  The first evaluation's arrays are the outputs;
-        only elements that iterate again are written back into them.
+        root to rounding; one still moving after _SOLVE_MAX_ITER iterations
+        raises NoConvergence.  Elements that iterate again are written back
+        into the first evaluation's arrays.
         """
         out = None
         todo = None
-        np.clip(w, w_lo, w_hi, out=w)
         for _ in range(_SOLVE_MAX_ITER):
             small, big, f, slope, elast = self._grid_eval(w)
             f -= t  # log(q/c) - t, decreasing in w
@@ -731,7 +727,7 @@ class StableSwap(AmmCurve):
         """(qs clipped to q_bounds, t = |log(q/c)| there clamped to the seed
         table's reach), both flat, t to full relative precision on both sides
         of the center.  As the invariant is symmetric in (u, v) with q ->
-        c**2/q, ``_newton`` at t solves for the u of max(q, c**2/q) >= c, the
+        c**2/q, the seed table at t holds the u of max(q, c**2/q) >= c, the
         smaller holding: below the center u is the larger one and d log q =
         -d log(c**2/q), and each caller maps back the outputs it uses."""
         qs = np.clip(qs, *self.q_bounds).ravel()
@@ -748,9 +744,12 @@ class StableSwap(AmmCurve):
     # ----- public surface -------------------------------------------------
 
     def _unit_holdings(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, y) of the unit pool at prices qs, clipped to q_bounds."""
+        """(x, y) of the unit pool at prices qs, clipped to q_bounds: the
+        seed table's min(u, v) and the invariant's other holding there."""
         qc, t = self._distance(qs)
-        small, big, _, _, _ = self._newton(t, *_dense_seed(_seed_table(self.amplification), t))
+        small, _, _ = _dense_seed(_seed_table(self.amplification), t)
+        np.exp(small, out=small)
+        big = self._grid_v(small)
         mirror = qc < self.price_center
         u = np.where(mirror, big, small)
         u /= self.price_center
@@ -805,10 +804,22 @@ class StableSwap(AmmCurve):
         }
 
 
-def _hermite(r, a, b, ma, mb):
-    """Cubic Hermite interpolant at r in [0, 1] of the cell with end values
-    a, b and end slopes ma, mb per unit cell width.  Overwrites ma and mb,
-    which every caller gathers afresh."""
+def _interpolate(seed: "_SeedTable", values: np.ndarray, slopes: np.ndarray, t: np.ndarray):
+    """(cubic Hermite interpolant of a table column at targets t, its values
+    at each cell's lower and upper node), from the column's ``values`` and
+    ``slopes`` per unit cell.  Each target's cell [j, j + 1] and position r
+    in it are read off the node spacing directly."""
+    r = t / seed.tau
+    np.log1p(r, out=r)
+    r /= seed.h
+    j = np.floor(r)  # whole floats: cheaper to clamp and subtract than ints
+    np.minimum(j, seed.w.size - 2, out=j)
+    r -= j
+    j = j.astype(np.intp)
+    a, ma = values.take(j), slopes.take(j)
+    j += 1
+    b, mb = values.take(j), slopes.take(j)
+    # a + r*(b - a) + r*(1 - r)*((1 - r)*(ma - ab) - r*(mb - ab)), ab = b - a
     ab = b - a
     ma -= ab
     mb -= ab
@@ -817,45 +828,21 @@ def _hermite(r, a, b, ma, mb):
     mb *= r
     ma -= mb
     rc *= r
-    ma *= rc  # r*(1 - r)*((1 - r)*(ma - ab) - r*(mb - ab))
+    ma *= rc
     ab *= r
     ab += a
     ab += ma
-    return ab
-
-
-def _cell(seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position r in [0, 1], index j) of the table cell [j, j + 1] holding
-    each target t, read off the node spacing directly."""
-    r = t / seed.tau
-    np.log1p(r, out=r)
-    r /= seed.h
-    j = np.floor(r)  # whole floats: cheaper to clamp and subtract than ints
-    np.minimum(j, seed.w.size - 2, out=j)
-    r -= j
-    return r, j.astype(np.intp)
-
-
-def _interpolate(seed: "_SeedTable", values: np.ndarray, slopes: np.ndarray, t: np.ndarray):
-    """(cubic Hermite interpolant of a table column at targets t, its values
-    at each cell's lower and upper node), from the column's ``values`` and
-    ``slopes`` per unit cell."""
-    r, j = _cell(seed, t)
-    a, ma = values.take(j), slopes.take(j)
-    j += 1
-    b = values.take(j)
-    return _hermite(r, a, b, ma, slopes.take(j)), a, b
+    return ab, a, b
 
 
 def _dense_seed(seed: "_SeedTable", t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(seed, lower, upper bracket) of w = log min(u, v) at targets t.  The
-    cell's end nodes, padded by _SOLVE_PAD, bracket the root, and the Hermite
-    seed lands within _SOLVE_XTOL of it: nearly every element freezes at once."""
+    """(seed, lower, upper bracket) of w = log min(u, v) at targets t: the
+    interpolant, clipped into its cell's end nodes padded by _SOLVE_PAD."""
     w, a, b = _interpolate(seed, seed.w, seed.m, t)
     # log s falls as the price rises: node j + 1 bounds the root from below
     b -= _SOLVE_PAD
     a += _SOLVE_PAD
-    return w, b, a
+    return np.clip(w, b, a, out=w), b, a
 
 
 class _SeedTable(NamedTuple):
@@ -888,17 +875,29 @@ class _SeedTable(NamedTuple):
     gm: np.ndarray | None = None
 
 
-def _liquidity_columns(amplification, u, v, slope, elast, w, m):
-    """(G, h * dG/dz) of ``_SeedTable`` on the unit pool, from ``_newton``'s
-    outputs at the nodes and the nodes' w and m = h * dw/dz."""
-    alpha = 16.0 * amplification * u * u * v
-    beta = 16.0 * amplification * u * v * v
-    alpha_w = alpha * (2.0 + elast)
-    beta_w = beta * (1.0 + 2.0 * elast)
-    big_n = alpha * alpha - alpha * beta + beta * beta + alpha + beta + 1.0
-    n_w = (2.0 * alpha - beta + 1.0) * alpha_w + (2.0 * beta - alpha + 1.0) * beta_w
-    sigma_w_over_sigma = n_w / big_n - alpha_w / (alpha + 1.0) - 2.0 * beta_w / (beta + 1.0)
-    return w - np.log(-slope), m * (1.0 - sigma_w_over_sigma)
+def _solve_nodes(unit: StableSwap, seed: _SeedTable, h: float, k: np.ndarray):
+    """((w, m, G, h * dG/dz) of ``_SeedTable`` at the nodes z = k * h, the
+    largest distance of a root from its seed), solved by ``_newton`` from
+    ``seed``, _SEED_CHUNK nodes at a time."""
+    t = np.minimum(seed.tau * np.expm1(k * h), seed.t_max)
+    w, m, g, gm = columns = tuple(np.empty(t.size) for _ in range(4))
+    miss = 0.0
+    for lo in range(0, t.size, _SEED_CHUNK):
+        part = slice(lo, lo + _SEED_CHUNK)
+        start, w_lo, w_hi = _dense_seed(seed, t[part])
+        u, v, slope, elast, w[part] = unit._newton(t[part], start, w_lo, w_hi)
+        miss = max(miss, float(np.max(np.abs(w[part] - start))))
+        # m = h * dw/dz with dw/dt = 1/slope and dt/dz = tau + t
+        m[part] = (seed.tau + t[part]) * h / slope
+        alpha = 16.0 * unit.amplification * u * u * v
+        beta = 16.0 * unit.amplification * u * v * v
+        alpha_w = alpha * (2.0 + elast)
+        beta_w = beta * (1.0 + 2.0 * elast)
+        big_n = alpha * alpha - alpha * beta + beta * beta + alpha + beta + 1.0
+        n_w = (2.0 * alpha - beta + 1.0) * alpha_w + (2.0 * beta - alpha + 1.0) * beta_w
+        sigma_w_over_sigma = n_w / big_n - alpha_w / (alpha + 1.0) - 2.0 * beta_w / (beta + 1.0)
+        g[part], gm[part] = w[part] - np.log(-slope), m[part] * (1.0 - sigma_w_over_sigma)
+    return columns, miss
 
 
 @lru_cache(maxsize=_SEED_CACHE)
@@ -912,10 +911,10 @@ def _seed_table(amplification: float) -> _SeedTable:
     logarithmic beyond it.  The table starts from its two end nodes, known
     in closed form: the center (w = log 1/2, t = 0, slope -tau) and the
     floor (w = log HOLDINGS_FLOOR, t = t_max).  Each of the _SEED_LEVELS
-    finer tables is solved by ``_newton``, seeded by ``_dense_seed`` from
-    the one before it, in chunks of _SEED_CHUNK nodes.  Each level's density
-    columns come from its own solve, with no further evaluation of the price
-    map; the final table's serve ``liquidity_grid``.
+    finer tables, and its density columns, is solved from the one before.
+    The interpolant errs most near cell midpoints, so the build then solves
+    those; while one lies beyond _SOLVE_XTOL of its seed, they join the
+    table as nodes, at most _SEED_HALVINGS times before NoConvergence.
     """
     unit = StableSwap(amplification, 1.0)
     tau = 2.0 / (2.0 * amplification + 1.0)
@@ -923,21 +922,22 @@ def _seed_table(amplification: float) -> _SeedTable:
     _, _, t_floor, slope_floor, _ = unit._grid_eval(np.array([w_floor]))
     t_max = float(t_floor[0])
     z_max = math.log1p(t_max / tau)
-    # m = h * dw/dz with dw/dt = 1/slope and dt/dz = tau + t
-    seed = _SeedTable(
-        tau, z_max, t_max, np.array([math.log(0.5), w_floor]),
-        np.array([-z_max, (tau + t_max) * z_max / slope_floor[0]]),
-    )
+    seed = _SeedTable(tau, z_max, t_max, np.array([math.log(0.5), w_floor]),
+                      np.array([-z_max, (tau + t_max) * z_max / slope_floor[0]]))
     for n in _SEED_LEVELS:
         h = z_max / (n - 1)
-        t = np.minimum(tau * np.expm1(np.arange(n) * h), t_max)
-        w, m, g, gm = (np.empty(n) for _ in range(4))
-        for lo in range(0, n, _SEED_CHUNK):
-            part = slice(lo, lo + _SEED_CHUNK)
-            u, v, slope, elast, w[part] = unit._newton(t[part], *_dense_seed(seed, t[part]))
-            m[part] = (tau + t[part]) * h / slope
-            g[part], gm[part] = _liquidity_columns(amplification, u, v, slope, elast, w[part], m[part])
-        seed = _SeedTable(tau, h, t_max, w, m, g, gm)
+        seed = _SeedTable(tau, h, t_max, *_solve_nodes(unit, seed, h, np.arange(n))[0])
+    for halving in range(_SEED_HALVINGS + 1):
+        n, h = seed.w.size, 0.5 * seed.h  # exact: the old nodes keep their places
+        mid, miss = _solve_nodes(unit, seed, h, np.arange(1, 2 * n - 1, 2))
+        if miss <= _SOLVE_XTOL:
+            break
+        if halving == _SEED_HALVINGS:
+            raise NoConvergence(f"the stableswap seed table for A={amplification!r} still seeds a cell "
+                                f"midpoint {miss:.3g} from its root at {n} nodes")
+        # the slope columns are per unit cell, so the old nodes' slopes halve
+        old = (seed.w, 0.5 * seed.m, seed.g, 0.5 * seed.gm)
+        seed = _SeedTable(tau, h, t_max, *(np.insert(a, np.arange(1, n), b) for a, b in zip(old, mid)))
     for column in seed[3:]:
         column.flags.writeable = False  # shared by every pool with this key
     return seed

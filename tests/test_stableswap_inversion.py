@@ -6,19 +6,22 @@ endpoints included, and check the array solve against a bisection in
 60-digit decimal arithmetic on the original implicit price formula.  The
 solve runs on the unit pool, so at every D from 1e-300 to 1e300 the
 holdings, value and density are D times the unit pool's, and a D is
-refused only where they overflow.  Other
-tests pin the solve's failure modes: an exhausted iteration budget raises
-NoConvergence (exit code 6 on the CLI) instead of returning an unconverged
-holding, and the package imports without scipy.  The last ones hold the
-dense seed table to its purpose: the solve returns its nodes, takes one
-evaluation of the price map per price, and is shared across pool scales;
-and where a far-tail price still takes a second evaluation, its result is
-the one it gets alone.  The table builds itself from its two end nodes
-within two evaluations per node, x' reads the table without evaluating the
-price map at all, and a fresh pool's first floating-leg strip solves only
-its three placement prices beyond the strip's nodes.
+refused only where they overflow.  A digest
+pins the bytes of the four kernels on six pools.  Other tests pin the
+solve's failure modes: an exhausted iteration budget, or a table that
+cannot seed within rounding, raises NoConvergence (exit code 6 on the CLI)
+instead of returning an unconverged holding, and the package imports
+without scipy.  The last ones hold the dense seed table to its purpose: the
+solve returns its nodes, and the table is shared across pool scales and
+centers.  It builds itself from its two end nodes within three evaluations
+of the price map per node, the check of its cell midpoints included, and
+seeds every price within _SOLVE_XTOL of its root for A up to 1e9.  The
+holdings, value and x' read the table without evaluating the price map at
+all, and a fresh pool's first floating-leg strip solves only its three
+placement prices beyond the strip's nodes.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -173,14 +176,66 @@ def test_exhausted_iteration_budget_raises(monkeypatch):
         curve.xprime_grid(np.array([0.7, 1.3]))
 
 
-def test_cli_maps_exhausted_solve_to_no_convergence(monkeypatch, capsys):
-    exhaust_solve_budget(monkeypatch)
-    request = {"curve": {"kind": "stableswap", "A": 100.0, "D": 2.0}, "T": 1.0, "p0x": 1.0, "sigma": 0.3}
+def assert_price_swap_exits_no_convergence(capsys, amplification):
+    request = {"curve": {"kind": "stableswap", "A": amplification, "D": 2.0}, "T": 1.0, "p0x": 1.0, "sigma": 0.3}
     code = main(["price-swap", json.dumps(request)])
     captured = capsys.readouterr()
     assert code == 6
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "no_convergence"
+
+
+def test_cli_maps_exhausted_solve_to_no_convergence(monkeypatch, capsys):
+    exhaust_solve_budget(monkeypatch)
+    assert_price_swap_exits_no_convergence(capsys, 100.0)
+
+
+@pytest.mark.parametrize(
+    "setting, value, amplification, message",
+    [
+        # no seed lies within 0 of its root, so the level solves never freeze
+        ("_SOLVE_XTOL", 0.0, 100.0, "unconverged"),
+        # the 16,384-node table seeds A = 1e6 midpoints 7e-13 from their roots
+        ("_SEED_HALVINGS", 0, 1e6, "cell midpoint"),
+    ],
+)
+def test_a_table_that_cannot_seed_within_xtol_is_no_convergence(monkeypatch, capsys, setting, value,
+                                                                amplification, message):
+    monkeypatch.setattr(ammvol.curves, setting, value)
+    ammvol.curves._seed_table.cache_clear()  # a cached table would skip the build
+    with pytest.raises(NoConvergence, match=message):
+        StableSwap(amplification, 1.0).holdings_grid(np.array([1.3]))
+    assert_price_swap_exits_no_convergence(capsys, amplification)
+
+
+# sha256 of the float64 bytes of the four kernels: a change to any bit of any
+# value shows here.  numpy evaluates float64 exp and log with its own AVX-512
+# code where the CPU has it and with the C library's otherwise, which differ
+# in the last bit of some values, so each path has its digest.
+KERNEL_DIGESTS = {
+    "AVX-512 exp/log": "56be5be351f81bf491a14226973ab1589a75f5f691982f57bc88633118a9669b",
+    "libm exp/log": "bfee479a9cef09fe7ec7d44d9895f799df9b539427fa783d216aa8093bdb20a3",
+}
+
+
+def test_kernel_outputs_are_pinned_by_digest():
+    digest = hashlib.sha256()
+    for amplification in (1.0, 100.0, 1e4):
+        for center in (1.0, 123.4):
+            curve = StableSwap(amplification, 2.0, center)
+            lo, hi = curve.q_bounds
+            # 999 prices log-uniform inside the domain, and its two ends
+            qs = np.concatenate([[lo], np.exp(np.linspace(math.log(lo), math.log(hi), 1001)[1:-1]), [hi]])
+            s = np.where(np.arange(qs.size) % 2 == 0, 0.05, 0.8)  # both sides of _BAND_SPLIT
+            kernels = (
+                *curve.holdings_grid(qs),
+                curve.pool_value_grid(qs),
+                curve.liquidity_grid(qs),
+                *curve.floating_leg_grid(qs[::10], s[::10]),
+            )
+            for values in kernels:
+                digest.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    assert digest.hexdigest() in KERNEL_DIGESTS.values()
 
 
 def test_nan_price_grid_is_a_domain_error():
@@ -232,41 +287,6 @@ def test_solve_at_every_seed_node_returns_the_node(curve):
     assert np.max(np.abs(np.log(small) - seed.w)) <= ammvol.curves._SOLVE_XTOL, curve
 
 
-def assert_one_evaluation_per_price(curve, qs):
-    lo, hi = curve.q_bounds
-    curve.holdings_grid(np.array([curve.price_center]))  # the table build is not per price
-    with counted_evaluations() as points:
-        x, y = curve.holdings_grid(qs)
-    assert points[0] <= 1.01 * qs.size, (curve, points[0] / qs.size)
-    for i in range(0, qs.size, 1000):
-        assert tuple(curve.holdings(float(np.clip(qs[i], lo, hi)))) == (x[i], y[i])
-
-
-# log(px/py) of the martingale check: sigma_x 0.8, sigma_y 0.3, rho 0.5, T 0.25
-MC_LOG_SPREAD = math.sqrt((0.8**2 + 0.3**2 - 2.0 * 0.5 * 0.8 * 0.3) * 0.25)
-
-
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(pools, st.integers(0, 2**32 - 1))
-def test_seeded_solve_takes_one_evaluation_per_price_of_the_martingale_spread(curve, draw):
-    rng = np.random.default_rng(draw)
-    c = curve.price_center
-    qs = c * np.exp(rng.standard_normal(10_000) * MC_LOG_SPREAD * np.sqrt(rng.uniform(0.0, 1.0, 10_000)))
-    qs[:100] = c  # every path starts at the center
-    assert_one_evaluation_per_price(curve, qs)
-
-
-# the seed table reaches rounding in the far tail for A up to 1e4 (see
-# _SEED_NODES); beyond that a few percent of these prices take two evaluations
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(st.builds(StableSwap, log_decade(-2.0, 4.0), log_decade(-3.0, 6.0), log_decade(-1.0, 1.0)),
-       st.integers(0, 2**32 - 1))
-def test_seeded_solve_takes_one_evaluation_per_price_uniform_in_log_q(curve, draw):
-    lo, hi = curve.q_bounds
-    qs = np.exp(np.random.default_rng(draw).uniform(math.log(lo), math.log(hi), 10_000))
-    assert_one_evaluation_per_price(curve, qs)
-
-
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(log_decade(-2.0, 5.0), log_decade(-3.0, 6.0), log_decade(-3.0, 6.0), log_decade(-1.0, 1.0))
 def test_pools_differing_only_in_scale_share_one_seed_table(amplification, d1, d2, center):
@@ -296,51 +316,65 @@ def test_pools_differing_only_in_center_share_one_seed_table(amplification, c1, 
 
 
 def test_stragglers_written_back_equal_their_solve_alone():
-    # at A = 1e5 a few far-tail prices miss rounding from the seed and
-    # iterate again; each element must not depend on its neighbours
+    # at A = 1e5 the 16,384-node table left a few far-tail seeds beyond
+    # _SOLVE_XTOL, which a second evaluation wrote back; the halved table
+    # seeds every price within it, and each element must not depend on its
+    # neighbours
     curve = StableSwap(1e5, 2.0, 3.0)
     lo, hi = curve.q_bounds
     qs = np.exp(np.random.default_rng(1).uniform(math.log(lo), math.log(hi), 400))
-    curve.holdings_grid(np.array([curve.price_center]))  # the table build is not per price
-    with counted_evaluations() as points:
-        x, y = curve.holdings_grid(qs)
-    assert qs.size < points[0] < 2 * qs.size  # first-evaluation freezes and stragglers
+    x, y = curve.holdings_grid(qs)
     xp = curve.xprime_grid(qs)
-    stragglers = []
     for i, q in enumerate(qs):
         alone = qs[i : i + 1]
-        with counted_evaluations() as points:
-            assert tuple(a[0] for a in curve.holdings_grid(alone)) == (x[i], y[i]), q
-        if points[0] > 1:
-            stragglers.append(i)
+        assert tuple(a[0] for a in curve.holdings_grid(alone)) == (x[i], y[i]), q
         assert curve.xprime_grid(alone)[0] == xp[i], q
         x_ref, y_ref = stable_x_y_oracle(curve, float(q))
         assert x[i] == pytest.approx(x_ref, rel=1e-11), q
         assert y[i] == pytest.approx(y_ref, rel=1e-11), q
-    # their outputs are the converged iterate's, whose Newton step is
-    # rounding, not the first evaluation's, which moved more than _SOLVE_XTOL
-    _, t = curve._distance(qs[stragglers])
-    small, _, _, _, step = curve._newton(t, *ammvol.curves._dense_seed(seed_of(curve), t))
-    assert np.all(np.abs(step - np.log(small)) <= 0.1 * ammvol.curves._SOLVE_XTOL)
+    _, t = curve._distance(qs)
+    start, w_lo, w_hi = ammvol.curves._dense_seed(seed_of(curve), t)
+    root = curve._newton(t, start.copy(), w_lo, w_hi)[4]
+    assert np.max(np.abs(root - start)) <= ammvol.curves._SOLVE_XTOL
 
 
-def test_cold_seed_table_build_takes_at_most_two_evaluations_per_node():
-    builds = {}
-    for amplification in (1e-2, 1.0, 100.0, 1e4, 1e5):
+@pytest.mark.parametrize("amplification", [3e4, 1e6, 1e9])
+def test_holdings_of_a_halved_table_match_decimal_oracle(amplification):
+    # these amplifications take a finer table than _SEED_NODES nodes
+    curve = StableSwap(amplification, 2.0, 0.7)
+    assert seed_of(curve).w.size > ammvol.curves._SEED_NODES
+    qs = domain_prices(curve, np.random.default_rng(3).uniform(0.0, 1.0, 30))
+    x, y = curve.holdings_grid(qs)
+    for i, q in enumerate(qs):
+        x_ref, y_ref = stable_x_y_oracle(curve, float(q))
+        assert x[i] == pytest.approx(x_ref, rel=1e-11), (curve, q)
+        assert y[i] == pytest.approx(y_ref, rel=1e-11), (curve, q)
+
+
+def test_cold_seed_table_build_takes_at_most_three_evaluations_per_node():
+    # about two per node for the levels, and one per cell midpoint for the
+    # check; a halving solves the old midpoints as its new nodes
+    per_node = {}
+    for amplification in (1e-2, 1.0, 100.0, 1e4, 1e5, 1e9):
         with counted_evaluations() as points:
-            ammvol.curves._seed_table.__wrapped__(amplification)  # bypasses the cache
-        builds[amplification] = points[0]
-    assert max(builds.values()) <= 2 * ammvol.curves._SEED_NODES, builds
+            seed = ammvol.curves._seed_table.__wrapped__(amplification)  # bypasses the cache
+        per_node[amplification] = points[0] / seed.w.size
+    assert max(per_node.values()) <= 3.0, per_node
 
 
-@pytest.mark.parametrize("center", [0.6, 1.0, 3.0])
-def test_xprime_grid_reads_the_table_without_evaluating_the_price_map(center):
-    curve = StableSwap(1e4, 2.0, center)
+@pytest.mark.parametrize(
+    "center, kernel, amplification",
+    [(c, k, a) for c in (0.6, 1.0, 3.0) for k in ("xprime_grid", "holdings_grid", "pool_value_grid")
+     for a in (1e-2, 1e4, 1e6, 1e9)],
+)
+def test_xprime_grid_reads_the_table_without_evaluating_the_price_map(center, kernel, amplification):
+    # and so do the holdings and the pool value
+    curve = StableSwap(amplification, 2.0, center)
     lo, hi = curve.q_bounds
     qs = np.exp(np.random.default_rng(5).uniform(math.log(lo), math.log(hi), 10_000))
-    curve.holdings_grid(np.array([center]))  # the table build is not per price
+    qs[:100] = center  # a Monte Carlo run starts every path at the center
     with counted_evaluations() as points:
-        curve.xprime_grid(qs)
+        getattr(curve, kernel)(qs)
     assert points[0] == 0
 
 
