@@ -94,6 +94,14 @@ def check_nonnegative(value, name: str, error: type[AmmVolError] = InvalidParams
     return number
 
 
+def check_fraction(value, name: str) -> float:
+    """value as a float, or InvalidParams unless it lies in [0, 1)."""
+    number = _as_float(value)
+    if not 0.0 <= number < 1.0:
+        raise InvalidParams(f"{name} must lie in [0, 1), got {value!r}")
+    return number
+
+
 def check_count(value, name: str, least: int, most: float = math.inf) -> int:
     """value as an int, or InvalidParams unless it is a whole number in
     [least, most].

@@ -48,6 +48,7 @@ from .errors import (
     InvalidParams,
     UnsortedInput,
     check_count,
+    check_fraction,
     check_nonnegative,
     check_positive,
     check_seed,
@@ -55,6 +56,14 @@ from .errors import (
 from .fees import YEAR_SECONDS, GbmParams, effective_variance
 
 _LVR_MODES = ("trade_side", "pool_spot")
+
+
+def _trade_side(lvr_mode: str) -> bool:
+    """Whether ``lvr_mode`` values LVR at the trade side, or InvalidParams
+    unless it is one of ``_LVR_MODES``."""
+    if lvr_mode not in _LVR_MODES:
+        raise InvalidParams(f"lvr_mode must be one of {_LVR_MODES}, got {lvr_mode!r}")
+    return lvr_mode == "trade_side"
 
 
 # ----- input rules ------------------------------------------------------------
@@ -250,8 +259,7 @@ class PoolSimState:
     cum_lvr: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.fee_rate < 1.0):
-            raise InvalidParams(f"fee_rate must lie in [0, 1), got {self.fee_rate!r}")
+        object.__setattr__(self, "fee_rate", check_fraction(self.fee_rate, "fee_rate"))
 
 
 @dataclass(frozen=True)
@@ -267,8 +275,7 @@ class SimConfig:
     lvr_mode: str = "trade_side"
 
     def __post_init__(self):
-        if self.lvr_mode not in _LVR_MODES:
-            raise InvalidParams(f"lvr_mode must be one of {_LVR_MODES}, got {self.lvr_mode!r}")
+        _trade_side(self.lvr_mode)
         if self.initial_investment is not None:
             check_positive(self.initial_investment, "initial_investment")
 
@@ -305,94 +312,52 @@ class WindowStat:
 # ----- single-tick arbitrage ------------------------------------------------
 
 
-def _execute_leg(pool, spot, x, y, target, side, exec_price, fee_rate, timestamp):
-    """Move the spot toward ``target`` (clamped to the tradeable range).
+def _tick_outcome(pool, spot, bid, ask, mid, timestamp, fee_rate, trade_side):
+    """Best arbitrage response to one tick at ``spot``: (fills, spot, fee_x,
+    fee_y, fee_usd, lvr_usd).  A spot outside the curve's domain raises
+    DomainError.
 
-    Returns None when the clamp nullifies the move, else (fill, new_spot,
-    new_x, new_y, fee_x, fee_y) with fill None if neither holding changes.
+    A leg fires when its band edge lies beyond the spot: the bid leg (pool
+    sells x) moves the spot up to bid*(1-gamma), the ask leg (pool buys x)
+    down to ask/(1-gamma), each from where the leg before it left the spot
+    and clamped to the tradeable range.  A move the clamp cancels is
+    skipped; a leg too small to change either holding moves the spot but
+    books no fill.  The fee, gamma/(1-gamma) times the net input, is
+    withheld from the arbitrageur's gross input; a leg of a few ulps can
+    leave that holding falling by rounding, and pays none.  LVR values the
+    pool's change at the execution price (trade_side) or the new spot.
+    When both legs fire (crossed or interval-aggregated quotes), both orders
+    run and the one collecting less fee value wins, ties to bid-first.
     """
+    x0, y0 = pool.holdings(spot)
     lo, hi = pool.trade_bounds
-    target = min(max(target, lo), hi)
-    if side is FillSide.POOL_SELLS_X:
-        if not target > spot:
-            return None
-    else:
-        if not target < spot:
-            return None
-    x1, y1 = pool.holdings(target)
-    dx = x1 - x
-    dy = y1 - y
-    if dx == 0.0 and dy == 0.0:
-        return None, target, x1, y1, 0.0, 0.0
-    gamma = fee_rate
-    # the fee is withheld from the arbitrageur's gross input; a leg of a
-    # few ulps can leave the input holding falling by rounding, and pays none
-    if side is FillSide.POOL_SELLS_X:
-        fee_y = gamma * max(dy, 0.0) / (1.0 - gamma)
-        fee_x = 0.0
-        fee_paid = fee_y
-    else:
-        fee_x = gamma * max(dx, 0.0) / (1.0 - gamma)
-        fee_y = 0.0
-        fee_paid = fee_x
-    fill = Fill(timestamp, side, dx, dy, fee_paid, exec_price)
-    return fill, target, x1, y1, fee_x, fee_y
-
-
-def _run_legs(pool, spot, x, y, order, bid, ask, mid, timestamp, fee_rate, trade_side):
-    """Execute the given leg order, each leg re-checked at the current spot.
-
-    Returns (fills, spot, x, y, fee_x, fee_y, fee_usd, lvr_usd).
-    """
     om = 1.0 - fee_rate
-    fills: list[Fill] = []
-    fee_x_tot = fee_y_tot = fee_usd = lvr_usd = 0.0
-    for side in order:
-        if side is FillSide.POOL_SELLS_X:
-            target = bid * om
-            exec_price = bid
-        else:
-            target = ask / om
-            exec_price = ask
-        leg = _execute_leg(pool, spot, x, y, target, side, exec_price, fee_rate, timestamp)
-        if leg is None:
-            continue
-        fill, spot, x, y, fee_x, fee_y = leg
-        if fill is None:
-            continue
-        fills.append(fill)
-        fee_x_tot += fee_x
-        fee_y_tot += fee_y
-        fee_usd += fee_y + fee_x * mid
-        ref = exec_price if trade_side else spot
-        lvr_usd += -(fill.delta_x * ref + fill.delta_y)
-    return fills, spot, x, y, fee_x_tot, fee_y_tot, fee_usd, lvr_usd
-
-
-def _tick_outcome(pool, spot, x, y, bid, ask, mid, timestamp, fee_rate, trade_side):
-    """Best arbitrage response to one tick.
-
-    When the no-arbitrage band is crossed in both directions (possible with
-    crossed or interval-aggregated quotes) both leg orderings are evaluated
-    and the one collecting less total fee value wins, ties to bid-first.
-    """
-    om = 1.0 - fee_rate
-    do_bid = bid * om > spot
-    do_ask = ask / om < spot
-    if not (do_bid or do_ask):
-        return [], spot, x, y, 0.0, 0.0, 0.0, 0.0
-    if do_bid and do_ask:
-        first = _run_legs(
-            pool, spot, x, y, (FillSide.POOL_SELLS_X, FillSide.POOL_BUYS_X),
-            bid, ask, mid, timestamp, fee_rate, trade_side,
-        )
-        second = _run_legs(
-            pool, spot, x, y, (FillSide.POOL_BUYS_X, FillSide.POOL_SELLS_X),
-            bid, ask, mid, timestamp, fee_rate, trade_side,
-        )
-        return first if first[6] <= second[6] else second
-    side = FillSide.POOL_SELLS_X if do_bid else FillSide.POOL_BUYS_X
-    return _run_legs(pool, spot, x, y, (side,), bid, ask, mid, timestamp, fee_rate, trade_side)
+    legs = [(FillSide.POOL_SELLS_X, bid * om, bid)] if bid * om > spot else []
+    if ask / om < spot:
+        legs.append((FillSide.POOL_BUYS_X, ask / om, ask))
+    best = None
+    for order in [legs, legs[::-1]] if len(legs) == 2 else [legs]:
+        fills, s, x, y = [], spot, x0, y0
+        fee_x = fee_y = fee_usd = lvr_usd = 0.0
+        for side, target, exec_price in order:
+            sells_x = side is FillSide.POOL_SELLS_X
+            target = min(max(target, lo), hi)
+            if not (target > s if sells_x else target < s):
+                continue
+            x1, y1 = pool.holdings(target)
+            dx, dy = x1 - x, y1 - y
+            s, x, y = target, x1, y1
+            if dx == 0.0 and dy == 0.0:
+                continue
+            fee = fee_rate * max(dy if sells_x else dx, 0.0) / om
+            fills.append(Fill(timestamp, side, dx, dy, fee, exec_price))
+            leg_fee_x, leg_fee_y = (0.0, fee) if sells_x else (fee, 0.0)
+            fee_x, fee_y = fee_x + leg_fee_x, fee_y + leg_fee_y
+            fee_usd += leg_fee_y + leg_fee_x * mid
+            lvr_usd += -(dx * (exec_price if trade_side else s) + dy)
+        if best is None or not best[4] <= fee_usd:
+            best = fills, s, fee_x, fee_y, fee_usd, lvr_usd
+    return best
 
 
 def arbitrage_step(
@@ -405,13 +370,9 @@ def arbitrage_step(
     under the chosen valuation mode, with x fees valued at the tick mid.
     The state is returned unchanged when the spot stays and nothing fills.
     """
-    if lvr_mode not in _LVR_MODES:
-        raise InvalidParams(f"lvr_mode must be one of {_LVR_MODES}, got {lvr_mode!r}")
-    x, y = state.curve.holdings(state.spot_price)
-    fills, spot, _, _, fee_x, fee_y, _, lvr_usd = _tick_outcome(
-        state.curve, state.spot_price, x, y,
-        tick.bid, tick.ask, tick.mid, tick.timestamp,
-        state.fee_rate, lvr_mode == "trade_side",
+    fills, spot, fee_x, fee_y, _, lvr_usd = _tick_outcome(
+        state.curve, state.spot_price, tick.bid, tick.ask, tick.mid, tick.timestamp,
+        state.fee_rate, _trade_side(lvr_mode),
     )
     if not fills and spot == state.spot_price:
         return state, []
@@ -546,8 +507,7 @@ def run_simulation(
     config = config or SimConfig()
     series = ticks if isinstance(ticks, TickSeries) else TickSeries.from_ticks(list(ticks))
     series.validate(allow_crossed=True)
-    if not (0.0 <= fee_rate < 1.0):
-        raise InvalidParams(f"fee_rate must lie in [0, 1), got {fee_rate!r}")
+    fee_rate = check_fraction(fee_rate, "fee_rate")
 
     ts = series.timestamps
     bids = series.bids
@@ -561,7 +521,7 @@ def run_simulation(
         lo, hi = pool.trade_bounds
         spot = min(max(spot, lo), hi)
     initial_spot = spot
-    trade_side = config.lvr_mode == "trade_side"
+    trade_side = _trade_side(config.lvr_mode)
 
     om = 1.0 - fee_rate
     path = bids * om  # lower band edges, then the spot after each tick
@@ -579,8 +539,7 @@ def run_simulation(
         if c < n:
             spot = float(path[c - 1]) if c > start else spot
             scalar[c] = _tick_outcome(
-                pool, spot, *pool.holdings(spot), float(bids[c]), float(asks[c]),
-                float(mids[c]), int(ts[c]), fee_rate, trade_side,
+                pool, spot, float(bids[c]), float(asks[c]), float(mids[c]), int(ts[c]), fee_rate, trade_side,
             )
             spot = path[c] = scalar[c][1]
             start = c + 1
@@ -607,12 +566,12 @@ def run_simulation(
     for c, outcome in scalar.items():
         if moved[c]:
             e = int(np.searchsorted(ev, c))
-            fee_x[e], fee_y[e], fee_usd[e], lvr[e] = outcome[4:]
+            fee_x[e], fee_y[e], fee_usd[e], lvr[e] = outcome[2:]
             keep[e] = False
             crossed_fills += outcome[0]
 
     fills = FillTable(*(col[keep] for col in (ts[ev], up, dx, dy, fee, exec_price)))
-    if crossed_fills:  # merged in time order, scan fills first on a tie
+    if crossed_fills:  # merged in time order; a crossed tick books no scan row, so ties are its own legs
         crossed_table = FillTable.from_fills(crossed_fills)
         merged = [np.concatenate(pair) for pair in zip(fills.columns, crossed_table.columns)]
         order = np.argsort(merged[0], kind="stable")
@@ -859,8 +818,7 @@ def synthetic_gbm_ticks(
     any invalid series does.
     """
     p0 = check_positive(p0, "p0")
-    if not 0.0 <= spread < 1.0:
-        raise InvalidParams("spread must lie in [0, 1)")
+    spread = check_fraction(spread, "spread")
     duration_seconds = check_count(duration_seconds, "duration_seconds", 1)
     interval_seconds = check_count(interval_seconds, "interval_seconds", 1)
     check_seed(seed)

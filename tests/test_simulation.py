@@ -176,6 +176,32 @@ def test_crossed_tick_runs_both_legs():
     assert new.cum_lvr > 0.0
 
 
+def test_crossed_tick_runs_the_order_collecting_less_fee():
+    fee_rate, bid, ask = 0.003, 1.3, 0.8
+    om, mid = 1.0 - fee_rate, 0.5 * (bid + ask)
+    new, fills = arbitrage_step(PoolSimState(CPMM, 1.0, fee_rate), QuoteTick(0, bid, ask))
+    assert [f.side for f in fills] == [FillSide.POOL_BUYS_X, FillSide.POOL_SELLS_X]
+    assert new.spot_price == bid * om
+
+    def fees(order):
+        """(fee_x, fee_y) of the legs run in ``order`` from spot 1, each the
+        fee rate over 1 - fee rate times the net input."""
+        spots = [1.0] + [ask / om if leg == "ask" else bid * om for leg in order]
+        held = [CPMM.holdings(s) for s in spots]
+        fee_x = fee_y = 0.0
+        for leg, before, after in zip(order, held, held[1:]):
+            if leg == "ask":
+                fee_x += fee_rate * (after.x_qty - before.x_qty) / om
+            else:
+                fee_y += fee_rate * (after.y_qty - before.y_qty) / om
+        return fee_x, fee_y
+
+    ask_x, ask_y = fees(("ask", "bid"))
+    bid_x, bid_y = fees(("bid", "ask"))
+    assert ask_y + ask_x * mid < bid_y + bid_x * mid
+    assert (new.cum_fees_x, new.cum_fees_y) == (ask_x, ask_y)
+
+
 def test_arbitrage_clamps_at_range_boundary():
     pool = ConcentratedCpmm(1.0, 0.9, 1.05)
     state = PoolSimState(pool, spot_price=1.0, fee_rate=0.0)
@@ -302,6 +328,21 @@ def test_run_simulation_rejects_bad_fee_rate():
         run_simulation(CPMM, series, 1.0, NO_SCALE)
     with pytest.raises(InvalidParams):
         run_simulation(CPMM, series, -0.1, NO_SCALE)
+
+
+def test_fractions_in_zero_one_are_one_typed_rule():
+    # a number's text converts, as for every other number rule; a non-number
+    # is InvalidParams, not a TypeError from comparing it with 0
+    state = PoolSimState(CPMM, 1.0, "0.003")
+    assert type(state.fee_rate) is float and state.fee_rate == 0.003
+    with pytest.raises(InvalidParams, match=r"fee_rate must lie in \[0, 1\), got None"):
+        run_simulation(CPMM, flat_series([1.0, 1.0]), None, NO_SCALE)
+    with pytest.raises(InvalidParams, match=r"spread must lie in \[0, 1\), got 'x'"):
+        synthetic_gbm_ticks(GbmParams(0.5), 1.0, "x", 10, 1)
+    with pytest.raises(InvalidParams, match="fee_rate"):
+        PoolSimState(CPMM, 1.0, "x")
+    with pytest.raises(InvalidParams, match="lvr_mode must be one of"):
+        SimConfig(lvr_mode="nope")
 
 
 def test_ledger_lookup_before_first_event():
